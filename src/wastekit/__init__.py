@@ -28,7 +28,6 @@ from .model import (
     classify,
     f_lifetime,
     load_rules,
-    path_matches,
     ruleset_from_json_obj,
     sha256_file,
 )
@@ -37,6 +36,7 @@ from .scanner import (
     ScanOptions,
     Snapshot,
     WasteReport,
+    classify_snapshot,
     diff,
     read_snapshot,
     report,
@@ -103,7 +103,6 @@ __all__ = [
     "classify",
     "f_lifetime",
     "load_rules",
-    "path_matches",
     "ruleset_from_json_obj",
     "sha256_file",
     # scanner
@@ -112,6 +111,7 @@ __all__ = [
     "WasteReport",
     "ChurnReport",
     "scan",
+    "classify_snapshot",
     "report",
     "diff",
     "read_snapshot",

@@ -30,16 +30,16 @@ from .hierarchy import (
     plan as build_plan,
 )
 from .landfill import DigitalLandfill, LandfillConfig, load_trace, replay
-from .model import FileKind, WasteCategory, classify, load_rules
+from .model import FileKind, WasteCategory, load_rules
 from .penalty import SchedulerConfig, load_workload, simulate
 from .scanner import (
     ScanOptions,
+    classify_snapshot,
     diff,
     dump_snapshot,
     read_snapshot,
     report,
     scan,
-    snapshot_digest_provider,
     write_snapshot,
 )
 
@@ -252,12 +252,12 @@ def _cmd_plan(args) -> int:
     snapshot = read_snapshot(args.snapshot)
     rules = load_rules(_rules_path(args))
     masks = load_mask_rules(args.masks) if args.masks else MaskRules(default=FeasibilityMask())
-    provider = snapshot_digest_provider(snapshot)
-    entries = []
-    for rec in snapshot.records:
-        category = classify(rec, rules, snapshot.taken_at, provider)
-        if category.is_waste():
-            entries.append((rec, category, masks.mask_for(rec.path)))
+    categories, _ = classify_snapshot(snapshot, rules)
+    entries = [
+        (rec, category, masks.mask_for(rec.path))
+        for rec, category in zip(snapshot.records, categories)
+        if category.is_waste()
+    ]
     action_plan = build_plan(entries)
     model_kwargs = {"erase_block_bytes": args.erase_block}
     if args.endurance is not None:
@@ -365,23 +365,6 @@ def _cmd_penalty_sim(args) -> int:
     return 0
 
 
-def _iter_dedup_inputs(path: str):
-    """Yield (object_id, absolute path) pairs for a directory tree or a
-    snapshot's regular-file list, in sorted order."""
-    if os.path.isdir(path):
-        for dirpath, dirnames, filenames in os.walk(path):
-            dirnames.sort()
-            for name in sorted(filenames):
-                ab = os.path.join(dirpath, name)
-                if os.path.isfile(ab) and not os.path.islink(ab):
-                    yield os.path.relpath(ab, path), ab
-        return
-    snapshot = read_snapshot(path)
-    for rec in snapshot.records:
-        if rec.kind is FileKind.REGULAR:
-            yield rec.path, os.path.join(snapshot.root, rec.path)
-
-
 def _cmd_dedup(args) -> int:
     config = ChunkingConfig(
         min_chunk=args.min_chunk,
@@ -389,16 +372,19 @@ def _cmd_dedup(args) -> int:
         max_chunk=args.max_chunk,
         window=args.window,
     )
+    snapshot = scan(args.path) if os.path.isdir(args.path) else read_snapshot(args.path)
     store = ChunkStore(config=config)
     skipped = []
-    for object_id, ab in _iter_dedup_inputs(args.path):
+    for rec in snapshot.records:
+        if rec.kind is not FileKind.REGULAR:
+            continue
         try:
-            with open(ab, "rb") as fh:
+            with open(os.path.join(snapshot.root, rec.path), "rb") as fh:
                 data = fh.read()
         except OSError as exc:
-            skipped.append(f"{object_id}: {exc}")
+            skipped.append(f"{rec.path}: {exc}")
             continue
-        store.ingest(object_id, data)
+        store.ingest(rec.path, data)
     stats = store.stats()
     stats["skipped"] = skipped
     if args.format == "json":

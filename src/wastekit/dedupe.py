@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ChunkCorruptionError, ObjectNotFoundError, WastekitError
-from .model import RuleSet, WasteCategory, classify
-from .scanner import Snapshot, snapshot_digest_provider
+from .model import RuleSet
+from .scanner import Snapshot, classify_snapshot
 
 DEFAULT_MIN_CHUNK = 2 * 1024
 DEFAULT_TARGET_CHUNK = 8 * 1024
@@ -290,15 +290,13 @@ class RecoverSummary:
 
 
 def recover_summary(snapshot: Snapshot, rules: RuleSet, digest_provider=None) -> RecoverSummary:
-    if digest_provider is None:
-        digest_provider = snapshot_digest_provider(snapshot, [])
+    categories, _ = classify_snapshot(snapshot, rules, digest_provider)
     ext_hist: dict[str, list] = {}
     size_hist: dict[str, list] = {}
     age_hist: dict[str, list] = {}
     files = 0
     total = 0
-    for record in snapshot.records:
-        category = classify(record, rules, now=snapshot.taken_at, digest_provider=digest_provider)
+    for record, category in zip(snapshot.records, categories):
         if not category.is_waste():
             continue
         files += 1

@@ -7,14 +7,13 @@ it never influences which action is chosen.
 
 from __future__ import annotations
 
-import fnmatch
 import json
 from dataclasses import dataclass, field
 from enum import IntEnum
 from fractions import Fraction
 
 from .errors import WastekitError
-from .model import FileRecord, WasteCategory, path_matches
+from .model import FileRecord, GlobSet, WasteCategory, _validate_globs
 
 
 class HierarchyAction(IntEnum):
@@ -233,38 +232,44 @@ class MaskRules:
     rules: tuple[tuple[str, FeasibilityMask], ...] = ()
     default: FeasibilityMask = FeasibilityMask()
 
+    def __post_init__(self):
+        object.__setattr__(self, "_globs", GlobSet(pattern for pattern, _ in self.rules))
+
     def mask_for(self, path: str) -> FeasibilityMask:
-        for pattern, mask in self.rules:
-            if path_matches(path, pattern):
-                return mask
-        return self.default
+        index = self._globs.first(path)
+        return self.default if index is None else self.rules[index][1]
 
 
 _MASK_BITS = ("reduce_ok", "reuse_ok", "recycle_ok", "recover_ok")
 
 
-def _mask_from_obj(obj: dict, where: str) -> FeasibilityMask:
+def _mask_from_obj(obj, where: str) -> FeasibilityMask:
+    if not isinstance(obj, dict):
+        raise WastekitError(f"{where} must be a JSON object, got {obj!r}")
     unknown = set(obj) - set(_MASK_BITS) - {"glob"}
     if unknown:
         raise WastekitError(f"{where}: unknown mask keys {sorted(unknown)}")
-    return FeasibilityMask(**{bit: bool(obj.get(bit, False)) for bit in _MASK_BITS})
+    bits = {bit: obj.get(bit, False) for bit in _MASK_BITS}
+    if any(type(value) is not bool for value in bits.values()):
+        raise WastekitError(f"{where}: mask bits must be true or false, got {bits}")
+    return FeasibilityMask(**bits)
 
 
 def load_mask_rules(path: str) -> MaskRules:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise WastekitError(f"cannot read masks file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise WastekitError(f"masks file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(obj, dict) or set(obj) - {"rules", "default"}:
-        raise WastekitError("masks config must be a JSON object with keys 'rules' and optional 'default'")
+    if not isinstance(obj, dict) or set(obj) - {"rules", "default"} or not isinstance(obj.get("rules", []), list):
+        raise WastekitError("masks config must be a JSON object with a 'rules' list and optional 'default'")
     rules = []
     for i, entry in enumerate(obj.get("rules", [])):
         if not isinstance(entry, dict) or "glob" not in entry:
             raise WastekitError(f"masks rule #{i} must be an object with a 'glob' key")
-        fnmatch.translate(entry["glob"])  # surfaces non-string patterns early
-        rules.append((entry["glob"], _mask_from_obj(entry, f"masks rule #{i}")))
+        (glob_pat,) = _validate_globs([entry["glob"]], f"masks rule #{i}")
+        rules.append((glob_pat, _mask_from_obj(entry, f"masks rule #{i}")))
     default = _mask_from_obj(obj.get("default", {}), "masks default")
     return MaskRules(rules=tuple(rules), default=default)

@@ -110,11 +110,11 @@ class DigitalLandfill:
 
     def put(self, key: bytes, value: bytes) -> PutOutcome:
         size = len(value)
+        if self._log is not None:
+            self._log.write(f"PUT {key.decode('utf-8', 'backslashreplace')} {size}\n")
         capacity = self.config.capacity_bytes
         if size > capacity:
             return PutOutcome.REJECTED_TOO_LARGE
-        if self._log is not None:
-            self._log.write(f"PUT {key.decode('utf-8', 'backslashreplace')} {size}\n")
         existing = self._entries.pop(key, None)
         if existing is not None:
             # Overwrite: not an eviction, the key stays live.
@@ -234,7 +234,7 @@ def load_trace(path: str) -> list[TraceOp]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return parse_trace(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise WastekitError(f"cannot read trace file {path}: {exc}") from exc
 
 

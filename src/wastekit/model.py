@@ -12,7 +12,8 @@ import fnmatch
 import hashlib
 import json
 import posixpath
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
 
@@ -114,19 +115,36 @@ def normalize_path(path: str) -> str:
     return norm
 
 
-def path_matches(path: str, pattern: str) -> bool:
-    """Case-sensitive glob match against the full path or its basename.
+class GlobSet:
+    """A glob group compiled once into one alternation regex.
 
-    '*.aux' matches 'docs/paper.aux'; 'build/*' matches only paths under
-    a top-level build directory.
+    A pattern matches a path when it matches the full path or its
+    basename, case-sensitively: '*.aux' matches 'docs/paper.aux';
+    'build/*' matches only paths under a top-level build directory.
     """
-    if fnmatch.fnmatchcase(path, pattern):
-        return True
-    base = posixpath.basename(path)
-    return fnmatch.fnmatchcase(base, pattern)
+
+    __slots__ = ("_match",)
+
+    def __init__(self, patterns):
+        # Each alternative is a named group so `first` can read which one
+        # matched from `lastgroup`. `lastindex` would count the groups that
+        # `fnmatch.translate` itself emits on Python 3.10. An empty group
+        # compiles to `(?!)`, which matches nothing.
+        alternation = "|".join(f"(?P<p{i}>{fnmatch.translate(pat)})" for i, pat in enumerate(patterns))
+        self._match = re.compile(alternation or "(?!)").match
+
+    def matches(self, path: str) -> bool:
+        return self._match(path) is not None or self._match(path[path.rfind("/") + 1 :]) is not None
+
+    def first(self, path: str) -> int | None:
+        """Index of the first pattern matching `path`, or None."""
+        hits = [m for m in (self._match(path), self._match(path[path.rfind("/") + 1 :])) if m is not None]
+        return min((int(m.lastgroup[1:]) for m in hits), default=None)
 
 
 def _validate_globs(patterns, group: str) -> tuple[str, ...]:
+    if not isinstance(patterns, (list, tuple)):
+        raise RuleSetError(f"{group} must be a list of glob patterns, got {patterns!r}")
     out = []
     for pat in patterns:
         if not isinstance(pat, str) or not pat or pat.isspace():
@@ -151,12 +169,10 @@ class RuleSet:
     used_threshold_secs: int = DEFAULT_USED_THRESHOLD_SECS
 
     def __post_init__(self):
-        object.__setattr__(self, "not_waste_globs", _validate_globs(self.not_waste_globs, "not_waste_globs"))
-        object.__setattr__(
-            self, "unintentional_globs", _validate_globs(self.unintentional_globs, "unintentional_globs")
-        )
-        object.__setattr__(self, "unwanted_globs", _validate_globs(self.unwanted_globs, "unwanted_globs"))
+        for group in ("not_waste_globs", "unintentional_globs", "unwanted_globs"):
+            object.__setattr__(self, group, _validate_globs(getattr(self, group), group))
         checks = []
+        globs_by_digest: dict[str, list[str]] = {}
         for item in self.degraded_checks:
             glob_pat, digest = item
             _validate_globs([glob_pat], "degraded_checks")
@@ -168,9 +184,16 @@ class RuleSet:
             ):
                 raise RuleSetError(f"degraded_checks: expected {DIGEST_HEX_LEN}-char lowercase hex digest, got {digest!r}")
             checks.append((glob_pat, digest))
+            globs_by_digest.setdefault(digest, []).append(glob_pat)
         object.__setattr__(self, "degraded_checks", tuple(checks))
-        if not isinstance(self.used_threshold_secs, int) or self.used_threshold_secs <= 0:
-            raise RuleSetError(f"used_threshold_secs must be a positive integer, got {self.used_threshold_secs!r}")
+        threshold = self.used_threshold_secs
+        if type(threshold) is not int or threshold <= 0:
+            raise RuleSetError(f"used_threshold_secs must be a positive integer, got {threshold!r}")
+        # Compiled once here, since `classify` runs once per record.
+        object.__setattr__(self, "_not_waste", GlobSet(self.not_waste_globs))
+        object.__setattr__(self, "_unintentional", GlobSet(self.unintentional_globs))
+        object.__setattr__(self, "_unwanted", GlobSet(self.unwanted_globs))
+        object.__setattr__(self, "_degraded", tuple((GlobSet(g), d) for d, g in globs_by_digest.items()))
 
 
 _RULESET_KEYS = {"not_waste_globs", "unintentional_globs", "unwanted_globs", "degraded_checks", "used_threshold_secs"}
@@ -182,16 +205,14 @@ def ruleset_from_json_obj(obj: dict) -> RuleSet:
     unknown = set(obj) - _RULESET_KEYS
     if unknown:
         raise RuleSetError(f"unknown rules keys: {sorted(unknown)}")
-    checks = []
-    for entry in obj.get("degraded_checks", []):
-        if not isinstance(entry, dict) or set(entry) != {"glob", "sha256"}:
-            raise RuleSetError(f"degraded_checks entries must be {{glob, sha256}} objects, got {entry!r}")
-        checks.append((entry["glob"], entry["sha256"]))
+    checks = obj.get("degraded_checks", [])
+    if not isinstance(checks, list) or any(not isinstance(e, dict) or set(e) != {"glob", "sha256"} for e in checks):
+        raise RuleSetError(f"degraded_checks must be a list of {{glob, sha256}} objects, got {checks!r}")
     return RuleSet(
-        not_waste_globs=tuple(obj.get("not_waste_globs", [])),
-        unintentional_globs=tuple(obj.get("unintentional_globs", [])),
-        unwanted_globs=tuple(obj.get("unwanted_globs", [])),
-        degraded_checks=tuple(checks),
+        not_waste_globs=obj.get("not_waste_globs", ()),
+        unintentional_globs=obj.get("unintentional_globs", ()),
+        unwanted_globs=obj.get("unwanted_globs", ()),
+        degraded_checks=tuple((e["glob"], e["sha256"]) for e in checks),
         used_threshold_secs=obj.get("used_threshold_secs", DEFAULT_USED_THRESHOLD_SECS),
     )
 
@@ -201,7 +222,7 @@ def load_rules(path: str) -> RuleSet:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise RuleSetError(f"cannot read rules file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise RuleSetError(f"rules file {path} is not valid JSON: {exc}") from exc
@@ -251,30 +272,23 @@ def classify(
     for regular files.
     """
     path = record.path
-    for pat in rules.not_waste_globs:
-        if path_matches(path, pat):
-            return WasteCategory.NOT_WASTE
+    if rules._not_waste.matches(path):
+        return WasteCategory.NOT_WASTE
 
-    if record.kind is FileKind.REGULAR and rules.degraded_checks:
-        digest: str | None = None
-        digest_resolved = False
-        for pat, expected in rules.degraded_checks:
-            if not path_matches(path, pat):
-                continue
-            if not digest_resolved:
-                provider = digest_provider if digest_provider is not None else sha256_file
-                digest = provider(path)
-                digest_resolved = True
-            if digest is None or digest != expected:
+    if record.kind is FileKind.REGULAR and rules._degraded:
+        expected = {digest for globs, digest in rules._degraded if globs.matches(path)}
+        if expected:
+            provider = digest_provider if digest_provider is not None else sha256_file
+            # Degraded unless every matching check expects exactly the
+            # content's digest; unreadable content gives None.
+            if expected != {provider(path)}:
                 return WasteCategory.DEGRADED
 
-    for pat in rules.unintentional_globs:
-        if path_matches(path, pat):
-            return WasteCategory.UNINTENTIONAL
+    if rules._unintentional.matches(path):
+        return WasteCategory.UNINTENTIONAL
 
-    for pat in rules.unwanted_globs:
-        if path_matches(path, pat):
-            return WasteCategory.UNWANTED
+    if rules._unwanted.matches(path):
+        return WasteCategory.UNWANTED
 
     if record.kind is FileKind.REGULAR:
         if f_lifetime(record) > 0 and (now - record.atime) > rules.used_threshold_secs:

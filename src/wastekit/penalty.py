@@ -177,7 +177,7 @@ def load_workload(path: str) -> WorkloadTrace:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return parse_workload(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise WastekitError(f"cannot read workload file {path}: {exc}") from exc
 
 

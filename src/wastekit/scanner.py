@@ -13,7 +13,7 @@ import os
 import stat
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ._version import __version__
 from .errors import WastekitError
@@ -21,11 +21,11 @@ from .model import (
     DigestProvider,
     FileKind,
     FileRecord,
+    GlobSet,
     RuleSet,
     WasteCategory,
     classify,
     f_lifetime,
-    path_matches,
     sha256_file,
 )
 
@@ -61,9 +61,6 @@ class Snapshot:
                 raise WastekitError(f"snapshot records not sorted/unique at {rec.path!r}")
             prev = rec.path
 
-    def record_map(self) -> dict[str, FileRecord]:
-        return {r.path: r for r in self.records}
-
 
 def _json_line(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
@@ -95,7 +92,7 @@ def read_snapshot(path: str) -> Snapshot:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise WastekitError(f"cannot read snapshot {path}: {exc}") from exc
     if not lines:
         raise WastekitError(f"snapshot {path} is empty")
@@ -105,6 +102,11 @@ def read_snapshot(path: str) -> Snapshot:
         raise WastekitError(f"snapshot {path} header is not valid JSON: {exc}") from exc
     if not isinstance(header, dict) or header.get("format") != SNAPSHOT_FORMAT:
         raise WastekitError(f"{path} is not a {SNAPSHOT_FORMAT} file")
+    root, taken_at = header.get("root"), header.get("taken_at")
+    atime_reliable, warnings = header.get("atime_reliable", True), header.get("warnings", [])
+    if not (isinstance(root, str) and type(taken_at) is int and type(atime_reliable) is bool and type(warnings) is list):
+        raise WastekitError(f"snapshot {path} header needs a string 'root', an integer 'taken_at', "
+                            "and optionally a boolean 'atime_reliable' and a 'warnings' list")
     records = []
     for i, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -114,11 +116,11 @@ def read_snapshot(path: str) -> Snapshot:
         except json.JSONDecodeError as exc:
             raise WastekitError(f"snapshot {path} line {i} is not valid JSON: {exc}") from exc
     snap = Snapshot(
-        root=header["root"],
-        taken_at=header["taken_at"],
+        root=root,
+        taken_at=taken_at,
         records=records,
-        atime_reliable=header.get("atime_reliable", True),
-        warnings=list(header.get("warnings", [])),
+        atime_reliable=atime_reliable,
+        warnings=list(warnings),
     )
     snap.validate()
     return snap
@@ -160,6 +162,7 @@ def scan(root: str, options: ScanOptions | None = None, *, now: int | None = Non
     collected: list[tuple[FileRecord, tuple | None]] = []  # (record, hardlink inode key)
     visited_dirs = {(root_st.st_dev, root_st.st_ino)}
     clamped_times = 0
+    excluded = GlobSet(opts.exclude_globs).matches
 
     def make_record(rel, st, kind, size, allocated=None):
         nonlocal clamped_times
@@ -188,7 +191,7 @@ def scan(root: str, options: ScanOptions | None = None, *, now: int | None = Non
                     continue
                 for name in names:
                     child_rel = f"{rel}/{name}" if rel else name
-                    if any(path_matches(child_rel, pat) for pat in opts.exclude_globs):
+                    if opts.exclude_globs and excluded(child_rel):
                         continue
                     child_ab = os.path.join(ab, name)
                     try:
@@ -196,41 +199,14 @@ def scan(root: str, options: ScanOptions | None = None, *, now: int | None = Non
                     except OSError as exc:
                         warnings.append(f"unreadable entry skipped: {child_rel}: {exc}")
                         continue
-                    mode = st_info.st_mode
-                    if stat.S_ISLNK(mode):
-                        if not opts.follow_symlinks:
-                            collected.append(
-                                (make_record(child_rel, st_info, FileKind.SYMLINK, st_info.st_size), None)
-                            )
-                            continue
+                    if opts.follow_symlinks and stat.S_ISLNK(st_info.st_mode):
                         try:
-                            tgt = os.stat(child_ab)
+                            st_info = os.stat(child_ab)
                         except OSError:
                             warnings.append(f"broken symlink recorded unfollowed: {child_rel}")
-                            collected.append(
-                                (make_record(child_rel, st_info, FileKind.SYMLINK, st_info.st_size), None)
-                            )
-                            continue
-                        if stat.S_ISDIR(tgt.st_mode):
-                            collected.append((make_record(child_rel, tgt, FileKind.DIRECTORY, 0), None))
-                            key = (tgt.st_dev, tgt.st_ino)
-                            if key not in visited_dirs and (not opts.one_filesystem or tgt.st_dev == root_dev):
-                                visited_dirs.add(key)
-                                next_level.append((child_rel, child_ab))
-                        elif stat.S_ISREG(tgt.st_mode):
-                            ikey = (tgt.st_dev, tgt.st_ino) if tgt.st_nlink > 1 else None
-                            alloc = getattr(tgt, "st_blocks", None)
-                            collected.append(
-                                (
-                                    make_record(
-                                        child_rel, tgt, FileKind.REGULAR, tgt.st_size,
-                                        alloc * 512 if alloc is not None else None,
-                                    ),
-                                    ikey,
-                                )
-                            )
-                        else:
-                            collected.append((make_record(child_rel, tgt, FileKind.OTHER, 0), None))
+                    mode = st_info.st_mode
+                    if stat.S_ISLNK(mode):
+                        collected.append((make_record(child_rel, st_info, FileKind.SYMLINK, st_info.st_size), None))
                     elif stat.S_ISDIR(mode):
                         collected.append((make_record(child_rel, st_info, FileKind.DIRECTORY, 0), None))
                         key = (st_info.st_dev, st_info.st_ino)
@@ -329,25 +305,30 @@ def snapshot_digest_provider(snapshot: Snapshot, failures: list[str] | None = No
     return provider
 
 
-def report(snapshot: Snapshot, rules: RuleSet, digest_provider: DigestProvider | None = None) -> WasteReport:
-    """Classify every record and aggregate Table-style waste figures.
-
-    `now` for classification is the snapshot's own capture time, so a
-    stored snapshot always reproduces the same report.
-    """
+def classify_snapshot(
+    snapshot: Snapshot, rules: RuleSet, digest_provider: DigestProvider | None = None
+) -> tuple[list[WasteCategory], list[str]]:
+    """Classify every record at the snapshot's own capture time, so a
+    stored snapshot always classifies the same way. Returns the categories
+    in record order, and the paths the default provider, which reads files
+    under the snapshot root, could not read for a degraded check."""
     digest_failures: list[str] = []
     if digest_provider is None:
         digest_provider = snapshot_digest_provider(snapshot, digest_failures)
+    now = snapshot.taken_at
+    categories = [classify(rec, rules, now, digest_provider) for rec in snapshot.records]
+    return categories, digest_failures
 
+
+def report(snapshot: Snapshot, rules: RuleSet, digest_provider: DigestProvider | None = None) -> WasteReport:
+    """Classify every record and aggregate Table-style waste figures."""
+    categories, digest_failures = classify_snapshot(snapshot, rules, digest_provider)
     tallies = {cat: [0, 0] for cat in WasteCategory}
-    total_files = 0
     total_bytes = 0
     reg_files = reg_bytes = 0
     never_files = never_bytes = 0
-    for rec in snapshot.records:
-        total_files += 1
+    for rec, cat in zip(snapshot.records, categories):
         total_bytes += rec.size_bytes
-        cat = classify(rec, rules, snapshot.taken_at, digest_provider)
         tallies[cat][0] += 1
         tallies[cat][1] += rec.size_bytes
         if rec.kind is FileKind.REGULAR:
@@ -364,7 +345,7 @@ def report(snapshot: Snapshot, rules: RuleSet, digest_provider: DigestProvider |
         warnings.append(f"digest unreadable, file counted Degraded: {path}")
 
     return WasteReport(
-        total_files=total_files,
+        total_files=len(snapshot.records),
         total_bytes=total_bytes,
         never_accessed_files_pct=(100.0 * never_files / reg_files) if reg_files else 0.0,
         never_accessed_space_pct=(100.0 * never_bytes / reg_bytes) if reg_bytes else 0.0,
@@ -405,22 +386,25 @@ def diff(
     """
     if old.root != new.root:
         raise WastekitError(f"snapshots have different roots: {old.root!r} vs {new.root!r}")
-    if old_digest_provider is None:
-        old_digest_provider = snapshot_digest_provider(old)
-    if new_digest_provider is None:
-        new_digest_provider = snapshot_digest_provider(new)
+    old_paths = {rec.path for rec in old.records}
+    new_paths = {rec.path for rec in new.records}
+    shared = old_paths & new_paths
+    old_waste = _waste_by_path(old, shared, rules, old_digest_provider)
+    new_waste = _waste_by_path(new, shared, rules, new_digest_provider)
+    shared_sorted = sorted(shared)
+    return ChurnReport(
+        added=sorted(new_paths - old_paths),
+        removed=sorted(old_paths - new_paths),
+        became_waste=[path for path in shared_sorted if new_waste[path] and not old_waste[path]],
+        reactivated=[path for path in shared_sorted if old_waste[path] and not new_waste[path]],
+    )
 
-    old_map = old.record_map()
-    new_map = new.record_map()
-    added = sorted(set(new_map) - set(old_map))
-    removed = sorted(set(old_map) - set(new_map))
-    became_waste = []
-    reactivated = []
-    for path in sorted(set(old_map) & set(new_map)):
-        old_waste = classify(old_map[path], rules, old.taken_at, old_digest_provider).is_waste()
-        new_waste = classify(new_map[path], rules, new.taken_at, new_digest_provider).is_waste()
-        if not old_waste and new_waste:
-            became_waste.append(path)
-        elif old_waste and not new_waste:
-            reactivated.append(path)
-    return ChurnReport(added=added, removed=removed, became_waste=became_waste, reactivated=reactivated)
+
+def _waste_by_path(
+    snapshot: Snapshot, paths: set[str], rules: RuleSet, digest_provider: DigestProvider | None
+) -> dict[str, bool]:
+    """Whether each record under `paths` is waste. Only those are classified,
+    so no digest is read from a removed file."""
+    kept = replace(snapshot, records=[rec for rec in snapshot.records if rec.path in paths])
+    categories, _ = classify_snapshot(kept, rules, digest_provider)
+    return {rec.path: cat.is_waste() for rec, cat in zip(kept.records, categories)}

@@ -296,6 +296,34 @@ class TestExitCodes:
         assert code == 1
         assert "rules" in err
 
+    @pytest.mark.parametrize(
+        "content, argv",
+        [
+            (b'{"format": "wastekit-snapshot-v1", "taken_at": 1}\n', ["report", "{bad}", "--rules", "{rules}"]),
+            (b'{"format": "wastekit-snapshot-v1", "root": "/r"}\n', ["report", "{bad}", "--rules", "{rules}"]),
+            (b'{"format": "wastekit-snapshot-v1", "root": 5, "taken_at": 1}\n', ["report", "{bad}", "--rules", "{rules}"]),
+            (b'{"format": "wastekit-snapshot-v1", "root": "/r", "taken_at": "1"}\n', ["report", "{bad}", "--rules", "{rules}"]),
+            (b'{"format": "wastekit-snapshot-v1", "root": "/r", "taken_at": 1, "warnings": 5}\n', ["report", "{bad}", "--rules", "{rules}"]),
+            (b'{"unwanted_globs": ["\xff"]}', ["report", "{snap}", "--rules", "{bad}"]),
+            (b'{"rules": [{"glob": "\xff"}]}', ["plan", "{snap}", "--rules", "{rules}", "--masks", "{bad}"]),
+            (b'{"format": "wastekit-snapshot-v1", "root": "\xff", "taken_at": 1}\n', ["report", "{bad}", "--rules", "{rules}"]),
+            (b"PUT \xff\xfe 3\n", ["landfill", "--trace", "{bad}", "--capacity", "10", "--fade", "1"]),
+            (b"0 \xff 100 0.0\n", ["penalty-sim", "--trace", "{bad}", "--alpha", "0", "--bandwidth", "10", "--ticks", "1"]),
+        ],
+        ids=[
+            "header-no-root", "header-no-taken-at", "header-root-number", "header-taken-at-string", "header-warnings-number",
+            "rules-not-utf8", "masks-not-utf8", "snapshot-not-utf8", "trace-not-utf8", "workload-not-utf8",
+        ],
+    )
+    def test_bad_input_file_is_named_in_one_line(self, capsys, small_tree, tmp_path, rules_file, content, argv):
+        snap = scan_to(capsys, small_tree, tmp_path / "t.snap")
+        bad = tmp_path / "bad.input"
+        bad.write_bytes(content)
+        code, _, err = cli(capsys, *(a.format(bad=bad, snap=snap, rules=rules_file) for a in argv))
+        assert code == 1
+        assert err.startswith("wastekit: error: ") and len(err.splitlines()) == 1
+        assert str(bad) in err
+
 
 # -- scan ----------------------------------------------------------------
 
@@ -351,6 +379,25 @@ class TestReport:
         monkeypatch.setenv("WASTEKIT_RULES", rules_file)
         obj = cli_json(capsys, "--format", "json", "report", snap)
         assert obj["per_category"]["Unwanted"]["files"] == 1
+
+    @pytest.mark.parametrize(
+        "rules",
+        [
+            {"unwanted_globs": "*.bak"},  # not a list: once read as the globs * . b a k
+            {"unwanted_globs": 5},
+            {"unwanted_globs": ["*.bak", 5]},
+            {"degraded_checks": 5},
+            {"used_threshold_secs": True},  # once accepted as 1 s
+        ],
+        ids=["glob-group-string", "glob-group-number", "glob-not-string", "checks-number", "threshold-bool"],
+    )
+    def test_invalid_rules_exit_1(self, capsys, small_tree, tmp_path, rules):
+        snap = scan_to(capsys, small_tree, tmp_path / "t.snap")
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(rules))
+        code, out, err = cli(capsys, "report", snap, "--rules", str(bad))
+        assert (code, out) == (1, "")
+        assert err.startswith("wastekit: error: ") and len(err.splitlines()) == 1
 
     def test_malformed_rules_file(self, capsys, small_tree, tmp_path):
         snap = scan_to(capsys, small_tree, tmp_path / "t.snap")
@@ -413,6 +460,25 @@ class TestPlan:
         actions = {e["path"]: e["action"] for e in obj["plan"]["entries"]}
         assert actions["scratch.tmp"] == "Recycle"
         assert actions["old.junk"] == "Dispose"
+
+    @pytest.mark.parametrize(
+        "masks",
+        [
+            {"rules": [{"glob": 5}]},  # once a TypeError traceback
+            {"rules": [{"glob": "*.tmp", "reduce_ok": "false"}]},  # once read as true
+            {"default": {"recycle_ok": 1}},
+            {"rules": "*.tmp"},
+            {"default": 5},
+        ],
+        ids=["glob-not-string", "bit-string", "bit-number", "rules-not-list", "default-not-object"],
+    )
+    def test_invalid_masks_exit_1(self, capsys, small_tree, tmp_path, rules_file, masks):
+        snap = scan_to(capsys, small_tree, tmp_path / "t.snap")
+        bad = tmp_path / "masks.json"
+        bad.write_text(json.dumps(masks))
+        code, out, err = cli(capsys, "plan", snap, "--rules", rules_file, "--masks", str(bad))
+        assert (code, out) == (1, "")
+        assert err.startswith("wastekit: error: ") and len(err.splitlines()) == 1
 
     def test_execute_without_yes_is_usage_error(self, capsys, small_tree, tmp_path, rules_file):
         snap = scan_to(capsys, small_tree, tmp_path / "t.snap")
@@ -527,6 +593,20 @@ class TestLandfillCommand:
         assert code == 0
         assert first == second
 
+    def test_log_of_rejected_put_replays_identically(self, capsys, tmp_path):
+        trace = tmp_path / "ops.trace"
+        trace.write_text("PUT a 100\nGET a\nADV 1\nPUT huge 5000\n")
+        log = tmp_path / "ops.log"
+        code, first, _ = cli(
+            capsys, "landfill", "--trace", str(trace), "--capacity", "2000", "--fade", "3",
+            "--log", str(log),
+        )
+        assert code == 0
+        assert json.loads(first.splitlines()[-1])["outcome"] == "rejected_too_large"
+        code, second, _ = cli(capsys, "landfill", "--trace", str(log), "--capacity", "2000", "--fade", "3")
+        assert code == 0
+        assert first == second
+
     def test_bad_trace_line(self, capsys, tmp_path):
         trace = tmp_path / "bad.trace"
         trace.write_text("PUT onlykey\n")
@@ -636,6 +716,20 @@ class TestDedup:
         obj = cli_json(capsys, "--format", "json", "dedup", snap)
         jsonschema.validate(obj, DEDUP_SCHEMA)
         assert obj["objects"] == 4  # regular files only, no directory
+
+    def test_tree_counts_like_its_snapshot(self, capsys, tmp_path):
+        root = tmp_path / "data"
+        root.mkdir()
+        (root / "one.bin").write_bytes(os.urandom(50_000))
+        os.link(root / "one.bin", root / "hardlink.bin")
+        os.symlink("one.bin", root / "symlink.bin")
+        (root / "sub").mkdir()
+        (root / "sub" / "two.bin").write_bytes(os.urandom(30_000))
+        snap = scan_to(capsys, root, tmp_path / "t.snap")
+        from_tree = cli_json(capsys, "--format", "json", "dedup", str(root))
+        from_snapshot = cli_json(capsys, "--format", "json", "dedup", snap)
+        assert from_tree == from_snapshot
+        assert (from_tree["objects"], from_tree["dedup_ratio"]) == (2, 1.0)
 
     def test_bad_chunk_params(self, capsys, tmp_path):
         root = tmp_path / "d"

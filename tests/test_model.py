@@ -5,22 +5,24 @@ import json
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wastekit.errors import RuleSetError, WastekitError
+from wastekit.hierarchy import FeasibilityMask, MaskRules
 from wastekit.model import (
     FileKind,
     FileRecord,
+    GlobSet,
     RuleSet,
     WasteCategory,
     classify,
     f_lifetime,
     load_rules,
-    path_matches,
     ruleset_from_json_obj,
 )
 
 from conftest import make_record
+from naive_glob import first_match, naive_classify, path_matches
 
 
 class TestFLifetime:
@@ -57,14 +59,64 @@ class TestFLifetime:
 
 class TestPathMatches:
     def test_extension_glob_matches_nested_path(self):
-        assert path_matches("docs/paper.aux", "*.aux")
+        assert GlobSet(["*.aux"]).matches("docs/paper.aux")
 
     def test_directory_glob_is_anchored(self):
-        assert path_matches("build/x.o", "build/*")
-        assert not path_matches("src/build/x.o", "build/*")
+        assert GlobSet(["build/*"]).matches("build/x.o")
+        assert not GlobSet(["build/*"]).matches("src/build/x.o")
 
     def test_case_sensitive(self):
-        assert not path_matches("X.TMP", "*.tmp")
+        assert not GlobSet(["*.tmp"]).matches("X.TMP")
+
+
+# Small alphabets, so random paths and patterns match each other often.
+_GLOB_TOKENS = ["a", "b", ".", "/", "*", "?", "[ab]", "[!a]", "[!/]", "[", "]"]
+_globs = st.lists(st.sampled_from(_GLOB_TOKENS), min_size=1, max_size=6).map("".join)
+_groups = st.lists(_globs, max_size=4)
+_paths = st.lists(st.text(alphabet="ab.", min_size=1, max_size=4), min_size=1, max_size=4).map("/".join)
+_DIGESTS = [hashlib.sha256(bytes([i])).hexdigest() for i in range(3)]
+
+
+class TestGlobEngineAgainstOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(_groups, st.lists(_paths, min_size=1, max_size=8))
+    @example(["b", "a/*"], ["a/b"])  # the basename hit comes first: the answer is 0, not 1
+    def test_any_and_first_match(self, globs, paths):
+        engine = GlobSet(globs)
+        for path in paths:
+            assert engine.matches(path) == any(path_matches(path, g) for g in globs)
+            assert engine.first(path) == first_match(path, globs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        _groups, _groups, _groups,
+        st.lists(st.tuples(_globs, st.sampled_from(_DIGESTS)), max_size=3),
+        st.lists(st.tuples(_paths, st.sampled_from(list(FileKind)), st.sampled_from(_DIGESTS + [None])), min_size=1),
+    )
+    # Two matching checks expect different digests: Degraded whatever the content.
+    @example([], [], [], [("*.b", _DIGESTS[0]), ("a*", _DIGESTS[1])], [("a.b", FileKind.REGULAR, _DIGESTS[0])])
+    def test_classify_groups(self, not_waste, unintentional, unwanted, checks, records):
+        rules = RuleSet(
+            not_waste_globs=tuple(not_waste),
+            unintentional_globs=tuple(unintentional),
+            unwanted_globs=tuple(unwanted),
+            degraded_checks=tuple(checks),
+        )
+        for path, kind, digest in records:
+            rec = make_record(path=path, kind=kind, mtime=NOW - 10**8, atime=NOW - 10**7)
+            provider = lambda p, digest=digest: digest  # noqa: E731
+            assert classify(rec, rules, NOW, provider) is naive_classify(rec, rules, NOW, provider)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_groups, st.lists(_paths, min_size=1, max_size=8))
+    @example(["b", "a/*"], ["a/b"])
+    def test_mask_first_match(self, globs, paths):
+        # Equal masks are distinct objects, so identity tells which rule won.
+        rules = tuple((g, FeasibilityMask()) for g in globs)
+        masks = MaskRules(rules=rules, default=FeasibilityMask())
+        for path in paths:
+            index = first_match(path, globs)
+            assert masks.mask_for(path) is (masks.default if index is None else rules[index][1])
 
 
 class TestRuleSet:
