@@ -295,23 +295,34 @@ def _cmd_plan(args) -> int:
 def _execute_dispose(root: str, action_plan, snapshot) -> dict:
     """Remove the Regular files the plan marked Dispose. Refuses to run
     at a filesystem root — disposal is the ladder's last resort and the
-    one irreversible subcommand, so the blast radius stays bounded."""
+    one irreversible subcommand, so the blast radius stays bounded. A
+    target is deleted only if its resolved parent lies under the
+    resolved root and its size and mtime still match the snapshot."""
     if _is_filesystem_root(root):
         raise WastekitError(f"refusing to execute dispose at filesystem root {root!r}")
-    kinds = {rec.path: rec.kind for rec in snapshot.records}
+    real_root = os.path.realpath(root)
+    records = {rec.path: rec for rec in snapshot.records}
     deleted = 0
     freed = 0
     failures = []
     for entry in action_plan.entries:
         if entry.action is not HierarchyAction.DISPOSE:
             continue
-        if kinds.get(entry.path) is not FileKind.REGULAR:
+        rec = records.get(entry.path)
+        if rec is None or rec.kind is not FileKind.REGULAR:
             continue
         target = os.path.join(root, entry.path)
         try:
+            parent = os.path.realpath(os.path.dirname(target))
+            if os.path.commonpath([real_root, parent]) != real_root:
+                failures.append(f"resolves outside the root, skipped: {entry.path}")
+                continue
             st = os.lstat(target)
             if not stat.S_ISREG(st.st_mode):
                 failures.append(f"not a regular file any more, skipped: {entry.path}")
+                continue
+            if st.st_size != rec.size_bytes or int(st.st_mtime) != rec.mtime:
+                failures.append(f"changed since the snapshot, skipped: {entry.path}")
                 continue
             os.unlink(target)
             deleted += 1

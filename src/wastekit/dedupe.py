@@ -7,6 +7,13 @@ hash of a small window, which is what makes them survive insertions —
 a byte prepended to a file shifts every offset but leaves the content
 under the window unchanged, so later boundaries stay put.
 
+The hash of the k bytes starting at i is
+    H_k[i] = XOR_{j<k} rotl(T[d[i+k-1-j]], j)
+with T a seeded table of 256 random 64-bit words. Windows compose,
+    H_{a+b}[i] = H_b[i+a] ^ rotl(H_a[i], b),
+so a window of w bytes costs one table gather plus about 2*log2(w)
+shift/XOR passes over the input.
+
 Recover: anonymized structural histograms over the waste portion of a
 snapshot — extensions, size buckets, age buckets — with no paths or
 names in the output.
@@ -45,42 +52,40 @@ class ChunkingConfig:
             raise WastekitError("chunking config requires 1 <= window <= min_chunk")
 
 
-def _rotl64(x: int, k: int) -> int:
-    k %= 64
-    return ((x << k) | (x >> (64 - k))) & 0xFFFFFFFFFFFFFFFF
+# The seeded 256-entry table T behind every hash value, and so every cut point.
+_rng = random.Random(0x5761737465)
+_TABLE = np.array([_rng.getrandbits(64) for _ in range(256)], dtype=np.uint64)
+del _rng
+
+# Window starts hashed per block. The few uint64 arrays of one block
+# (256 KiB each) stay in a core's L2 cache, and memory stays bounded
+# however large the input is.
+_BLOCK = 1 << 15
 
 
-def _byte_tables(window: int) -> np.ndarray:
-    """Per-offset lookup tables for the rolling hash.
-
-    The hash of the window ending at position i is
-        XOR_{j=0..window-1} rotl(T[data[i-j]], j)
-    with T a fixed random 64-bit table. Precomputing the rotated tables
-    turns the whole computation into `window` vectorized XOR passes.
-    """
-    rng = random.Random(0x5761737465)
-    base = [rng.getrandbits(64) for _ in range(256)]
-    tables = np.empty((window, 256), dtype=np.uint64)
-    for j in range(window):
-        tables[j] = [_rotl64(v, j) for v in base]
-    return tables
-
-
-_TABLE_CACHE: dict = {}
+def _compose(ha: np.ndarray, hb: np.ndarray, a: int, b: int) -> np.ndarray:
+    """H_{a+b} from H_a and H_b."""
+    m = len(ha) - b
+    head, tail, k = ha[:m], hb[a : a + m], b % 64
+    if k == 0:
+        return head ^ tail
+    out = head << np.uint64(k)
+    out |= head >> np.uint64(64 - k)
+    out ^= tail
+    return out
 
 
 def _rolling_hashes(data: np.ndarray, window: int) -> np.ndarray:
-    """Hash values for every window-sized run; index k covers bytes
-    [k, k+window)."""
-    if window not in _TABLE_CACHE:
-        _TABLE_CACHE[window] = _byte_tables(window)
-    tables = _TABLE_CACHE[window]
-    n = len(data)
-    count = n - window + 1
-    h = tables[0][data[window - 1 : n]]
-    for j in range(1, window):
-        h ^= tables[j][data[window - 1 - j : n - j]]
-    assert len(h) == count
+    """H_window over data: index k covers bytes [k, k+window). Doubles
+    the width from H_1 = T[data], adding one byte per set binary digit."""
+    base = _TABLE[data]
+    h, width = base, 1
+    for bit in bin(window)[3:]:
+        h = _compose(h, h, width, width)
+        width *= 2
+        if bit == "1":
+            h = _compose(h, base, width, 1)
+            width += 1
     return h
 
 
@@ -100,35 +105,27 @@ def chunk(data: bytes, config: ChunkingConfig = ChunkingConfig()) -> list[bytes]
     if n <= config.min_chunk:
         return [data]
     arr = np.frombuffer(data, dtype=np.uint8)
-    hashes = _rolling_hashes(arr, config.window)
+    w = config.window
     target = np.uint64(config.target_chunk)
     residue = np.uint64(config.target_chunk - 1)
-    # Absolute positions i such that a cut falls between i and i+1.
-    cuts = np.nonzero(hashes % target == residue)[0] + (config.window - 1)
-
+    # Absolute positions i such that a cut falls between i and i+1,
+    # hashed _BLOCK window starts at a time with a window-1 byte overlap.
+    cuts = np.concatenate([
+        np.nonzero(_rolling_hashes(arr[s : s + _BLOCK + w - 1], w) % target == residue)[0] + (s + w - 1)
+        for s in range(0, n - w + 1, _BLOCK)
+    ])
     chunks = []
     start = 0
-    while n - start > config.max_chunk or (n - start > config.min_chunk and _has_cut_before(cuts, start, config, n)):
-        lo = start + config.min_chunk - 1
-        hi = start + config.max_chunk - 1
-        idx = np.searchsorted(cuts, lo)
-        if idx < len(cuts) and cuts[idx] <= hi:
-            boundary = int(cuts[idx]) + 1
-        else:
-            boundary = start + config.max_chunk
+    while n - start > config.min_chunk:
+        idx = np.searchsorted(cuts, start + config.min_chunk - 1)
+        cut = int(cuts[idx]) + 1 if idx < len(cuts) else n
+        boundary = min(cut, start + config.max_chunk)
+        if boundary >= n:
+            break
         chunks.append(data[start:boundary])
         start = boundary
-    if start < n:
-        chunks.append(data[start:])
+    chunks.append(data[start:])
     return chunks
-
-
-def _has_cut_before(cuts: np.ndarray, start: int, config: ChunkingConfig, n: int) -> bool:
-    """True when a content cut exists that would leave a non-final
-    remainder, i.e. strictly inside (start+min, n)."""
-    lo = start + config.min_chunk - 1
-    idx = np.searchsorted(cuts, lo)
-    return idx < len(cuts) and cuts[idx] + 1 < n and cuts[idx] <= start + config.max_chunk - 1
 
 
 @dataclass(frozen=True)

@@ -74,13 +74,10 @@ class FeasibilityMask:
         return True
 
     def allows(self, action: HierarchyAction) -> bool:
-        return {
-            HierarchyAction.REDUCE: self.reduce_ok,
-            HierarchyAction.REUSE: self.reuse_ok,
-            HierarchyAction.RECYCLE: self.recycle_ok,
-            HierarchyAction.RECOVER: self.recover_ok,
-            HierarchyAction.DISPOSE: True,
-        }.get(action, False)
+        if action is HierarchyAction.DISPOSE:
+            return True
+        # _MASK_BITS names the four rungs above Dispose in ladder order.
+        return HierarchyAction.REDUCE <= action < HierarchyAction.DISPOSE and getattr(self, _MASK_BITS[action])
 
 
 # Per-byte burden multipliers relative to the base deletion cost.

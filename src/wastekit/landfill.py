@@ -16,6 +16,10 @@ from typing import Iterable, Iterator, NamedTuple, Optional, TextIO
 
 from .errors import TraceError, WastekitError
 
+# Stale heap records tolerated beyond the live count before a rebuild,
+# so that a near-empty store does not rebuild on every operation.
+_HEAP_SLACK = 64
+
 
 @dataclass(frozen=True)
 class LandfillConfig:
@@ -75,8 +79,10 @@ class DigitalLandfill:
     single min-heap of (last_access_epoch, key) records with lazy
     deletion: refreshing an entry just pushes a newer record, and heap
     records that disagree with the live table are discarded when they
-    surface. Amortized O(log n) per operation regardless of trace
-    shape.
+    surface. Once stale records outnumber live ones (plus a small
+    slack), the heap is rebuilt from the table, so its length stays
+    bounded by the live entries. Amortized O(log n) per operation
+    regardless of trace shape.
     """
 
     def __init__(self, config: LandfillConfig, log: Optional[TextIO] = None):
@@ -91,9 +97,12 @@ class DigitalLandfill:
 
     # -- helpers -------------------------------------------------------
 
-    def _touch(self, entry: LandfillEntry) -> None:
-        entry.last_access_epoch = self._epoch
-        heapq.heappush(self._heap, (self._epoch, entry.key))
+    def _push(self, key: bytes) -> None:
+        heap = self._heap
+        heapq.heappush(heap, (self._epoch, key))
+        if len(heap) > 2 * len(self._entries) + _HEAP_SLACK:
+            self._heap = [(e.last_access_epoch, k) for k, e in self._entries.items()]
+            heapq.heapify(self._heap)
 
     def _pop_oldest(self) -> LandfillEntry:
         """Pop the live entry with the smallest (epoch, key), discarding
@@ -110,11 +119,11 @@ class DigitalLandfill:
 
     def put(self, key: bytes, value: bytes) -> PutOutcome:
         size = len(value)
-        if self._log is not None:
-            self._log.write(f"PUT {key.decode('utf-8', 'backslashreplace')} {size}\n")
         capacity = self.config.capacity_bytes
         if size > capacity:
-            return PutOutcome.REJECTED_TOO_LARGE
+            return self._reject_too_large(key, size)
+        if self._log is not None:
+            self._log.write(_put_line(key, size))
         existing = self._entries.pop(key, None)
         if existing is not None:
             # Overwrite: not an eviction, the key stays live.
@@ -124,8 +133,15 @@ class DigitalLandfill:
             self._evictions += 1
         self._entries[key] = LandfillEntry(key, value, self._epoch)
         self._live_bytes += size
-        heapq.heappush(self._heap, (self._epoch, key))
+        self._push(key)
         return PutOutcome.STORED
+
+    def _reject_too_large(self, key: bytes, size: int) -> PutOutcome:
+        """A PUT of more bytes than the capacity: logged, never stored.
+        Replay calls this directly so it never builds such a value."""
+        if self._log is not None:
+            self._log.write(_put_line(key, size))
+        return PutOutcome.REJECTED_TOO_LARGE
 
     def get(self, key: bytes) -> Optional[bytes]:
         """Return the value, or None once the entry has faded or was
@@ -137,7 +153,8 @@ class DigitalLandfill:
         if entry is None:
             return None
         if self.config.refresh_on_read and entry.last_access_epoch != self._epoch:
-            self._touch(entry)
+            entry.last_access_epoch = self._epoch
+            self._push(key)
         return entry.value
 
     def advance_epoch(self, n: int) -> FadeStats:
@@ -180,6 +197,10 @@ class DigitalLandfill:
 
     def live_keys(self) -> list[bytes]:
         return sorted(self._entries)
+
+
+def _put_line(key: bytes, size: int) -> str:
+    return f"PUT {key.decode('utf-8', 'backslashreplace')} {size}\n"
 
 
 # -- trace replay ------------------------------------------------------
@@ -244,7 +265,10 @@ def replay(store: DigitalLandfill, ops: Iterable[TraceOp]) -> Iterator[dict]:
     for index, op in enumerate(ops):
         if op[0] == "PUT":
             _, key, size = op
-            outcome = store.put(key, b"\x00" * size)
+            if size > store.config.capacity_bytes:
+                outcome = store._reject_too_large(key, size)
+            else:
+                outcome = store.put(key, b"\x00" * size)
             event = {"op": "PUT", "key": key.decode("utf-8"), "size": size, "outcome": outcome.value}
         elif op[0] == "GET":
             _, key = op

@@ -11,7 +11,6 @@ from __future__ import annotations
 import fnmatch
 import hashlib
 import json
-import posixpath
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -104,15 +103,6 @@ class FileRecord:
             )
         except (KeyError, ValueError, TypeError) as exc:
             raise WastekitError(f"malformed file record: {exc}") from exc
-
-
-def normalize_path(path: str) -> str:
-    """Normalize to a forward-slash relative path without leading './'."""
-    norm = path.replace("\\", "/")
-    norm = posixpath.normpath(norm)
-    if norm.startswith("./"):
-        norm = norm[2:]
-    return norm
 
 
 class GlobSet:

@@ -144,9 +144,6 @@ class WorkloadTrace:
         """Number of ticks the trace covers (last event tick + 1)."""
         return max((e.tick for e in self.events), default=0) + 1 if self.events else 0
 
-    def events_at(self, tick: int) -> list[TraceEvent]:
-        return [e for e in self.events if e.tick == tick]
-
 
 def parse_workload(lines) -> WorkloadTrace:
     events = []

@@ -112,9 +112,17 @@ def read_snapshot(path: str) -> Snapshot:
         if not line.strip():
             continue
         try:
-            records.append(FileRecord.from_json_obj(json.loads(line)))
+            rec = FileRecord.from_json_obj(json.loads(line))
         except json.JSONDecodeError as exc:
             raise WastekitError(f"snapshot {path} line {i} is not valid JSON: {exc}") from exc
+        # Framed in slashes, an absolute path or an empty, '.' or '..'
+        # component shows as '//', '/./' or '/../'. `scan` never writes
+        # one, and `plan --execute` must not follow one out of the root.
+        framed = f"/{rec.path}/"
+        if type(rec.path) is not str or "//" in framed or "/./" in framed or "/../" in framed:
+            raise WastekitError(f"snapshot {path} line {i}: record path {rec.path!r} must be relative, "
+                                "with no empty, '.' or '..' component")
+        records.append(rec)
     snap = Snapshot(
         root=root,
         taken_at=taken_at,

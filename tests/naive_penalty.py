@@ -22,6 +22,11 @@ def naive_apportion(total, weights):
     return out
 
 
+def events_at(trace, tick):
+    """The trace's events at one tick, in trace order."""
+    return [e for e in trace.events if e.tick == tick]
+
+
 def naive_fair_sim(trace, bandwidth, ticks, weights):
     """Reference weighted fair sharing with backlog carry-over, no
     penalty. Written independently of the scheduler module."""
@@ -29,7 +34,7 @@ def naive_fair_sim(trace, bandwidth, ticks, weights):
     backlog = {p: 0 for p in producers}
     delivered = {p: [] for p in producers}
     for t in range(ticks):
-        for e in trace.events_at(t):
+        for e in events_at(trace, t):
             backlog[e.producer] += e.requested_bytes
         hungry = {p for p in producers if backlog[p] > 0}
         give = {p: 0 for p in producers}

@@ -258,6 +258,21 @@ def scan_to(capsys, root, dest):
     return str(dest)
 
 
+def outside_state(base, root):
+    """Path, size and mtime of every entry under base that is not under root."""
+    state = {}
+    for dirpath, dirnames, filenames in os.walk(base):
+        if dirpath == str(root):
+            dirnames.clear()
+            continue
+        for name in dirnames + filenames:
+            path = os.path.join(dirpath, name)
+            if path != str(root):
+                st = os.lstat(path)
+                state[path] = (st.st_size, st.st_mtime_ns)
+    return state
+
+
 # -- exit code basics ----------------------------------------------------
 
 
@@ -511,6 +526,53 @@ class TestPlan:
         assert code == 1
         assert "refusing" in err
 
+    @pytest.mark.parametrize("where", ["parent-dir", "absolute"])
+    def test_execute_rejects_record_paths_leaving_the_root(self, capsys, small_tree, tmp_path, rules_file, where):
+        victim = tmp_path / "victim.junk"
+        victim.write_bytes(b"v" * 7)
+        st = victim.stat()
+        path = "../victim.junk" if where == "parent-dir" else str(victim)
+        snap = tmp_path / "crafted.snap"
+        header = {"format": "wastekit-snapshot-v1", "root": str(small_tree), "taken_at": 1_700_000_000}
+        record = {"path": path, "kind": "Regular", "size_bytes": 7, "mtime": int(st.st_mtime), "atime": 1}
+        snap.write_text(json.dumps(header) + "\n" + json.dumps(record) + "\n")
+        before = outside_state(tmp_path, small_tree)
+        code, out, err = cli(capsys, "plan", str(snap), "--rules", rules_file, "--execute", "--yes")
+        assert (code, out) == (1, "")
+        assert err.startswith("wastekit: error: ") and len(err.splitlines()) == 1
+        assert outside_state(tmp_path, small_tree) == before
+
+    def test_execute_skips_targets_through_a_symlinked_directory(self, capsys, small_tree, tmp_path, rules_file):
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        (elsewhere / "victim.junk").write_bytes(b"v" * 7)
+        (small_tree / "link").symlink_to(elsewhere, target_is_directory=True)
+        code, _, err = cli(capsys, "scan", str(small_tree), "--follow-symlinks", "-o", str(tmp_path / "t.snap"))
+        assert code == 0, err
+        before = outside_state(tmp_path, small_tree)
+        obj = cli_json(
+            capsys, "--format", "json", "plan", str(tmp_path / "t.snap"), "--rules", rules_file, "--execute", "--yes"
+        )
+        assert obj["executed"]["deleted"] == 2  # old.junk and scratch.tmp
+        assert obj["executed"]["failures"] == ["resolves outside the root, skipped: link/victim.junk"]
+        assert outside_state(tmp_path, small_tree) == before
+
+    @pytest.mark.parametrize("change", ["size", "mtime"])
+    def test_execute_skips_files_changed_since_the_snapshot(self, capsys, small_tree, tmp_path, rules_file, change):
+        snap = scan_to(capsys, small_tree, tmp_path / "t.snap")
+        junk = small_tree / "old.junk"
+        if change == "size":
+            junk.write_bytes(b"j" * 301)
+        else:
+            st = junk.stat()
+            os.utime(junk, (st.st_atime, st.st_mtime - 100))
+        before = outside_state(tmp_path, small_tree)
+        obj = cli_json(capsys, "--format", "json", "plan", snap, "--rules", rules_file, "--execute", "--yes")
+        assert obj["executed"]["deleted"] == 1  # scratch.tmp only
+        assert obj["executed"]["failures"] == ["changed since the snapshot, skipped: old.junk"]
+        assert junk.exists()
+        assert outside_state(tmp_path, small_tree) == before
+
     def test_unknown_device_kind(self, capsys, small_tree, tmp_path, rules_file):
         snap = scan_to(capsys, small_tree, tmp_path / "t.snap")
         code, _, _ = cli(capsys, "plan", snap, "--rules", rules_file, "--device", "QLC")
@@ -606,6 +668,18 @@ class TestLandfillCommand:
         code, second, _ = cli(capsys, "landfill", "--trace", str(log), "--capacity", "2000", "--fade", "3")
         assert code == 0
         assert first == second
+
+    def test_oversized_put_is_rejected_without_building_the_value(self, capsys, tmp_path):
+        trace = tmp_path / "ops.trace"
+        trace.write_text("PUT k 1000000000000\n")
+        log = tmp_path / "ops.log"
+        code, out, err = cli(
+            capsys, "landfill", "--trace", str(trace), "--capacity", "2000", "--fade", "3", "--log", str(log),
+        )
+        assert code == 0, err
+        event = json.loads(out)
+        assert (event["size"], event["outcome"]) == (1000000000000, "rejected_too_large")
+        assert log.read_text() == "PUT k 1000000000000\n"
 
     def test_bad_trace_line(self, capsys, tmp_path):
         trace = tmp_path / "bad.trace"

@@ -3,10 +3,12 @@
 import hashlib
 import json
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wastekit import dedupe
 from wastekit.dedupe import (
     ChunkingConfig,
     ChunkStore,
@@ -21,6 +23,7 @@ from wastekit.model import FileKind, RuleSet
 from wastekit.scanner import Snapshot
 
 from conftest import make_record
+from naive_chunk import naive_chunk
 
 SMALL = ChunkingConfig(min_chunk=64, target_chunk=256, max_chunk=1024, window=16)
 
@@ -100,6 +103,49 @@ class TestChunk:
             assert cfg.min_chunk <= len(c) <= cfg.max_chunk
         if chunks:
             assert len(chunks[-1]) <= cfg.max_chunk
+
+
+@st.composite
+def chunking_configs(draw):
+    """Windows from 1 up to min_chunk (past 64, where rotations wrap) and
+    targets that are mostly not powers of two."""
+    min_chunk = draw(st.integers(1, 300))
+    window = draw(st.integers(1, min_chunk))
+    target = draw(st.integers(min_chunk, 3 * min_chunk + 50))
+    max_chunk = draw(st.integers(target, 4 * target))
+    return ChunkingConfig(min_chunk=min_chunk, target_chunk=target, max_chunk=max_chunk, window=window)
+
+
+@st.composite
+def chunk_inputs(draw):
+    """Random, zero-run and 2-symbol data of lengths spread up to 6000
+    bytes (st.binary would mostly draw inputs too short to cut)."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n = draw(st.integers(0, 6000))
+    kind = draw(st.sampled_from(("random", "zero-run", "two-symbol")))
+    if kind == "random":
+        return rng.randbytes(n)
+    if kind == "zero-run":
+        edge = rng.randbytes(n // 4)
+        return edge + bytes(n - 2 * len(edge)) + edge
+    return bytes(rng.choices(b"ab", k=n))
+
+
+class TestChunkMatchesOracle:
+    """`chunk` cuts exactly where the one-table-per-offset hash does."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(chunking_configs(), chunk_inputs(), st.sampled_from((1, 7, 64, 1000)))
+    def test_random_configs_and_blocks(self, config, data, block):
+        with mock.patch.object(dedupe, "_BLOCK", block):
+            assert chunk(data, config) == naive_chunk(data, config)
+
+    @pytest.mark.parametrize("window", [1, 48, 64, 65, 200])
+    def test_lengths_around_the_block_boundary(self, window):
+        config = ChunkingConfig(min_chunk=256, target_chunk=300, max_chunk=3000, window=window)
+        data = random.Random(window).randbytes(2 * dedupe._BLOCK + window + 1)
+        for n in (dedupe._BLOCK + window - 2, dedupe._BLOCK + window - 1, dedupe._BLOCK + window, len(data)):
+            assert chunk(data[:n], config) == naive_chunk(data[:n], config)
 
 
 class TestChunkStore:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import wastekit
+from wastekit import landfill
 from wastekit.errors import TraceError, WastekitError
 from wastekit.landfill import (
     DigitalLandfill,
@@ -189,6 +190,22 @@ def test_liveness_guarantee():
         s.put(f"noise{i}".encode(), b"n" * 20)
 
 
+def test_heap_bounded_by_live_entries():
+    """Overwrites and refreshes leave stale heap records behind; the heap
+    is rebuilt before they outnumber the live entries by more than the
+    slack."""
+    bound = 2 * 10 + landfill._HEAP_SLACK
+    s = store(capacity=10_000, fade=10**6)
+    for i in range(200_000):
+        s.put(f"k{i % 10}".encode(), b"v")
+    assert len(s._heap) <= bound
+    for i in range(100_000):
+        s.advance_epoch(1)
+        s.get(f"k{i % 10}".encode())
+    assert len(s._heap) <= bound
+    assert s.stats().live_entries == 10
+
+
 class TestOracleEquivalence:
     @pytest.mark.parametrize("seed", range(5))
     def test_random_traces_small(self, seed):
@@ -204,6 +221,15 @@ class TestOracleEquivalence:
         real = DigitalLandfill(LandfillConfig(500, 2, refresh_on_read=False))
         naive = NaiveLandfill(500, 2, refresh_on_read=False)
         assert_equivalent(real, naive, random_ops(rng, 2000))
+
+    def test_overwrite_heavy_trace(self):
+        # Ten keys, mostly puts: the heap is rebuilt many times over the
+        # trace, under evictions and fades.
+        rng = random.Random(7)
+        real = DigitalLandfill(LandfillConfig(600, 3))
+        ops = random_ops(rng, 20_000, key_space=10, put_w=80, get_w=15, adv_w=5)
+        assert_equivalent(real, NaiveLandfill(600, 3), ops)
+        assert len(real._heap) <= 2 * 10 + landfill._HEAP_SLACK
 
     @settings(max_examples=50, deadline=None)
     @given(

@@ -79,7 +79,7 @@ class TestAccount:
             a.accrue(-1, 0)
 
 
-from naive_penalty import naive_apportion, naive_fair_sim  # noqa: E402
+from naive_penalty import events_at, naive_apportion, naive_fair_sim  # noqa: E402
 
 
 class TestAllocateShares:
@@ -240,7 +240,7 @@ class TestSimulate:
 
             backlog = {p: 0 for p in trace.producers}
             for t in range(ticks):
-                for e in trace.events_at(t):
+                for e in events_at(trace, t):
                     backlog[e.producer] += e.requested_bytes
                 outstanding = sum(backlog.values())
                 delivered = rep.delivered_per_tick_total[t]

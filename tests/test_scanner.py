@@ -149,6 +149,23 @@ class TestSnapshotIO:
         with pytest.raises(WastekitError):
             read_snapshot(str(p))
 
+    @pytest.mark.parametrize(
+        "path, ok",
+        [("../x", False), ("/abs/x", False), ("a/../b", False), ("a/./b", False), ("a//b", False), ("a/", False),
+         (".", False), ("..", False), (5, False),
+         ("...", True), ("a\\b", True), (".hidden", True), ("a..b", True), ("d/...", True)],
+    )
+    def test_record_path_rule(self, tmp_path, path, ok):
+        p = tmp_path / "s.snap"
+        header = {"format": "wastekit-snapshot-v1", "root": "/r", "taken_at": 10}
+        record = make_record(path="placeholder").to_json_obj() | {"path": path}
+        p.write_text(json.dumps(header) + "\n" + json.dumps(record) + "\n")
+        if ok:
+            assert read_snapshot(str(p)).records[0].path == path
+        else:
+            with pytest.raises(WastekitError, match="line 2: record path"):
+                read_snapshot(str(p))
+
     def test_rejects_unsorted_records(self):
         snap = Snapshot(root="/r", taken_at=10, records=[make_record(path="b"), make_record(path="a")])
         with pytest.raises(WastekitError, match="sorted"):
