@@ -93,13 +93,22 @@ class FileRecord:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "FileRecord":
         try:
+            size, mtime, atime = obj["size_bytes"], obj["mtime"], obj["atime"]
+            allocated = obj.get("allocated_bytes")
+            if not (type(size) is int and type(mtime) is int and type(atime) is int) or (
+                allocated is not None and type(allocated) is not int
+            ):
+                raise ValueError(
+                    f"size_bytes, mtime and atime must be integers and allocated_bytes an integer or null, "
+                    f"got {size!r}, {mtime!r}, {atime!r} and {allocated!r}"
+                )
             return cls(
                 path=obj["path"],
-                size_bytes=obj["size_bytes"],
-                mtime=obj["mtime"],
-                atime=obj["atime"],
+                size_bytes=size,
+                mtime=mtime,
+                atime=atime,
                 kind=FileKind(obj["kind"]),
-                allocated_bytes=obj.get("allocated_bytes"),
+                allocated_bytes=allocated,
             )
         except (KeyError, ValueError, TypeError) as exc:
             raise WastekitError(f"malformed file record: {exc}") from exc

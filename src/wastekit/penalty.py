@@ -3,13 +3,17 @@
 Producers accumulate useful and waste bytes; a hyperbolic penalty
 factor shrinks the effective weight of polluters, and a discrete-time
 simulator shows the incentive playing out. All internal arithmetic is
-exact (fractions.Fraction), so identical inputs give bit-identical
-reports on any platform; floats appear only at the JSON boundary.
+exact, so identical inputs give bit-identical reports on any platform;
+floats appear only at the JSON boundary. The public functions work in
+fractions.Fraction; the simulator's tick loop does the same arithmetic
+in integers, with the water-filling over weights scaled to a common
+denominator.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
@@ -21,12 +25,16 @@ Rational = Union[int, float, str, Fraction]
 
 def _as_fraction(x: Rational, what: str) -> Fraction:
     """Exact conversion; decimal strings and floats go via their decimal
-    spelling so that e.g. 0.1 means 1/10, not the nearest binary float."""
+    spelling so that e.g. 0.1 means 1/10, not the nearest binary float.
+    A string may not use an exponent: Fraction("1e-999999999") would
+    build 10**999999999 from a 12-byte input."""
+    if isinstance(x, str) and ("e" in x or "E" in x):
+        raise WastekitError(f"invalid {what}: {x!r} (exponents are not accepted)")
     try:
         if isinstance(x, float):
             return Fraction(str(x))
         return Fraction(x)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise WastekitError(f"invalid {what}: {x!r}") from exc
 
 
@@ -94,16 +102,27 @@ def penalty_factor(account: ProducerAccount, alpha: Rational) -> Fraction:
 def largest_remainder(total: int, weights: list[tuple[str, Fraction]]) -> dict[str, int]:
     """Apportion `total` integral units proportionally to weights so the
     result sums to `total` exactly. Leftover units go to the largest
-    fractional remainders; remainder ties break by id."""
-    denom = sum(w for _, w in weights)
-    if denom <= 0:
+    fractional remainders; remainder ties break by id. Weights are ints
+    or Fractions, each >= 0."""
+    if sum(w for _, w in weights) <= 0:
         raise WastekitError("weights must sum to a positive value")
-    exact = [(pid, total * w / denom) for pid, w in weights]
-    shares = {pid: int(x) for pid, x in exact}  # int() == floor for x >= 0
+    if any(w < 0 for _, w in weights):
+        raise WastekitError("weights must be >= 0")
+    lcm = math.lcm(*(w.denominator for _, w in weights))
+    return _apportion(total, [(pid, w.numerator * (lcm // w.denominator)) for pid, w in weights])
+
+
+def _apportion(total: int, weights: list) -> dict:
+    """largest_remainder over non-negative integer weights with a
+    positive sum W: key i gets floor(total x w_i / W) and the leftover
+    units go to the largest remainders of that division, ties to the
+    smaller key."""
+    denom = sum(w for _, w in weights)
+    exact = [(key, *divmod(total * w, denom)) for key, w in weights]
+    shares = {key: q for key, q, _ in exact}
     leftover = total - sum(shares.values())
-    by_remainder = sorted(exact, key=lambda item: (-(item[1] - int(item[1])), item[0]))
-    for pid, _ in by_remainder[:leftover]:
-        shares[pid] += 1
+    for key, _, _ in sorted(exact, key=lambda item: (-item[2], item[0]))[:leftover]:
+        shares[key] += 1
     return shares
 
 
@@ -120,7 +139,8 @@ def allocate_shares(accounts: list[ProducerAccount], config: SchedulerConfig) ->
 #
 # Line format (whitespace separated, # comments and blank lines ok):
 #   <tick> <producer> <requested_bytes> <waste_fraction>
-# waste_fraction is a decimal in [0, 1] and is parsed exactly.
+# waste_fraction is a decimal or a ratio in [0, 1], without an exponent,
+# and is parsed exactly.
 
 
 @dataclass(frozen=True)
@@ -147,6 +167,7 @@ class WorkloadTrace:
 
 def parse_workload(lines) -> WorkloadTrace:
     events = []
+    fractions: dict[str, Fraction] = {}  # each distinct spelling is parsed once
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -157,15 +178,21 @@ def parse_workload(lines) -> WorkloadTrace:
         try:
             tick = int(parts[0])
             requested = int(parts[2])
-            fraction = Fraction(parts[3])
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise TraceError(f"workload line {lineno}: {exc}") from exc
         if tick < 0:
             raise TraceError(f"workload line {lineno}: tick must be >= 0")
         if requested < 0:
             raise TraceError(f"workload line {lineno}: requested_bytes must be >= 0")
-        if not 0 <= fraction <= 1:
-            raise TraceError(f"workload line {lineno}: waste_fraction must be in [0, 1]")
+        fraction = fractions.get(parts[3])
+        if fraction is None:
+            try:
+                fraction = _as_fraction(parts[3], "waste_fraction")
+            except WastekitError as exc:
+                raise TraceError(f"workload line {lineno}: {exc}") from exc
+            if not 0 <= fraction <= 1:
+                raise TraceError(f"workload line {lineno}: waste_fraction must be in [0, 1]")
+            fractions[parts[3]] = fraction
         events.append(TraceEvent(tick, parts[1], requested, fraction))
     return WorkloadTrace(events=tuple(events))
 
@@ -244,6 +271,8 @@ def simulate(
     which is how a penalized producer actually feels the penalty (same
     work, more ticks). completion_tick is the tick a producer finished
     its last requested byte, or None if the run ended first.
+
+    base_weights may name only producers of the trace; the rest weigh 1.
     """
     if trace.tick_span > config.tick_count:
         raise WastekitError(
@@ -252,96 +281,114 @@ def simulate(
     producers = trace.producers
     if not producers:
         raise WastekitError("workload trace names no producers")
-    weights = {pid: _as_fraction((base_weights or {}).get(pid, 1), "base_weight") for pid in producers}
-    accounts = {pid: ProducerAccount(id=pid, base_weight=weights[pid]) for pid in producers}
+    base_weights = base_weights or {}
+    unknown = sorted(set(base_weights) - set(producers))
+    if unknown:
+        raise WastekitError(f"weights given for producers not in the trace: {', '.join(map(repr, unknown))}")
+    base = [_as_fraction(base_weights.get(pid, 1), "base_weight") for pid in producers]
+    for pid, w in zip(producers, base):
+        if w <= 0:
+            raise WastekitError(f"account {pid!r}: base_weight must be > 0")
 
-    backlog = {pid: 0 for pid in producers}
-    requested_total = {pid: 0 for pid in producers}
-    delivered_total = {pid: 0 for pid in producers}
-    delivered_per_tick = {pid: [] for pid in producers}
+    # Integer ledgers. Useful plus waste bytes is the producer's integer
+    # requested total R, so with M = max(1, R) the penalty factor is
+    # M / (M + alpha * waste). Waste is kept scaled by the lcm of the
+    # trace's waste_fraction denominators, which makes it an integer;
+    # multiplying through by k = scale x alpha's denominator gives
+    # factor = M*k / (M*k + alpha_num * scaled_waste). The effective
+    # weight base x factor is kept as a reduced numerator/denominator
+    # pair, recomputed only when the producer accrues.
+    n = len(producers)
+    index = {pid: i for i, pid in enumerate(producers)}
+    scale = math.lcm(*{e.waste_fraction.denominator for e in trace.events})
+    k = scale * config.alpha.denominator
+    alpha_num = config.alpha.numerator
+    eff_num = [w.numerator for w in base]
+    eff_den = [w.denominator for w in base]
+    scaled_waste = [0] * n
+    requested_total = [0] * n
+    backlog = [0] * n
+    delivered_per_tick = [[] for _ in producers]
     total_per_tick = []
-    completion = {pid: None for pid in producers}
-    last_event_tick = {pid: -1 for pid in producers}
+    completion = [None] * n
+    last_event_tick = [-1] * n
+    events_by_tick: dict[int, list[tuple[int, int, int]]] = {}
     for e in trace.events:
-        last_event_tick[e.producer] = max(last_event_tick[e.producer], e.tick)
-
-    events_by_tick: dict[int, list[TraceEvent]] = {}
-    for e in trace.events:
-        events_by_tick.setdefault(e.tick, []).append(e)
+        i = index[e.producer]
+        last_event_tick[i] = max(last_event_tick[i], e.tick)
+        f = e.waste_fraction
+        events_by_tick.setdefault(e.tick, []).append(
+            (i, e.requested_bytes, e.requested_bytes * f.numerator * (scale // f.denominator))
+        )
 
     for tick in range(config.tick_count):
-        for e in events_by_tick.get(tick, ()):
-            backlog[e.producer] += e.requested_bytes
-            requested_total[e.producer] += e.requested_bytes
-            waste = e.requested_bytes * e.waste_fraction
-            accounts[e.producer].accrue(e.requested_bytes - waste, waste)
+        for i, requested, waste in events_by_tick.get(tick, ()):
+            backlog[i] += requested
+            requested_total[i] += requested
+            scaled_waste[i] += waste
+            m = max(1, requested_total[i]) * k
+            num = base[i].numerator * m
+            den = base[i].denominator * (m + alpha_num * scaled_waste[i])
+            g = math.gcd(num, den)
+            eff_num[i], eff_den[i] = num // g, den // g
 
-        delivered = _deliver_tick(accounts, backlog, config)
+        delivered = _water_fill(config.total_bandwidth, backlog, eff_num, eff_den)
 
-        tick_total = 0
-        for pid in producers:
-            got = delivered.get(pid, 0)
-            backlog[pid] -= got
-            delivered_total[pid] += got
-            delivered_per_tick[pid].append(got)
-            tick_total += got
-            if completion[pid] is None and backlog[pid] == 0 and tick >= last_event_tick[pid]:
-                completion[pid] = tick
-        total_per_tick.append(tick_total)
+        for i, got in enumerate(delivered):
+            backlog[i] -= got
+            delivered_per_tick[i].append(got)
+            if completion[i] is None and backlog[i] == 0 and tick >= last_event_tick[i]:
+                completion[i] = tick
+        total_per_tick.append(sum(delivered))
 
-    results = {
-        pid: ProducerResult(
-            delivered_per_tick=delivered_per_tick[pid],
-            requested_total=requested_total[pid],
-            delivered_total=delivered_total[pid],
-            completion_tick=completion[pid],
-            useful_bytes=accounts[pid].useful_bytes,
-            waste_bytes=accounts[pid].waste_bytes,
-            final_factor=penalty_factor(accounts[pid], config.alpha),
+    results = {}
+    for i, pid in enumerate(producers):
+        waste = Fraction(scaled_waste[i], scale)
+        m = max(1, requested_total[i]) * k
+        results[pid] = ProducerResult(
+            delivered_per_tick=delivered_per_tick[i],
+            requested_total=requested_total[i],
+            delivered_total=sum(delivered_per_tick[i]),
+            completion_tick=completion[i],
+            useful_bytes=requested_total[i] - waste,
+            waste_bytes=waste,
+            final_factor=Fraction(m, m + alpha_num * scaled_waste[i]),
         )
-        for pid in producers
-    }
     return SimulationReport(config=config, producers=results, delivered_per_tick_total=total_per_tick)
 
 
-def _deliver_tick(
-    accounts: dict[str, ProducerAccount],
-    backlog: dict[str, int],
-    config: SchedulerConfig,
-) -> dict[str, int]:
-    """Water-filling split of one tick's bandwidth.
+def _water_fill(bandwidth: int, backlog: list[int], eff_num: list[int], eff_den: list[int]) -> list[int]:
+    """Water-filling split of one tick's bandwidth, producer by index.
 
-    Iteratively: compute exact proportional shares over the hungry set;
-    any producer whose whole backlog fits within its share is satisfied
-    and removed, freeing its slack for the rest. When no cap binds, the
-    leftover bandwidth is apportioned by largest remainder — each
-    rounded share still fits under its producer's backlog because the
-    exact share was strictly below an integer backlog.
+    The hungry producers' effective weights are scaled to integers over
+    the lcm of their denominators, so every test below is exact integer
+    arithmetic. Iteratively: any producer whose whole backlog fits within
+    its proportional share (remaining x w_i / W >= backlog_i, tested
+    cross-multiplied) is satisfied and removed, freeing its slack for the
+    rest. When no cap binds, the leftover bandwidth is apportioned by
+    largest remainder — each rounded share still fits under its
+    producer's backlog because the exact share was strictly below an
+    integer backlog.
     """
-    delivered = {pid: 0 for pid in backlog}
-    hungry = {pid for pid, b in backlog.items() if b > 0}
-    remaining = config.total_bandwidth
-    total_demand = sum(backlog[pid] for pid in hungry)
-    if not hungry:
-        return delivered
-    if total_demand <= remaining:
-        for pid in hungry:
-            delivered[pid] = backlog[pid]
-        return delivered
-
-    eff = {pid: accounts[pid].base_weight * penalty_factor(accounts[pid], config.alpha) for pid in hungry}
+    if sum(backlog) <= bandwidth:
+        return backlog[:]
+    delivered = [0] * len(backlog)
+    hungry = [i for i, b in enumerate(backlog) if b]
+    lcm = math.lcm(*(eff_den[i] for i in hungry))
+    weight = {i: eff_num[i] * (lcm // eff_den[i]) for i in hungry}
+    total_weight = sum(weight.values())
+    remaining = bandwidth
+    # The hungry backlog always exceeds `remaining`, so no round caps
+    # every hungry producer.
     while True:
-        denom = sum(eff[pid] for pid in hungry)
-        capped = [pid for pid in hungry if remaining * eff[pid] / denom >= backlog[pid]]
+        capped = [i for i in hungry if remaining * weight[i] >= backlog[i] * total_weight]
         if not capped:
             break
-        for pid in capped:
-            delivered[pid] = backlog[pid]
-            remaining -= backlog[pid]
-            hungry.discard(pid)
-        if not hungry:
-            return delivered
-    shares = largest_remainder(remaining, sorted((pid, eff[pid]) for pid in hungry))
-    for pid, share in shares.items():
-        delivered[pid] = share
+        for i in capped:
+            delivered[i] = backlog[i]
+            remaining -= backlog[i]
+            total_weight -= weight[i]
+        hungry = [i for i in hungry if not delivered[i]]
+    for i, share in _apportion(remaining, [(i, weight[i]) for i in hungry]).items():
+        delivered[i] = share
     return delivered

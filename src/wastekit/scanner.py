@@ -115,6 +115,8 @@ def read_snapshot(path: str) -> Snapshot:
             rec = FileRecord.from_json_obj(json.loads(line))
         except json.JSONDecodeError as exc:
             raise WastekitError(f"snapshot {path} line {i} is not valid JSON: {exc}") from exc
+        except WastekitError as exc:
+            raise WastekitError(f"snapshot {path} line {i}: {exc}") from exc
         # Framed in slashes, an absolute path or an empty, '.' or '..'
         # component shows as '//', '/./' or '/../'. `scan` never writes
         # one, and `plan --execute` must not follow one out of the root.

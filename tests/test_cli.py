@@ -276,6 +276,13 @@ def outside_state(base, root):
 # -- exit code basics ----------------------------------------------------
 
 
+def _snapshot_with_record(**fields) -> bytes:
+    """A one-record snapshot; `fields` override the record's values."""
+    header = {"format": "wastekit-snapshot-v1", "root": "/r", "taken_at": 10}
+    record = {"path": "a.txt", "size_bytes": 5, "mtime": 1, "atime": 2, "kind": "Regular"} | fields
+    return (json.dumps(header) + "\n" + json.dumps(record) + "\n").encode()
+
+
 class TestExitCodes:
     def test_no_command_is_usage_error(self, capsys):
         code, _, err = cli(capsys)
@@ -324,10 +331,18 @@ class TestExitCodes:
             (b'{"format": "wastekit-snapshot-v1", "root": "\xff", "taken_at": 1}\n', ["report", "{bad}", "--rules", "{rules}"]),
             (b"PUT \xff\xfe 3\n", ["landfill", "--trace", "{bad}", "--capacity", "10", "--fade", "1"]),
             (b"0 \xff 100 0.0\n", ["penalty-sim", "--trace", "{bad}", "--alpha", "0", "--bandwidth", "10", "--ticks", "1"]),
+            (_snapshot_with_record(size_bytes=2.5), ["report", "{bad}", "--rules", "{rules}"]),
+            (_snapshot_with_record(mtime=True), ["report", "{bad}", "--rules", "{rules}"]),
+            (_snapshot_with_record(atime="1"), ["report", "{bad}", "--rules", "{rules}"]),
+            (_snapshot_with_record(size_bytes=None), ["report", "{bad}", "--rules", "{rules}"]),
+            (_snapshot_with_record(allocated_bytes=4096.0), ["report", "{bad}", "--rules", "{rules}"]),
+            (_snapshot_with_record(allocated_bytes=False), ["report", "{bad}", "--rules", "{rules}"]),
         ],
         ids=[
             "header-no-root", "header-no-taken-at", "header-root-number", "header-taken-at-string", "header-warnings-number",
             "rules-not-utf8", "masks-not-utf8", "snapshot-not-utf8", "trace-not-utf8", "workload-not-utf8",
+            "record-size-float", "record-mtime-bool", "record-atime-string", "record-size-null",
+            "record-allocated-float", "record-allocated-bool",
         ],
     )
     def test_bad_input_file_is_named_in_one_line(self, capsys, small_tree, tmp_path, rules_file, content, argv):
@@ -338,6 +353,13 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("wastekit: error: ") and len(err.splitlines()) == 1
         assert str(bad) in err
+
+    @pytest.mark.parametrize("allocated", [{}, {"allocated_bytes": None}, {"allocated_bytes": 4096}])
+    def test_integer_record_fields_are_read(self, capsys, tmp_path, rules_file, allocated):
+        snap = tmp_path / "ok.snap"
+        snap.write_bytes(_snapshot_with_record(**allocated))
+        obj = cli_json(capsys, "--format", "json", "report", str(snap), "--rules", rules_file)
+        assert obj["total_files"] == 1
 
 
 # -- scan ----------------------------------------------------------------
@@ -757,6 +779,44 @@ class TestPenaltySim:
             "--alpha", "0", "--bandwidth", "10", "--ticks", "1",
         )
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "workload, options, spelling",
+        [
+            ("0 a 100 1e-5\n", ["--alpha", "0"], "1e-5"),
+            ("0 a 100 0E5\n", ["--alpha", "0"], "0E5"),
+            ("0 a 100 0.5\n", ["--alpha", "1e-5"], "1e-5"),
+            ("0 a 100 0.5\n", ["--alpha", "0.5", "--weight", "a=0e5"], "0e5"),
+        ],
+        ids=["waste-fraction", "waste-fraction-upper", "alpha", "weight"],
+    )
+    def test_exponent_is_rejected(self, capsys, tmp_path, workload, options, spelling):
+        trace = tmp_path / "w.trace"
+        trace.write_text(workload)
+        code, _, err = cli(capsys, "penalty-sim", "--trace", str(trace), "--bandwidth", "10", "--ticks", "1", *options)
+        assert code == 1
+        assert err.startswith("wastekit: error: ") and len(err.splitlines()) == 1
+        assert repr(spelling) in err and "exponent" in err
+
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            (["ghost=2"], "'ghost'"),
+            (["a=2", "ghost=abc", "zz=1"], "'ghost', 'zz'"),
+            (["a=abc"], "'abc'"),
+            (["a=0"], "base_weight must be > 0"),
+        ],
+        ids=["unknown", "unknown-listed", "bad-value", "zero"],
+    )
+    def test_weight_must_name_a_trace_producer(self, capsys, tmp_path, weights, message):
+        trace = tmp_path / "w.trace"
+        trace.write_text("0 a 100 0.0\n")
+        args = [a for w in weights for a in ("--weight", w)]
+        code, _, err = cli(capsys, "penalty-sim", "--trace", str(trace), "--alpha", "0", "--bandwidth", "10",
+                           "--ticks", "1", *args)
+        assert code == 1
+        assert err.startswith("wastekit: error: ") and len(err.splitlines()) == 1
+        assert message in err
 
     def test_trace_beyond_ticks(self, capsys, tmp_path):
         trace = tmp_path / "w.trace"

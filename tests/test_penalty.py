@@ -79,7 +79,13 @@ class TestAccount:
             a.accrue(-1, 0)
 
 
-from naive_penalty import events_at, naive_apportion, naive_fair_sim  # noqa: E402
+from naive_penalty import (  # noqa: E402
+    events_at,
+    fraction_largest_remainder,
+    fraction_simulate,
+    naive_apportion,
+    naive_fair_sim,
+)
 
 
 class TestAllocateShares:
@@ -162,6 +168,37 @@ def test_largest_remainder_tie_breaks_by_id():
     # equal weights, one leftover unit → lexicographically first id wins
     out = largest_remainder(7, [("b", Fraction(1)), ("a", Fraction(1))])
     assert out == {"a": 4, "b": 3}
+
+
+class TestLargestRemainderOracle:
+    """The integer apportionment against the definition and against the
+    Fraction implementation it replaced. Ids run against list order so a
+    tie broken by position instead of id shows."""
+
+    @staticmethod
+    def named(ws):
+        return [(f"p{len(ws) - i:02d}", w) for i, w in enumerate(ws)]
+
+    @given(st.integers(0, 10**6), st.lists(st.integers(0, 50), min_size=1, max_size=8))
+    def test_int_weights(self, total, ws):
+        if sum(ws) > 0:
+            weights = self.named(ws)
+            assert largest_remainder(total, weights) == naive_apportion(total, weights)
+
+    @given(
+        st.integers(0, 10**6),
+        st.lists(st.fractions(min_value=0, max_value=50, max_denominator=12), min_size=1, max_size=8),
+    )
+    def test_fraction_weights(self, total, ws):
+        if sum(ws) > 0:
+            weights = self.named(ws)
+            got = largest_remainder(total, weights)
+            assert got == naive_apportion(total, weights) == fraction_largest_remainder(total, weights)
+
+    @pytest.mark.parametrize("weights", [[], [("a", 0)], [("a", Fraction(-1)), ("b", Fraction(2))]])
+    def test_rejects_weights_without_a_positive_split(self, weights):
+        with pytest.raises(WastekitError):
+            largest_remainder(5, weights)
 
 
 class TestWorkloadParsing:
@@ -297,3 +334,75 @@ def test_alpha_zero_equals_weighted_fair_sharing():
         want = naive_fair_sim(trace, bandwidth, 10, weights)
         got = {p: rep.producers[p].delivered_per_tick for p in trace.producers}
         assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
+# Spellings with odd denominators, so that scaled integer weights and
+# the Fraction ones they replace can disagree only through a bug.
+WASTE_SPELLINGS = ("0", "1", "1/3", "0.05", "0.5", "2/7", "0.999")
+WEIGHT_SPELLINGS = ("1", "2", "1/3", "3.5", "5/7")
+ALPHA_SPELLINGS = ("0", "0", "1/2", "3", "7/3")
+
+
+@st.composite
+def scheduler_runs(draw):
+    """A small random trace with its config and base weights. Small
+    bandwidths leave many remainder ties; a mirrored producer (the same
+    requests as another) makes exact ties that only the id can break."""
+    pids = draw(st.lists(st.sampled_from("abcdef"), min_size=1, max_size=5, unique=True))
+    ticks = draw(st.integers(1, 8))
+    event = st.tuples(st.integers(0, ticks - 1), st.sampled_from(pids), st.integers(0, 60), st.sampled_from(WASTE_SPELLINGS))
+    events = draw(st.lists(event, min_size=1, max_size=30))
+    if len(pids) > 1 and draw(st.booleans()):
+        events += [(t, pids[1], r, f) for t, p, r, f in events if p == pids[0]]
+    lines = [f"{t} {p} {r} {f}" for t, p, r, f in events]
+    named = sorted({p for _, p, _, _ in events})
+    weights = draw(st.dictionaries(st.sampled_from(named), st.sampled_from(WEIGHT_SPELLINGS)))
+    config = SchedulerConfig(
+        total_bandwidth=draw(st.integers(1, 40)), alpha=draw(st.sampled_from(ALPHA_SPELLINGS)), tick_count=ticks
+    )
+    return parse_workload(lines), config, weights
+
+
+@given(scheduler_runs())
+def test_simulate_matches_fraction_oracle(run):
+    trace, config, weights = run
+    assert simulate(trace, config, weights).to_json() == fraction_simulate(trace, config, weights).to_json()
+
+
+def test_simulate_matches_fraction_oracle_at_scale():
+    """Twenty producers over sixty overloaded ticks, so that the scaled
+    weights of a tick run to hundreds of digits."""
+    rng = random.Random(0xFA1)
+    pids = [f"p{k:02d}" for k in range(20)]
+    lines = [
+        f"{t} {p} {rng.randrange(0, 400)} {rng.choice(WASTE_SPELLINGS)}"
+        for t in range(50) for p in pids if rng.random() < 0.5
+    ]
+    trace = parse_workload(lines)
+    weights = {p: rng.choice(WEIGHT_SPELLINGS) for p in rng.sample(trace.producers, 6)}
+    for alpha in ("0", "0.5", "7/3"):
+        config = SchedulerConfig(total_bandwidth=1_999, alpha=alpha, tick_count=60)
+        assert simulate(trace, config, weights).to_json() == fraction_simulate(trace, config, weights).to_json()
+
+
+class TestRejectedInputs:
+    @pytest.mark.parametrize("spelling", ["1e-5", "0e5", "1E3", "2.5e0"])
+    def test_exponent_spellings(self, spelling):
+        with pytest.raises(TraceError, match="exponent"):
+            parse_workload([f"0 a 1 {spelling}"])
+        with pytest.raises(WastekitError, match="exponent"):
+            SchedulerConfig(total_bandwidth=1, alpha=spelling, tick_count=1)
+        with pytest.raises(WastekitError, match="exponent"):
+            simulate(parse_workload(["0 a 1 0"]), cfg(ticks=1), {"a": spelling})
+
+    def test_float_inputs_keep_their_decimal_spelling(self):
+        assert SchedulerConfig(total_bandwidth=1, alpha=1e-05, tick_count=1).alpha == Fraction(1, 100000)
+
+    def test_weights_must_name_trace_producers(self):
+        with pytest.raises(WastekitError, match="'ghost'"):
+            simulate(parse_workload(["0 a 1 0"]), cfg(ticks=1), {"a": 2, "ghost": 1})
+
+    def test_each_spelling_is_parsed_once(self):
+        trace = parse_workload(["0 a 1 0.25", "1 b 2 0.25", "2 a 3 1/4"])
+        assert trace.events[0].waste_fraction is trace.events[1].waste_fraction
+        assert trace.events[2].waste_fraction == Fraction(1, 4)
