@@ -10,6 +10,7 @@ is erased, the charge simply stops being refreshed.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, NamedTuple, Optional, TextIO
@@ -36,13 +37,13 @@ class LandfillConfig:
 
 @dataclass(slots=True)
 class LandfillEntry:
-    key: bytes
-    value: bytes
-    last_access_epoch: int
+    """A live entry. `value` is None for an entry stored by `replay`,
+    which accounts a PUT's size without building its bytes."""
 
-    @property
-    def size_bytes(self) -> int:
-        return len(self.value)
+    key: bytes
+    value: Optional[bytes]
+    last_access_epoch: int
+    size_bytes: int
 
 
 class PutOutcome(Enum):
@@ -104,58 +105,67 @@ class DigitalLandfill:
             self._heap = [(e.last_access_epoch, k) for k, e in self._entries.items()]
             heapq.heapify(self._heap)
 
-    def _pop_oldest(self) -> LandfillEntry:
-        """Pop the live entry with the smallest (epoch, key), discarding
-        stale heap records along the way."""
-        while True:
-            epoch, key = heapq.heappop(self._heap)
-            entry = self._entries.get(key)
+    def _pop_oldest(self, before: float = math.inf) -> Optional[LandfillEntry]:
+        """Remove and return the live entry with the smallest (epoch, key)
+        if its epoch is below `before`, else None. Stale heap records on
+        top are discarded along the way."""
+        heap, entries = self._heap, self._entries
+        while heap:
+            epoch, key = heap[0]
+            entry = entries.get(key)
             if entry is not None and entry.last_access_epoch == epoch:
-                del self._entries[key]
+                if epoch >= before:
+                    return None
+                heapq.heappop(heap)
+                del entries[key]
                 self._live_bytes -= entry.size_bytes
                 return entry
+            heapq.heappop(heap)
+        return None
 
-    # -- operations ----------------------------------------------------
-
-    def put(self, key: bytes, value: bytes) -> PutOutcome:
-        size = len(value)
+    def _put(self, key: bytes, value: Optional[bytes], size: int) -> PutOutcome:
+        """The one PUT path: log the op, reject a PUT larger than the
+        capacity, evict strict-LRU until the entry fits, store it."""
+        if self._log is not None:
+            self._log.write(f"PUT {key.decode('utf-8', 'backslashreplace')} {size}\n")
         capacity = self.config.capacity_bytes
         if size > capacity:
-            return self._reject_too_large(key, size)
-        if self._log is not None:
-            self._log.write(_put_line(key, size))
+            return PutOutcome.REJECTED_TOO_LARGE
         existing = self._entries.pop(key, None)
         if existing is not None:
             # Overwrite: not an eviction, the key stays live.
             self._live_bytes -= existing.size_bytes
-        while self._live_bytes + size > capacity:
-            self._pop_oldest()
+        while self._live_bytes + size > capacity and self._pop_oldest() is not None:
             self._evictions += 1
-        self._entries[key] = LandfillEntry(key, value, self._epoch)
+        self._entries[key] = LandfillEntry(key, value, self._epoch, size)
         self._live_bytes += size
         self._push(key)
         return PutOutcome.STORED
 
-    def _reject_too_large(self, key: bytes, size: int) -> PutOutcome:
-        """A PUT of more bytes than the capacity: logged, never stored.
-        Replay calls this directly so it never builds such a value."""
-        if self._log is not None:
-            self._log.write(_put_line(key, size))
-        return PutOutcome.REJECTED_TOO_LARGE
-
-    def get(self, key: bytes) -> Optional[bytes]:
-        """Return the value, or None once the entry has faded or was
-        never stored. Fading is applied eagerly at epoch advances, so
-        presence in the table means the entry is live."""
+    def _lookup(self, key: bytes) -> Optional[LandfillEntry]:
+        """Log a GET and return the live entry, refreshing its access
+        epoch when reads refresh; None once it has faded or was never
+        stored. Fading is applied eagerly at epoch advances, so presence
+        in the table means the entry is live."""
         if self._log is not None:
             self._log.write(f"GET {key.decode('utf-8', 'backslashreplace')}\n")
         entry = self._entries.get(key)
-        if entry is None:
-            return None
-        if self.config.refresh_on_read and entry.last_access_epoch != self._epoch:
+        if entry is not None and self.config.refresh_on_read and entry.last_access_epoch != self._epoch:
             entry.last_access_epoch = self._epoch
             self._push(key)
-        return entry.value
+        return entry
+
+    # -- operations ----------------------------------------------------
+
+    def put(self, key: bytes, value: bytes) -> PutOutcome:
+        return self._put(key, value, len(value))
+
+    def get(self, key: bytes) -> Optional[bytes]:
+        """Return the value, or None once the entry has faded or was
+        never stored. An entry stored by `replay` has no value, so it
+        reads as None here too; replay itself asks `_lookup`."""
+        entry = self._lookup(key)
+        return None if entry is None else entry.value
 
     def advance_epoch(self, n: int) -> FadeStats:
         if n < 1:
@@ -168,17 +178,7 @@ class DigitalLandfill:
         reclaimed = 0
         # Entries fade when current_epoch - last_access > lifetime,
         # i.e. last_access < threshold (strict).
-        while self._heap:
-            epoch, key = self._heap[0]
-            entry = self._entries.get(key)
-            if entry is None or entry.last_access_epoch != epoch:
-                heapq.heappop(self._heap)
-                continue
-            if epoch >= threshold:
-                break
-            heapq.heappop(self._heap)
-            del self._entries[key]
-            self._live_bytes -= entry.size_bytes
+        while (entry := self._pop_oldest(threshold)) is not None:
             faded += 1
             reclaimed += entry.size_bytes
         self._fades += faded
@@ -199,10 +199,6 @@ class DigitalLandfill:
         return sorted(self._entries)
 
 
-def _put_line(key: bytes, size: int) -> str:
-    return f"PUT {key.decode('utf-8', 'backslashreplace')} {size}\n"
-
-
 # -- trace replay ------------------------------------------------------
 #
 # Trace grammar, one operation per line (the op log uses the same):
@@ -210,9 +206,9 @@ def _put_line(key: bytes, size: int) -> str:
 #   GET <key>
 #   ADV <n>
 # Keys are whitespace-free tokens; blank lines and #-comments ignored.
-# PUT carries a size, not content: replay materializes a zero-filled
-# value of that length, which is indistinguishable from real content
-# as far as accounting goes.
+# PUT carries a size, not content: replay accounts that many bytes
+# without building them, so its memory is bounded by the live entries,
+# not by the sizes a trace names. A replayed entry has value None.
 
 TraceOp = tuple  # ("PUT", key, size) | ("GET", key) | ("ADV", n)
 
@@ -265,15 +261,12 @@ def replay(store: DigitalLandfill, ops: Iterable[TraceOp]) -> Iterator[dict]:
     for index, op in enumerate(ops):
         if op[0] == "PUT":
             _, key, size = op
-            if size > store.config.capacity_bytes:
-                outcome = store._reject_too_large(key, size)
-            else:
-                outcome = store.put(key, b"\x00" * size)
+            outcome = store._put(key, None, size)
             event = {"op": "PUT", "key": key.decode("utf-8"), "size": size, "outcome": outcome.value}
         elif op[0] == "GET":
             _, key = op
-            value = store.get(key)
-            event = {"op": "GET", "key": key.decode("utf-8"), "result": "faded" if value is None else "hit"}
+            entry = store._lookup(key)
+            event = {"op": "GET", "key": key.decode("utf-8"), "result": "faded" if entry is None else "hit"}
         else:
             _, n = op
             fade = store.advance_epoch(n)

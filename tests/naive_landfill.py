@@ -87,6 +87,26 @@ def random_ops(rng, count, key_space=24, max_size=200, put_w=35, get_w=55, adv_w
     return ops
 
 
+def naive_replay_events(naive_store, ops):
+    """The event stream `replay` must yield for a trace, built by driving
+    the oracle with a zero-filled value of each PUT's size."""
+    events = []
+    for index, op in enumerate(ops):
+        if op[0] == "PUT":
+            outcome = naive_store.put(op[1], b"\x00" * op[2])
+            event = {"op": "PUT", "key": op[1].decode("utf-8"), "size": op[2], "outcome": outcome}
+        elif op[0] == "GET":
+            result = "faded" if naive_store.get(op[1]) is None else "hit"
+            event = {"op": "GET", "key": op[1].decode("utf-8"), "result": result}
+        else:
+            faded, reclaimed = naive_store.advance_epoch(op[1])
+            event = {"op": "ADV", "n": op[1], "entries_faded": faded, "bytes_reclaimed": reclaimed}
+        event["index"] = index
+        event["stats"] = naive_store.stats()
+        events.append(event)
+    return events
+
+
 def run_store(store, ops):
     """Apply ops to the heap-backed store alone, recording after every
     op its raw outcome and its raw stats() result. Nothing is converted

@@ -3,15 +3,18 @@ destructive path (plan --execute)."""
 
 import json
 import os
+import subprocess
+import sys
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from wastekit.cli import run
 from wastekit.fixtures import build_never_accessed_tree
 from wastekit.landfill import DigitalLandfill, LandfillConfig, parse_trace, replay
 
-from naive_landfill import NaiveLandfill
+from naive_landfill import NaiveLandfill, naive_replay_events
 
 # -- output schemas ------------------------------------------------------
 
@@ -301,6 +304,18 @@ class TestExitCodes:
     def test_version_exits_zero(self, capsys):
         code, out, _ = cli(capsys, "--version")
         assert code == 0
+
+    def test_python_dash_m_runs_the_cli(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "wastekit", "--version"],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("wastekit ")
 
     def test_missing_required_option(self, capsys):
         code, _, _ = cli(capsys, "landfill", "--capacity", "10", "--fade", "1")
@@ -617,6 +632,19 @@ GET gamma
 """
 
 
+_FUZZ_TOKEN = st.one_of(
+    st.sampled_from(["PUT", "GET", "ADV", "put", "Adv", "FROB", "#", "k", "caf\u00e9", "\u65e5\u672c", "1_0", "0x10"]),
+    st.integers(-(10**40), 10**40).map(str),
+    st.text(max_size=4),
+)
+# A line is either made of trace-like tokens or arbitrary bytes, which
+# covers non-UTF-8 input, stray control characters and missing fields.
+_FUZZ_LINE = st.one_of(
+    st.lists(_FUZZ_TOKEN, max_size=4).map(lambda tokens: " ".join(tokens).encode("utf-8")),
+    st.binary(max_size=12),
+)
+
+
 class TestLandfillCommand:
     def test_replay_events(self, capsys, tmp_path):
         trace = tmp_path / "ops.trace"
@@ -650,17 +678,8 @@ class TestLandfillCommand:
         )
         assert code == 0
         naive = NaiveLandfill(capacity_bytes=25, fade_lifetime_epochs=2)
-        expected_stats = []
-        for op in parse_trace(TRACE.splitlines()):
-            if op[0] == "PUT":
-                naive.put(op[1], b"\x00" * op[2])
-            elif op[0] == "GET":
-                naive.get(op[1])
-            else:
-                naive.advance_epoch(op[1])
-            expected_stats.append(naive.stats())
-        got = [json.loads(line)["stats"] for line in out.splitlines()]
-        assert got == expected_stats
+        expected = naive_replay_events(naive, parse_trace(TRACE.splitlines()))
+        assert [json.loads(line) for line in out.splitlines()] == expected
 
     def test_operation_log_replays_identically(self, capsys, tmp_path):
         trace = tmp_path / "ops.trace"
@@ -715,6 +734,27 @@ class TestLandfillCommand:
         trace.write_text("PUT a 1\n")
         code, _, _ = cli(capsys, "landfill", "--trace", str(trace), "--capacity", "0", "--fade", "1")
         assert code == 1
+
+    # Capacities stay small so that every fuzzed size above them is
+    # rejected: the test never asks for a large store.
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        lines=st.lists(_FUZZ_LINE, max_size=8),
+        capacity=st.integers(0, 10**6),
+        fade=st.integers(0, 3),
+        refresh=st.booleans(),
+    )
+    def test_fuzzed_trace_exits_0_or_1(self, capsys, tmp_path, lines, capacity, fade, refresh):
+        trace = tmp_path / "fuzz.trace"
+        trace.write_bytes(b"\n".join(lines))
+        argv = ["landfill", "--trace", str(trace), "--capacity", str(capacity), "--fade", str(fade)]
+        code, out, err = cli(capsys, *argv, *([] if refresh else ["--no-refresh-on-read"]))
+        assert code in (0, 1)
+        if code == 0:
+            for line in out.splitlines():
+                jsonschema.validate(json.loads(line), LANDFILL_EVENT_SCHEMA)
+        else:
+            assert err.startswith("wastekit: error: ") and err.count("\n") == 1
 
 
 # -- penalty-sim ---------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import io
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +20,7 @@ from wastekit.landfill import (
     replay,
 )
 
-from naive_landfill import NaiveLandfill, assert_equivalent, random_ops
+from naive_landfill import NaiveLandfill, assert_equivalent, naive_replay_events, random_ops
 
 
 def store(capacity=100, fade=3, refresh=True):
@@ -246,6 +247,50 @@ class TestOracleEquivalence:
         real = DigitalLandfill(LandfillConfig(64, 2))
         naive = NaiveLandfill(64, 2)
         assert_equivalent(real, naive, ops)
+
+
+class TestReplay:
+    """Replay stores a PUT's size through the same path as `put`, without
+    building the value."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        capacity=st.integers(1, 40),
+        fade=st.integers(1, 3),
+        refresh=st.booleans(),
+        data=st.data(),
+    )
+    def test_events_match_oracle(self, capacity, fade, refresh, data):
+        # Five keys, so PUTs overwrite; sizes run past the capacity, and
+        # hit it exactly, so PUTs are rejected and fill the store.
+        keys = st.sampled_from([b"a", b"b", b"c", "caf\u00e9".encode(), "\u65e5".encode()])
+        sizes = st.one_of(st.integers(0, capacity + 3), st.just(capacity))
+        ops = data.draw(
+            st.lists(
+                st.one_of(
+                    st.tuples(st.just("PUT"), keys, sizes),
+                    st.tuples(st.just("GET"), keys),
+                    st.tuples(st.just("ADV"), st.integers(1, 3)),
+                ),
+                max_size=60,
+            )
+        )
+        store = DigitalLandfill(LandfillConfig(capacity, fade, refresh_on_read=refresh))
+        naive = NaiveLandfill(capacity, fade, refresh_on_read=refresh)
+        assert list(replay(store, ops)) == naive_replay_events(naive, ops)
+
+    def test_memory_is_bounded_by_entries_not_sizes(self):
+        ops = parse_trace(["PUT k 50000000", "GET k"])
+        store = DigitalLandfill(LandfillConfig(10**8, 2))
+        tracemalloc.start()
+        try:
+            events = list(replay(store, ops))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert events[1]["result"] == "hit"
+        assert events[1]["stats"]["live_bytes"] == 50_000_000
 
 
 class TestTrace:
