@@ -292,43 +292,80 @@ def _cmd_plan(args) -> int:
     return 0
 
 
+class _OutsideRoot(Exception):
+    pass
+
+
+_DIR_FLAGS = os.O_RDONLY | os.O_DIRECTORY | os.O_NOFOLLOW
+
+
+def _open_parent(root_fd: int, parts: list[str]) -> int:
+    """Open the directory that holds parts[-1] by walking down from
+    root_fd one component at a time, never through a symlink. The
+    returned fd pins that directory: swapping a directory on the path
+    for a symlink afterwards cannot redirect what is done through it."""
+    fd = os.dup(root_fd)
+    try:
+        for name in parts[:-1]:
+            try:
+                child = os.open(name, _DIR_FLAGS, dir_fd=fd)
+            except OSError:
+                if stat.S_ISLNK(os.stat(name, dir_fd=fd, follow_symlinks=False).st_mode):
+                    raise _OutsideRoot from None
+                raise
+            os.close(fd)
+            fd = child
+    except BaseException:
+        os.close(fd)
+        raise
+    return fd
+
+
 def _execute_dispose(root: str, action_plan, snapshot) -> dict:
     """Remove the Regular files the plan marked Dispose. Refuses to run
     at a filesystem root — disposal is the ladder's last resort and the
     one irreversible subcommand, so the blast radius stays bounded. A
-    target is deleted only if its resolved parent lies under the
-    resolved root and its size and mtime still match the snapshot."""
+    target is reached from the root without following any symlink, and
+    is deleted only if its size and mtime still match the snapshot; the
+    check and the unlink act on the same pinned parent directory."""
     if _is_filesystem_root(root):
         raise WastekitError(f"refusing to execute dispose at filesystem root {root!r}")
-    real_root = os.path.realpath(root)
     records = {rec.path: rec for rec in snapshot.records}
     deleted = 0
     freed = 0
     failures = []
-    for entry in action_plan.entries:
-        if entry.action is not HierarchyAction.DISPOSE:
-            continue
-        rec = records.get(entry.path)
-        if rec is None or rec.kind is not FileKind.REGULAR:
-            continue
-        target = os.path.join(root, entry.path)
-        try:
-            parent = os.path.realpath(os.path.dirname(target))
-            if os.path.commonpath([real_root, parent]) != real_root:
+    root_fd = os.open(root, os.O_RDONLY | os.O_DIRECTORY)
+    try:
+        for entry in action_plan.entries:
+            if entry.action is not HierarchyAction.DISPOSE:
+                continue
+            rec = records.get(entry.path)
+            if rec is None or rec.kind is not FileKind.REGULAR:
+                continue
+            parts = entry.path.split("/")
+            try:
+                if any(part in ("", ".", "..") for part in parts):
+                    raise _OutsideRoot
+                parent_fd = _open_parent(root_fd, parts)
+                try:
+                    st = os.stat(parts[-1], dir_fd=parent_fd, follow_symlinks=False)
+                    if not stat.S_ISREG(st.st_mode):
+                        failures.append(f"not a regular file any more, skipped: {entry.path}")
+                        continue
+                    if st.st_size != rec.size_bytes or int(st.st_mtime) != rec.mtime:
+                        failures.append(f"changed since the snapshot, skipped: {entry.path}")
+                        continue
+                    os.unlink(parts[-1], dir_fd=parent_fd)
+                finally:
+                    os.close(parent_fd)
+                deleted += 1
+                freed += entry.bytes_affected
+            except _OutsideRoot:
                 failures.append(f"resolves outside the root, skipped: {entry.path}")
-                continue
-            st = os.lstat(target)
-            if not stat.S_ISREG(st.st_mode):
-                failures.append(f"not a regular file any more, skipped: {entry.path}")
-                continue
-            if st.st_size != rec.size_bytes or int(st.st_mtime) != rec.mtime:
-                failures.append(f"changed since the snapshot, skipped: {entry.path}")
-                continue
-            os.unlink(target)
-            deleted += 1
-            freed += entry.bytes_affected
-        except OSError as exc:
-            failures.append(f"could not delete {entry.path}: {exc}")
+            except OSError as exc:
+                failures.append(f"could not delete {entry.path}: {exc}")
+    finally:
+        os.close(root_fd)
     return {"deleted": deleted, "bytes_freed": freed, "failures": failures}
 
 
@@ -341,9 +378,7 @@ def _cmd_landfill(args) -> int:
     )
     log_fh = open(args.log, "w", encoding="utf-8") if args.log else None
     try:
-        store = DigitalLandfill(config, log=log_fh)
-        for event in replay(store, ops):
-            print(json.dumps(event, sort_keys=True))
+        sys.stdout.writelines(replay(DigitalLandfill(config, log=log_fh), ops))
     finally:
         if log_fh is not None:
             log_fh.close()

@@ -13,6 +13,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from enum import Enum
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable, Iterator, NamedTuple, Optional, TextIO
 
 from .errors import TraceError, WastekitError
@@ -68,9 +69,6 @@ class LandfillStats(NamedTuple):
     current_epoch: int
     lifetime_evictions: int
     lifetime_fades: int
-
-    def to_json_obj(self) -> dict:
-        return self._asdict()
 
 
 class DigitalLandfill:
@@ -255,22 +253,36 @@ def load_trace(path: str) -> list[TraceOp]:
         raise WastekitError(f"cannot read trace file {path}: {exc}") from exc
 
 
-def replay(store: DigitalLandfill, ops: Iterable[TraceOp]) -> Iterator[dict]:
-    """Apply ops in order, yielding one event per op: the op echoed
-    back, its outcome, and the store's stats afterwards."""
+def replay(store: DigitalLandfill, ops: Iterable[TraceOp]) -> Iterator[str]:
+    """Apply ops in order, yielding one event line per op, newline
+    included: the op echoed back, its outcome, and the store's stats
+    afterwards. Each line is the JSON text that
+    `json.dumps(event, sort_keys=True)` gives for the event object:
+    keys in sorted order, `", "` and `": "` separators, non-ASCII key
+    characters as `\\u` escapes. The line is built from the store's
+    counters directly, with no event object in between."""
+    stats_head = f'"stats": {{"capacity_bytes": {store.config.capacity_bytes}, "current_epoch": '
     for index, op in enumerate(ops):
         if op[0] == "PUT":
             _, key, size = op
             outcome = store._put(key, None, size)
-            event = {"op": "PUT", "key": key.decode("utf-8"), "size": size, "outcome": outcome.value}
+            head = (
+                f'{{"index": {index}, "key": {_quote(key.decode("utf-8"))}, "op": "PUT", '
+                f'"outcome": "{outcome.value}", "size": {size}, '
+            )
         elif op[0] == "GET":
             _, key = op
-            entry = store._lookup(key)
-            event = {"op": "GET", "key": key.decode("utf-8"), "result": "faded" if entry is None else "hit"}
+            result = "faded" if store._lookup(key) is None else "hit"
+            head = f'{{"index": {index}, "key": {_quote(key.decode("utf-8"))}, "op": "GET", "result": "{result}", '
         else:
             _, n = op
             fade = store.advance_epoch(n)
-            event = {"op": "ADV", "n": n, "entries_faded": fade.entries_faded, "bytes_reclaimed": fade.bytes_reclaimed}
-        event["index"] = index
-        event["stats"] = store.stats().to_json_obj()
-        yield event
+            head = (
+                f'{{"bytes_reclaimed": {fade.bytes_reclaimed}, "entries_faded": {fade.entries_faded}, '
+                f'"index": {index}, "n": {n}, "op": "ADV", '
+            )
+        yield (
+            f'{head}{stats_head}{store._epoch}, "lifetime_evictions": {store._evictions}, '
+            f'"lifetime_fades": {store._fades}, "live_bytes": {store._live_bytes}, '
+            f'"live_entries": {len(store._entries)}}}}}\n'
+        )

@@ -88,12 +88,14 @@ def random_ops(rng, count, key_space=24, max_size=200, put_w=35, get_w=55, adv_w
 
 
 def naive_replay_events(naive_store, ops):
-    """The event stream `replay` must yield for a trace, built by driving
-    the oracle with a zero-filled value of each PUT's size."""
+    """The events `replay` must encode for a trace, built by driving the
+    oracle with a zero-filled value of each PUT's size. A PUT larger than
+    the capacity is rejected before its value is looked at, so no value
+    is built for it: a trace may name sizes no memory can hold."""
     events = []
     for index, op in enumerate(ops):
         if op[0] == "PUT":
-            outcome = naive_store.put(op[1], b"\x00" * op[2])
+            outcome = REJECTED if op[2] > naive_store.capacity else naive_store.put(op[1], b"\x00" * op[2])
             event = {"op": "PUT", "key": op[1].decode("utf-8"), "size": op[2], "outcome": outcome}
         elif op[0] == "GET":
             result = "faded" if naive_store.get(op[1]) is None else "hit"

@@ -3,6 +3,7 @@ destructive path (plan --execute)."""
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -594,6 +595,39 @@ class TestPlan:
         assert obj["executed"]["failures"] == ["resolves outside the root, skipped: link/victim.junk"]
         assert outside_state(tmp_path, small_tree) == before
 
+    def test_execute_cannot_be_redirected_by_a_directory_swapped_for_a_symlink(
+        self, capsys, small_tree, tmp_path, rules_file, monkeypatch
+    ):
+        # Between the checks on sub/gone.junk and its unlink, sub is moved
+        # aside and replaced by a symlink to a directory outside the root
+        # that holds a file of the same name, size and mtime.
+        sub = small_tree / "sub"
+        sub.mkdir()
+        (sub / "gone.junk").write_bytes(b"g" * 9)
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        victim = elsewhere / "gone.junk"
+        victim.write_bytes(b"v" * 9)
+        st = (sub / "gone.junk").stat()
+        os.utime(victim, ns=(st.st_atime_ns, st.st_mtime_ns))
+        snap = scan_to(capsys, small_tree, tmp_path / "t.snap")
+        before = outside_state(tmp_path, small_tree)
+        real_unlink = os.unlink
+
+        def swap_then_unlink(path, *args, **kwargs):
+            if os.fspath(path).endswith("gone.junk") and not sub.is_symlink():
+                sub.rename(small_tree / "sub.moved")
+                sub.symlink_to(elsewhere, target_is_directory=True)
+            return real_unlink(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "unlink", swap_then_unlink)
+        obj = cli_json(capsys, "--format", "json", "plan", snap, "--rules", rules_file, "--execute", "--yes")
+        monkeypatch.undo()
+        assert victim.read_bytes() == b"v" * 9
+        assert outside_state(tmp_path, small_tree) == before
+        assert obj["executed"]["deleted"] == 3  # old.junk, scratch.tmp and the moved gone.junk
+        assert not (small_tree / "sub.moved" / "gone.junk").exists()
+
     @pytest.mark.parametrize("change", ["size", "mtime"])
     def test_execute_skips_files_changed_since_the_snapshot(self, capsys, small_tree, tmp_path, rules_file, change):
         snap = scan_to(capsys, small_tree, tmp_path / "t.snap")
@@ -923,3 +957,142 @@ class TestRecover:
         assert obj["waste_bytes"] == 500
         assert set(obj["extension_histogram"]) == {"tmp", "junk"}
         assert "old" not in out and "scratch" not in out  # no path leakage
+
+
+# -- fuzzed rules, masks and snapshots -----------------------------------
+
+
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-(10**20), 10**20), st.floats(), st.text(max_size=6)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=6,
+)
+# Files of the fuzz tree: name -> size. All share one mtime, so records
+# can match them exactly and `plan --execute` can reach the unlink.
+# "link" is a symlink to a directory outside the tree.
+_FUZZ_FILES = {"old.junk": 3, "scratch.tmp": 5, "keep/precious.junk": 7, "sub/deep.o": 11, "link/victim.junk": 13}
+_FUZZ_MTIME = 1_000_000_000
+
+
+def _fuzz_input(data, clean, mixed):
+    """One input file's text: clean (every field valid), mixed (any field
+    may be any JSON value instead) or raw bytes; clean is drawn most
+    often."""
+    shape = data.draw(st.sampled_from(["clean", "clean", "mixed", "bytes"]))
+    if shape == "bytes":
+        return data.draw(st.binary(max_size=60))
+    return data.draw(clean if shape == "clean" else mixed).encode()
+
+
+def _either(valid, mixed):
+    return st.one_of(valid, _JSON) if mixed else valid
+
+
+def _rules(mixed):
+    glob = _either(st.sampled_from(["*.junk", "*.tmp", "keep/*", "sub/*", "*", "**", "[", "?", ""]), mixed)
+    globs = _either(st.lists(glob, max_size=3), mixed)
+    check = st.fixed_dictionaries({"glob": _either(st.sampled_from(["*.o", "*"]), mixed),
+                                   "sha256": _either(st.sampled_from(["0" * 64, "A" * 64, "0"]), mixed)})
+    return st.fixed_dictionaries(
+        {"unintentional_globs": globs, "unwanted_globs": globs},
+        optional={
+            "not_waste_globs": globs,
+            "degraded_checks": _either(st.lists(check, max_size=2), mixed),
+            "used_threshold_secs": _either(st.integers(-2, 10**10), mixed),
+        },
+    ).map(json.dumps)
+
+
+def _masks(mixed):
+    bits = ("reduce_ok", "reuse_ok", "recycle_ok", "recover_ok")
+    mask = st.fixed_dictionaries({}, optional={bit: _either(st.booleans(), mixed) for bit in bits})
+    rule = st.fixed_dictionaries({"glob": _either(st.sampled_from(["*.junk", "sub/*", "*"]), mixed)},
+                                 optional={bit: _either(st.booleans(), mixed) for bit in bits})
+    masks = st.fixed_dictionaries(
+        {}, optional={"rules": _either(st.lists(rule, max_size=3), mixed), "default": _either(mask, mixed)}
+    )
+    return masks.map(json.dumps)
+
+
+def _snapshot(mixed, root):
+    header = st.fixed_dictionaries(
+        {"format": _either(st.just("wastekit-snapshot-v1"), mixed), "root": _either(root, mixed),
+         "taken_at": _either(st.integers(0, 2 * _FUZZ_MTIME), mixed)},
+        optional={"atime_reliable": _either(st.booleans(), mixed),
+                  "warnings": _either(st.lists(st.text(max_size=4)), mixed)},
+    )
+
+    def record(path):
+        return st.fixed_dictionaries(
+            {
+                "path": _either(st.just(path), mixed),
+                "size_bytes": _either(st.sampled_from([_FUZZ_FILES.get(path, 0)] * 3 + [1]), mixed),
+                "mtime": _either(st.sampled_from([_FUZZ_MTIME] * 3 + [0]), mixed),
+                "atime": _either(st.integers(0, 2 * _FUZZ_MTIME), mixed),
+                "kind": _either(st.sampled_from(["Regular"] * 3 + ["Directory", "Symlink", "Other"]), mixed),
+            },
+            optional={"allocated_bytes": _either(st.one_of(st.none(), st.integers(0, 100)), mixed)},
+        )
+
+    record_paths = st.sampled_from([*_FUZZ_FILES, "keep", "sub", "link", "missing.tmp"])
+    # Records sorted by path and unique unless mixed: validation wants that.
+    records = st.lists(
+        record_paths.flatmap(record), min_size=1, max_size=6, unique_by=None if mixed else (lambda r: r["path"])
+    )
+    if not mixed:
+        records = records.map(lambda rs: sorted(rs, key=lambda r: r["path"]))
+    return st.tuples(header, records).map(lambda hr: "".join(json.dumps(o) + "\n" for o in [hr[0], *hr[1]]))
+
+
+class TestInputFuzz:
+    """Random rules, masks and snapshots through `report`, `plan`,
+    `plan --execute` and `recover`. Relative roots resolve inside
+    tmp_path, and `--execute` runs only on a snapshot rooted at the fuzz
+    tree, whose symlink to a directory outside it a record can follow
+    with a matching size and mtime."""
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        command=st.sampled_from(["report", "plan", "plan --execute", "recover"]),
+        json_format=st.booleans(),
+        data=st.data(),
+    )
+    def test_fuzzed_inputs_exit_0_1_or_2(self, capsys, tmp_path, monkeypatch, command, json_format, data):
+        work = tmp_path / "work"
+        if work.exists():
+            shutil.rmtree(work)
+        tree, outside = work / "tree", work / "outside"
+        outside.mkdir(parents=True)
+        for d in ("keep", "sub"):
+            (tree / d).mkdir(parents=True)
+        (tree / "link").symlink_to(outside, target_is_directory=True)
+        for name, size in _FUZZ_FILES.items():
+            (tree / name).write_bytes(b"x" * size)
+            os.utime(tree / name, (_FUZZ_MTIME, _FUZZ_MTIME))
+        monkeypatch.chdir(work)
+
+        execute = command == "plan --execute"
+        root = st.just(str(tree)) if execute else st.sampled_from([str(tree), "tree", "", ".", "/", "missing"])
+        snapshot = _fuzz_input(data, _snapshot(False, root), _snapshot(not execute, root))
+        rooted_at_tree = b'{"format": "wastekit-snapshot-v1", "root": ' + json.dumps(str(tree)).encode()
+        if execute and not snapshot.startswith(rooted_at_tree):
+            command = "plan"  # --execute only ever runs on the fuzz tree
+        rules = _fuzz_input(data, _rules(False), st.one_of(_rules(True), _JSON.map(json.dumps)))
+        (work / "rules.json").write_bytes(rules)
+        (work / "snap").write_bytes(snapshot)
+        argv = [*(["--format", "json"] if json_format else []), *command.split(), "snap", "--rules", "rules.json"]
+        if command == "plan --execute":
+            argv.append("--yes")
+        if command.startswith("plan") and data.draw(st.booleans()):
+            masks = _fuzz_input(data, _masks(False), st.one_of(_masks(True), _JSON.map(json.dumps)))
+            (work / "masks.json").write_bytes(masks)
+            argv += ["--masks", "masks.json"]
+
+        before = outside_state(tmp_path, tree)
+        code, out, err = cli(capsys, *argv)
+        assert code in (0, 1, 2)
+        if code == 0 and (json_format or command == "recover"):
+            json.loads(out)
+        if code == 1:
+            assert err.startswith("wastekit: error: ") and err.count("\n") == 1
+        assert outside_state(tmp_path, tree) == before

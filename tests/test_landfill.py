@@ -1,6 +1,7 @@
 """Fading-store behavior: worked examples plus the naive list oracle."""
 
 import io
+import json
 import random
 import tracemalloc
 
@@ -166,7 +167,7 @@ class TestAdvance:
         jumped = build()
         jumped.advance_epoch(2)
         assert stepped.live_keys() == jumped.live_keys()
-        assert stepped.stats().to_json_obj() == jumped.stats().to_json_obj()
+        assert stepped.stats() == jumped.stats()
 
     def test_no_resurrection(self):
         s = store(capacity=50, fade=2)
@@ -251,7 +252,8 @@ class TestOracleEquivalence:
 
 class TestReplay:
     """Replay stores a PUT's size through the same path as `put`, without
-    building the value."""
+    building the value, and writes each event line itself: the lines must
+    be byte for byte what `json.dumps(event, sort_keys=True)` gives."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -261,10 +263,16 @@ class TestReplay:
         data=st.data(),
     )
     def test_events_match_oracle(self, capacity, fade, refresh, data):
-        # Five keys, so PUTs overwrite; sizes run past the capacity, and
-        # hit it exactly, so PUTs are rejected and fill the store.
-        keys = st.sampled_from([b"a", b"b", b"c", "caf\u00e9".encode(), "\u65e5".encode()])
-        sizes = st.one_of(st.integers(0, capacity + 3), st.just(capacity))
+        # Few keys, so PUTs overwrite; among them keys that JSON must
+        # escape: a quote, a backslash, control characters, non-ASCII and
+        # astral (surrogate pair) characters. Sizes run past the capacity,
+        # up to far beyond a machine word, and hit it exactly, so PUTs
+        # are rejected and fill the store.
+        keys = st.sampled_from(
+            [b"a", b"b", "caf\u00e9".encode(), "\u65e5".encode(), b'q"uote', b"back\\slash",
+             "\U0001f600".encode(), b"\x7f\x1f\t"]
+        )
+        sizes = st.one_of(st.integers(0, capacity + 3), st.just(capacity), st.integers(capacity, 10**30))
         ops = data.draw(
             st.lists(
                 st.one_of(
@@ -277,18 +285,38 @@ class TestReplay:
         )
         store = DigitalLandfill(LandfillConfig(capacity, fade, refresh_on_read=refresh))
         naive = NaiveLandfill(capacity, fade, refresh_on_read=refresh)
-        assert list(replay(store, ops)) == naive_replay_events(naive, ops)
+        expected = [json.dumps(event, sort_keys=True) + "\n" for event in naive_replay_events(naive, ops)]
+        assert list(replay(store, ops)) == expected
+
+    def test_huge_sizes_are_encoded_like_json_dumps(self):
+        # Sizes and byte counts past 2**64, stored, evicted and faded.
+        ops = [("PUT", b"a", 10**30), ("PUT", b"b", 10**29), ("GET", b"a"), ("ADV", 3)]
+        store = DigitalLandfill(LandfillConfig(10**30, 2))
+        stats = {"capacity_bytes": 10**30, "current_epoch": 0, "lifetime_evictions": 0, "lifetime_fades": 0}
+        expected = [
+            {"op": "PUT", "key": "a", "size": 10**30, "outcome": "stored", "index": 0,
+             "stats": {**stats, "live_bytes": 10**30, "live_entries": 1}},
+            {"op": "PUT", "key": "b", "size": 10**29, "outcome": "stored", "index": 1,
+             "stats": {**stats, "lifetime_evictions": 1, "live_bytes": 10**29, "live_entries": 1}},
+            {"op": "GET", "key": "a", "result": "faded", "index": 2,
+             "stats": {**stats, "lifetime_evictions": 1, "live_bytes": 10**29, "live_entries": 1}},
+            {"op": "ADV", "n": 3, "entries_faded": 1, "bytes_reclaimed": 10**29, "index": 3,
+             "stats": {**stats, "current_epoch": 3, "lifetime_evictions": 1, "lifetime_fades": 1,
+                       "live_bytes": 0, "live_entries": 0}},
+        ]
+        assert list(replay(store, ops)) == [json.dumps(event, sort_keys=True) + "\n" for event in expected]
 
     def test_memory_is_bounded_by_entries_not_sizes(self):
         ops = parse_trace(["PUT k 50000000", "GET k"])
         store = DigitalLandfill(LandfillConfig(10**8, 2))
         tracemalloc.start()
         try:
-            events = list(replay(store, ops))
+            lines = list(replay(store, ops))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+        events = [json.loads(line) for line in lines]
         assert events[1]["result"] == "hit"
         assert events[1]["stats"]["live_bytes"] == 50_000_000
 
@@ -313,7 +341,7 @@ class TestTrace:
     def test_replay_events(self):
         ops = parse_trace(["PUT a 10", "GET a", "ADV 5"])
         s = store(capacity=100, fade=3)
-        events = list(replay(s, ops))
+        events = [json.loads(line) for line in replay(s, ops)]
         assert [e["op"] for e in events] == ["PUT", "GET", "ADV"]
         assert events[0]["outcome"] == "stored"
         assert events[1]["result"] == "hit"
@@ -353,7 +381,7 @@ class TestTrace:
             lifetime_fades=0,
         )
         assert s.stats() == expected
-        assert s.stats().to_json_obj() == {
+        assert s.stats()._asdict() == {
             "live_entries": 1,
             "live_bytes": 3,
             "capacity_bytes": 100,
