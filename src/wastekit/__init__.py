@@ -68,14 +68,11 @@ from .landfill import (
     replay,
 )
 from .penalty import (
-    ProducerAccount,
     SchedulerConfig,
     SimulationReport,
     WorkloadTrace,
-    allocate_shares,
     load_workload,
     parse_workload,
-    penalty_factor,
     simulate,
 )
 from .dedupe import (
@@ -139,12 +136,9 @@ __all__ = [
     "load_trace",
     "replay",
     # penalty
-    "ProducerAccount",
     "SchedulerConfig",
     "WorkloadTrace",
     "SimulationReport",
-    "penalty_factor",
-    "allocate_shares",
     "simulate",
     "parse_workload",
     "load_workload",

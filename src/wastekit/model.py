@@ -11,10 +11,12 @@ from __future__ import annotations
 import fnmatch
 import hashlib
 import json
+import os
 import re
+import stat
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import RuleSetError, WastekitError
 
@@ -54,15 +56,7 @@ class WasteCategory(Enum):
         return self is not WasteCategory.NOT_WASTE
 
 
-@dataclass(frozen=True)
-class FileRecord:
-    """One scanned filesystem object; the unit of classification.
-
-    Timestamps are raw seconds since epoch as reported by the
-    filesystem. atime < mtime is stored as-is (copy-preserved
-    timestamps, noatime mounts); the f-lifetime computation clamps.
-    """
-
+class _FileRecordFields(NamedTuple):
     path: str
     size_bytes: int
     mtime: int
@@ -70,13 +64,33 @@ class FileRecord:
     kind: FileKind
     allocated_bytes: int | None = None
 
-    def __post_init__(self):
-        if self.size_bytes < 0:
-            raise ValueError(f"size_bytes must be >= 0, got {self.size_bytes}")
-        if self.mtime < 0 or self.atime < 0:
-            raise ValueError(f"timestamps must be >= 0, got mtime={self.mtime} atime={self.atime}")
-        if not self.path:
+
+class FileRecord(_FileRecordFields):
+    """One scanned filesystem object; the unit of classification.
+
+    Timestamps are raw seconds since epoch as reported by the
+    filesystem. atime < mtime is stored as-is (copy-preserved
+    timestamps, noatime mounts); the f-lifetime computation clamps.
+
+    An immutable named tuple, not a dataclass, because a snapshot read
+    builds one per line and that must stay cheap next to the parse.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, path, size_bytes, mtime, atime, kind, allocated_bytes=None):
+        if size_bytes < 0:
+            raise ValueError(f"size_bytes must be >= 0, got {size_bytes}")
+        if mtime < 0 or atime < 0:
+            raise ValueError(f"timestamps must be >= 0, got mtime={mtime} atime={atime}")
+        if not path:
             raise ValueError("path must be non-empty")
+        return tuple.__new__(cls, (path, size_bytes, mtime, atime, kind, allocated_bytes))
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's own `_make` (and so `_replace`) skips `__new__`.
+        return cls(*iterable)
 
     def to_json_obj(self) -> dict:
         obj = {
@@ -122,23 +136,33 @@ class GlobSet:
     'build/*' matches only paths under a top-level build directory.
     """
 
-    __slots__ = ("_match",)
+    __slots__ = ("_match", "_index")
 
     def __init__(self, patterns):
         # Each alternative is a named group so `first` can read which one
         # matched from `lastgroup`. `lastindex` would count the groups that
         # `fnmatch.translate` itself emits on Python 3.10. An empty group
-        # compiles to `(?!)`, which matches nothing.
+        # compiles to `(?!)`, which matches nothing. Alternatives are tried
+        # in order, so a match names the lowest-numbered pattern that
+        # matches the whole string.
+        patterns = list(patterns)
         alternation = "|".join(f"(?P<p{i}>{fnmatch.translate(pat)})" for i, pat in enumerate(patterns))
         self._match = re.compile(alternation or "(?!)").match
+        self._index = {f"p{i}": i for i in range(len(patterns))}
 
     def matches(self, path: str) -> bool:
         return self._match(path) is not None or self._match(path[path.rfind("/") + 1 :]) is not None
 
     def first(self, path: str) -> int | None:
         """Index of the first pattern matching `path`, or None."""
-        hits = [m for m in (self._match(path), self._match(path[path.rfind("/") + 1 :])) if m is not None]
-        return min((int(m.lastgroup[1:]) for m in hits), default=None)
+        hit = self._match(path)
+        first = None if hit is None else self._index[hit.lastgroup]
+        hit = self._match(path[path.rfind("/") + 1 :])
+        if hit is not None:
+            index = self._index[hit.lastgroup]
+            if first is None or index < first:
+                first = index
+        return first
 
 
 def _validate_globs(patterns, group: str) -> tuple[str, ...]:
@@ -188,8 +212,19 @@ class RuleSet:
         threshold = self.used_threshold_secs
         if type(threshold) is not int or threshold <= 0:
             raise RuleSetError(f"used_threshold_secs must be a positive integer, got {threshold!r}")
-        # Compiled once here, since `classify` runs once per record.
-        object.__setattr__(self, "_not_waste", GlobSet(self.not_waste_globs))
+        # Compiled once here, since `classify` runs once per record. `_globs`
+        # holds every group in precedence order, so the first pattern that
+        # matches names the winning group: `_categories` maps its index to
+        # the category, or to None for a degraded check, which still needs
+        # the content's digest.
+        groups = (
+            (self.not_waste_globs, WasteCategory.NOT_WASTE),
+            (tuple(glob_pat for glob_pat, _ in checks), None),
+            (self.unintentional_globs, WasteCategory.UNINTENTIONAL),
+            (self.unwanted_globs, WasteCategory.UNWANTED),
+        )
+        object.__setattr__(self, "_globs", GlobSet(pat for patterns, _ in groups for pat in patterns))
+        object.__setattr__(self, "_categories", tuple(cat for patterns, cat in groups for _ in patterns))
         object.__setattr__(self, "_unintentional", GlobSet(self.unintentional_globs))
         object.__setattr__(self, "_unwanted", GlobSet(self.unwanted_globs))
         object.__setattr__(self, "_degraded", tuple((GlobSet(g), d) for d, g in globs_by_digest.items()))
@@ -240,15 +275,30 @@ def f_lifetime(record: FileRecord) -> int:
     return max(0, record.atime - record.mtime)
 
 
+# Non-blocking, so opening a FIFO cannot hang; not following a final
+# symlink, so a digest only ever reads the file the record names.
+_DIGEST_OPEN_FLAGS = os.O_RDONLY | os.O_NONBLOCK | os.O_NOFOLLOW | os.O_CLOEXEC
+
+
 def sha256_file(path: str) -> str | None:
-    """Lowercase hex sha256 of a file's content, or None if unreadable."""
-    h = hashlib.sha256()
+    """Lowercase hex sha256 of a file's content, or None if unreadable.
+
+    Anything but a regular file counts as unreadable, and so does a
+    symlink at `path` itself (directories above it may be symlinks)."""
     try:
-        with open(path, "rb") as fh:
-            for block in iter(lambda: fh.read(1 << 16), b""):
-                h.update(block)
+        fd = os.open(path, _DIGEST_OPEN_FLAGS)
     except OSError:
         return None
+    try:
+        if not stat.S_ISREG(os.fstat(fd).st_mode):
+            return None
+        h = hashlib.sha256()
+        while block := os.read(fd, 1 << 16):
+            h.update(block)
+    except OSError:
+        return None
+    finally:
+        os.close(fd)
     return h.hexdigest()
 
 
@@ -271,26 +321,26 @@ def classify(
     for regular files.
     """
     path = record.path
-    if rules._not_waste.matches(path):
-        return WasteCategory.NOT_WASTE
-
-    if record.kind is FileKind.REGULAR and rules._degraded:
-        expected = {digest for globs, digest in rules._degraded if globs.matches(path)}
-        if expected:
+    index = rules._globs.first(path)
+    if index is not None:
+        category = rules._categories[index]
+        if category is not None:
+            return category
+        # The first match is a degraded check: no allowlist glob matched.
+        if record.kind is FileKind.REGULAR:
+            expected = {digest for globs, digest in rules._degraded if globs.matches(path)}
             provider = digest_provider if digest_provider is not None else sha256_file
             # Degraded unless every matching check expects exactly the
             # content's digest; unreadable content gives None.
             if expected != {provider(path)}:
                 return WasteCategory.DEGRADED
+        if rules._unintentional.matches(path):
+            return WasteCategory.UNINTENTIONAL
+        if rules._unwanted.matches(path):
+            return WasteCategory.UNWANTED
 
-    if rules._unintentional.matches(path):
-        return WasteCategory.UNINTENTIONAL
-
-    if rules._unwanted.matches(path):
-        return WasteCategory.UNWANTED
-
-    if record.kind is FileKind.REGULAR:
-        if f_lifetime(record) > 0 and (now - record.atime) > rules.used_threshold_secs:
-            return WasteCategory.USED
+    # f_lifetime(record) > 0, inlined: this runs once per record.
+    if record.kind is FileKind.REGULAR and record.atime > record.mtime and now - record.atime > rules.used_threshold_secs:
+        return WasteCategory.USED
 
     return WasteCategory.NOT_WASTE

@@ -1,14 +1,12 @@
 """Pay-as-you-throw bandwidth scheduler simulation.
 
 Producers accumulate useful and waste bytes; a hyperbolic penalty
-factor shrinks the effective weight of polluters, and a discrete-time
-simulator shows the incentive playing out. All internal arithmetic is
-exact, so identical inputs give bit-identical reports on any platform;
-floats appear only at the JSON boundary. The public functions work in
-fractions.Fraction; the simulator's tick loop does the same arithmetic
-in integers, with the water-filling over weights scaled to a common
-denominator.
-"""
+factor, 1 / (1 + alpha x waste ratio), shrinks the effective weight of
+polluters, and a discrete-time simulator shows the incentive playing
+out. All internal arithmetic is exact, so identical inputs give
+bit-identical reports on any platform; floats appear only at the JSON
+boundary. The tick loop works in integers, with the water-filling over
+weights scaled to a common denominator."""
 
 from __future__ import annotations
 
@@ -38,38 +36,6 @@ def _as_fraction(x: Rational, what: str) -> Fraction:
         raise WastekitError(f"invalid {what}: {x!r}") from exc
 
 
-@dataclass
-class ProducerAccount:
-    """Lifetime ledger for one producer. Pollution is permanent: the
-    ratio uses cumulative totals, there is no decay of past waste."""
-
-    id: str
-    useful_bytes: Fraction = Fraction(0)
-    waste_bytes: Fraction = Fraction(0)
-    base_weight: Fraction = Fraction(1)
-
-    def __post_init__(self):
-        self.useful_bytes = _as_fraction(self.useful_bytes, "useful_bytes")
-        self.waste_bytes = _as_fraction(self.waste_bytes, "waste_bytes")
-        self.base_weight = _as_fraction(self.base_weight, "base_weight")
-        if self.useful_bytes < 0 or self.waste_bytes < 0:
-            raise WastekitError(f"account {self.id!r}: byte counters must be >= 0")
-        if self.base_weight <= 0:
-            raise WastekitError(f"account {self.id!r}: base_weight must be > 0")
-
-    def accrue(self, useful: Rational, waste: Rational) -> None:
-        useful = _as_fraction(useful, "useful bytes")
-        waste = _as_fraction(waste, "waste bytes")
-        if useful < 0 or waste < 0:
-            raise WastekitError("accrual amounts must be >= 0")
-        self.useful_bytes += useful
-        self.waste_bytes += waste
-
-    @property
-    def waste_ratio(self) -> Fraction:
-        return self.waste_bytes / max(1, self.useful_bytes + self.waste_bytes)
-
-
 @dataclass(frozen=True)
 class SchedulerConfig:
     total_bandwidth: int
@@ -86,37 +52,11 @@ class SchedulerConfig:
             raise WastekitError("tick_count must be >= 1")
 
 
-def penalty_factor(account: ProducerAccount, alpha: Rational) -> Fraction:
-    """factor = 1 / (1 + alpha * waste_ratio), in (0, 1].
-
-    Hyperbolic rather than linear so a producer is never starved
-    outright — the factor stays strictly positive no matter how much
-    it has polluted.
-    """
-    alpha = _as_fraction(alpha, "alpha")
-    if alpha < 0:
-        raise WastekitError("alpha must be >= 0")
-    return 1 / (1 + alpha * account.waste_ratio)
-
-
-def largest_remainder(total: int, weights: list[tuple[str, Fraction]]) -> dict[str, int]:
-    """Apportion `total` integral units proportionally to weights so the
-    result sums to `total` exactly. Leftover units go to the largest
-    fractional remainders; remainder ties break by id. Weights are ints
-    or Fractions, each >= 0."""
-    if sum(w for _, w in weights) <= 0:
-        raise WastekitError("weights must sum to a positive value")
-    if any(w < 0 for _, w in weights):
-        raise WastekitError("weights must be >= 0")
-    lcm = math.lcm(*(w.denominator for _, w in weights))
-    return _apportion(total, [(pid, w.numerator * (lcm // w.denominator)) for pid, w in weights])
-
-
 def _apportion(total: int, weights: list) -> dict:
-    """largest_remainder over non-negative integer weights with a
-    positive sum W: key i gets floor(total x w_i / W) and the leftover
-    units go to the largest remainders of that division, ties to the
-    smaller key."""
+    """Largest-remainder apportionment of `total` units over non-negative
+    integer weights with a positive sum W: key i gets floor(total x w_i / W)
+    and the leftover units go to the largest remainders of that division,
+    ties to the smaller key."""
     denom = sum(w for _, w in weights)
     exact = [(key, *divmod(total * w, denom)) for key, w in weights]
     shares = {key: q for key, q, _ in exact}
@@ -124,15 +64,6 @@ def _apportion(total: int, weights: list) -> dict:
     for key, _, _ in sorted(exact, key=lambda item: (-item[2], item[0]))[:leftover]:
         shares[key] += 1
     return shares
-
-
-def allocate_shares(accounts: list[ProducerAccount], config: SchedulerConfig) -> dict[str, int]:
-    """Integral bytes-per-tick per producer: bandwidth split in
-    proportion to base_weight x penalty_factor, conserved exactly."""
-    if not accounts:
-        raise WastekitError("allocate_shares requires at least one account")
-    weights = [(a.id, a.base_weight * penalty_factor(a, config.alpha)) for a in accounts]
-    return largest_remainder(config.total_bandwidth, weights)
 
 
 # -- workload traces ---------------------------------------------------

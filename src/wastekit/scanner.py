@@ -9,11 +9,13 @@ survive manual inspection.
 from __future__ import annotations
 
 import json
+import operator
 import os
 import stat
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import compress, repeat
 
 from ._version import __version__
 from .errors import WastekitError
@@ -25,7 +27,6 @@ from .model import (
     RuleSet,
     WasteCategory,
     classify,
-    f_lifetime,
     sha256_file,
 )
 
@@ -88,6 +89,34 @@ def dump_snapshot(snapshot: Snapshot, fh) -> None:
         fh.write(_json_line(rec.to_json_obj()))
 
 
+_KIND_BY_VALUE = {kind.value: kind for kind in FileKind}
+
+
+def _is_relative(rel: str) -> bool:
+    # Framed in slashes, an absolute path or an empty, '.' or '..'
+    # component shows as '//', '/./' or '/../'. `scan` never writes
+    # one, and `plan --execute` must not follow one out of the root.
+    framed = f"/{rel}/"
+    return "//" not in framed and "/./" not in framed and "/../" not in framed
+
+
+def _checked_record(path: str, lineno: int, line: str) -> FileRecord | None:
+    """The record on one snapshot line, or None for a blank line; raises
+    a WastekitError naming the file and line if the line is malformed."""
+    if not line.strip():
+        return None
+    try:
+        rec = FileRecord.from_json_obj(json.loads(line))
+    except json.JSONDecodeError as exc:
+        raise WastekitError(f"snapshot {path} line {lineno} is not valid JSON: {exc}") from exc
+    except WastekitError as exc:
+        raise WastekitError(f"snapshot {path} line {lineno}: {exc}") from exc
+    if type(rec.path) is not str or not _is_relative(rec.path):
+        raise WastekitError(f"snapshot {path} line {lineno}: record path {rec.path!r} must be relative, "
+                            "with no empty, '.' or '..' component")
+    return rec
+
+
 def read_snapshot(path: str) -> Snapshot:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -107,24 +136,38 @@ def read_snapshot(path: str) -> Snapshot:
     if not (isinstance(root, str) and type(taken_at) is int and type(atime_reliable) is bool and type(warnings) is list):
         raise WastekitError(f"snapshot {path} header needs a string 'root', an integer 'taken_at', "
                             "and optionally a boolean 'atime_reliable' and a 'warnings' list")
+    # Each line is decoded and checked on its own, inline. A line that
+    # fails any check goes through `_checked_record`, which skips a blank
+    # line or raises the error that names it.
     records = []
+    append = records.append
+    decode = json.JSONDecoder().raw_decode
+    kinds = _KIND_BY_VALUE
+    new_tuple = tuple.__new__
     for i, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
         try:
-            rec = FileRecord.from_json_obj(json.loads(line))
-        except json.JSONDecodeError as exc:
-            raise WastekitError(f"snapshot {path} line {i} is not valid JSON: {exc}") from exc
-        except WastekitError as exc:
-            raise WastekitError(f"snapshot {path} line {i}: {exc}") from exc
-        # Framed in slashes, an absolute path or an empty, '.' or '..'
-        # component shows as '//', '/./' or '/../'. `scan` never writes
-        # one, and `plan --execute` must not follow one out of the root.
-        framed = f"/{rec.path}/"
-        if type(rec.path) is not str or "//" in framed or "/./" in framed or "/../" in framed:
-            raise WastekitError(f"snapshot {path} line {i}: record path {rec.path!r} must be relative, "
-                                "with no empty, '.' or '..' component")
-        records.append(rec)
+            obj, end = decode(line)
+            rel, size, mtime, atime = obj["path"], obj["size_bytes"], obj["mtime"], obj["atime"]
+            kind, allocated = kinds[obj["kind"]], obj.get("allocated_bytes")
+        except (ValueError, KeyError, TypeError):
+            end = -1
+        if (
+            end == len(line)
+            and type(size) is int
+            and type(mtime) is int
+            and type(atime) is int
+            and (allocated is None or type(allocated) is int)
+            and size >= 0
+            and mtime >= 0
+            and atime >= 0
+            and type(rel) is str
+            and _is_relative(rel)
+        ):
+            append(new_tuple(FileRecord, (rel, size, mtime, atime, kind, allocated)))
+        else:
+            rec = _checked_record(path, i, line)
+            if rec is not None:
+                append(rec)
     snap = Snapshot(
         root=root,
         taken_at=taken_at,
@@ -333,18 +376,20 @@ def classify_snapshot(
 def report(snapshot: Snapshot, rules: RuleSet, digest_provider: DigestProvider | None = None) -> WasteReport:
     """Classify every record and aggregate Table-style waste figures."""
     categories, digest_failures = classify_snapshot(snapshot, rules, digest_provider)
-    tallies = {cat: [0, 0] for cat in WasteCategory}
-    total_bytes = 0
+    sizes = [rec.size_bytes for rec in snapshot.records]
+    # Tallied a category at a time: keying a dict by category in the
+    # per-record loop would call Enum.__hash__, which is Python code.
+    per_category = {
+        cat: (categories.count(cat), sum(compress(sizes, map(operator.is_, categories, repeat(cat)))))
+        for cat in WasteCategory
+    }
     reg_files = reg_bytes = 0
     never_files = never_bytes = 0
-    for rec, cat in zip(snapshot.records, categories):
-        total_bytes += rec.size_bytes
-        tallies[cat][0] += 1
-        tallies[cat][1] += rec.size_bytes
+    for rec in snapshot.records:
         if rec.kind is FileKind.REGULAR:
             reg_files += 1
             reg_bytes += rec.size_bytes
-            if f_lifetime(rec) == 0:
+            if rec.atime <= rec.mtime:  # f_lifetime(rec) == 0
                 never_files += 1
                 never_bytes += rec.size_bytes
 
@@ -356,10 +401,10 @@ def report(snapshot: Snapshot, rules: RuleSet, digest_provider: DigestProvider |
 
     return WasteReport(
         total_files=len(snapshot.records),
-        total_bytes=total_bytes,
+        total_bytes=sum(sizes),
         never_accessed_files_pct=(100.0 * never_files / reg_files) if reg_files else 0.0,
         never_accessed_space_pct=(100.0 * never_bytes / reg_bytes) if reg_bytes else 0.0,
-        per_category={cat: (n, b) for cat, (n, b) in tallies.items()},
+        per_category=per_category,
         warnings=warnings,
     )
 

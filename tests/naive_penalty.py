@@ -5,27 +5,99 @@ not from the scheduler code: largest-remainder apportionment and
 weighted fair sharing with backlog carry-over (no penalty). They exist
 to catch the scheduler agreeing with itself.
 
-`fraction_simulate` and `fraction_largest_remainder` are the scheduler's
-earlier Fraction implementation, kept as it was: every tick recomputes
-each hungry producer's `base_weight x penalty_factor` and water-fills
-with `Fraction` shares. The library's integer tick loop must give
+`ProducerAccount`, `penalty_factor`, `largest_remainder` and
+`allocate_shares` are the scheduler's Fraction-level building blocks,
+once public in `wastekit.penalty`; `simulate` computes the same factor
+and shares in integers. `fraction_simulate` and
+`fraction_largest_remainder` are the scheduler's earlier Fraction
+implementation, kept as it was: every tick recomputes each hungry
+producer's `base_weight x penalty_factor` and water-fills with
+`Fraction` shares. The library's integer tick loop must give
 bit-identical reports.
 """
 
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from wastekit.errors import WastekitError
 from wastekit.penalty import (
-    ProducerAccount,
     ProducerResult,
     SchedulerConfig,
     SimulationReport,
     TraceEvent,
     WorkloadTrace,
+    _apportion,
     _as_fraction,
-    penalty_factor,
 )
+
+
+@dataclass
+class ProducerAccount:
+    """Lifetime ledger for one producer. Pollution is permanent: the
+    ratio uses cumulative totals, there is no decay of past waste."""
+
+    id: str
+    useful_bytes: Fraction = Fraction(0)
+    waste_bytes: Fraction = Fraction(0)
+    base_weight: Fraction = Fraction(1)
+
+    def __post_init__(self):
+        self.useful_bytes = _as_fraction(self.useful_bytes, "useful_bytes")
+        self.waste_bytes = _as_fraction(self.waste_bytes, "waste_bytes")
+        self.base_weight = _as_fraction(self.base_weight, "base_weight")
+        if self.useful_bytes < 0 or self.waste_bytes < 0:
+            raise WastekitError(f"account {self.id!r}: byte counters must be >= 0")
+        if self.base_weight <= 0:
+            raise WastekitError(f"account {self.id!r}: base_weight must be > 0")
+
+    def accrue(self, useful, waste) -> None:
+        useful = _as_fraction(useful, "useful bytes")
+        waste = _as_fraction(waste, "waste bytes")
+        if useful < 0 or waste < 0:
+            raise WastekitError("accrual amounts must be >= 0")
+        self.useful_bytes += useful
+        self.waste_bytes += waste
+
+    @property
+    def waste_ratio(self) -> Fraction:
+        return self.waste_bytes / max(1, self.useful_bytes + self.waste_bytes)
+
+
+def penalty_factor(account: ProducerAccount, alpha) -> Fraction:
+    """factor = 1 / (1 + alpha * waste_ratio), in (0, 1].
+
+    Hyperbolic rather than linear so a producer is never starved
+    outright — the factor stays strictly positive no matter how much
+    it has polluted.
+    """
+    alpha = _as_fraction(alpha, "alpha")
+    if alpha < 0:
+        raise WastekitError("alpha must be >= 0")
+    return 1 / (1 + alpha * account.waste_ratio)
+
+
+def largest_remainder(total: int, weights: list[tuple[str, Fraction]]) -> dict[str, int]:
+    """Apportion `total` integral units proportionally to weights so the
+    result sums to `total` exactly. Leftover units go to the largest
+    fractional remainders; remainder ties break by id. Weights are ints
+    or Fractions, each >= 0."""
+    if sum(w for _, w in weights) <= 0:
+        raise WastekitError("weights must sum to a positive value")
+    if any(w < 0 for _, w in weights):
+        raise WastekitError("weights must be >= 0")
+    lcm = math.lcm(*(w.denominator for _, w in weights))
+    return _apportion(total, [(pid, w.numerator * (lcm // w.denominator)) for pid, w in weights])
+
+
+def allocate_shares(accounts: list[ProducerAccount], config: SchedulerConfig) -> dict[str, int]:
+    """Integral bytes-per-tick per producer: bandwidth split in
+    proportion to base_weight x penalty_factor, conserved exactly."""
+    if not accounts:
+        raise WastekitError("allocate_shares requires at least one account")
+    weights = [(a.id, a.base_weight * penalty_factor(a, config.alpha)) for a in accounts]
+    return largest_remainder(config.total_bandwidth, weights)
 
 
 def naive_apportion(total, weights):

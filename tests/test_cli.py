@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, output schemas, and the one
 destructive path (plan --execute)."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -468,6 +469,37 @@ class TestReport:
         assert code == 0
         assert "% of files never accessed: 20.6" in out
         assert "% of used space never accessed: 98.5" in out
+
+    @pytest.mark.parametrize("replacement", ["fifo", "symlink"])
+    def test_digest_of_non_regular_file_counts_degraded(self, capsys, tmp_path, replacement):
+        # Once a FIFO at a checked path blocked `report` forever in open().
+        tree = tmp_path / "tree"
+        tree.mkdir()
+        (tree / "p.o").write_bytes(b"intact")
+        (tmp_path / "elsewhere").write_bytes(b"intact")
+        snap = scan_to(capsys, tree, tmp_path / "t.snap")
+        (tree / "p.o").unlink()
+        if replacement == "fifo":
+            os.mkfifo(tree / "p.o")
+        else:
+            # The link's target has the expected content; the digest does
+            # not follow a symlink at the record's own path.
+            os.symlink(tmp_path / "elsewhere", tree / "p.o")
+        rules = tmp_path / "rules.json"
+        check = {"glob": "*.o", "sha256": hashlib.sha256(b"intact").hexdigest()}
+        rules.write_text(json.dumps({"degraded_checks": [check]}))
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "wastekit", "--format", "json", "report", snap, "--rules", str(rules)],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        obj = json.loads(proc.stdout)
+        assert obj["per_category"]["Degraded"] == {"files": 1, "bytes": 6}
+        assert "digest unreadable, file counted Degraded: p.o" in obj["warnings"]
 
 
 class TestDiff:

@@ -75,6 +75,17 @@ _globs = st.lists(st.sampled_from(_GLOB_TOKENS), min_size=1, max_size=6).map("".
 _groups = st.lists(_globs, max_size=4)
 _paths = st.lists(st.text(alphabet="ab.", min_size=1, max_size=4), min_size=1, max_size=4).map("/".join)
 _DIGESTS = [hashlib.sha256(bytes([i])).hexdigest() for i in range(3)]
+NOW = 10_000_000_000
+# (mtime, atime) against NOW and the default 30-day idle threshold.
+_IDLE = (NOW - 10**8, NOW - 10**7)  # read once, then idle far beyond it
+_TIMES = st.sampled_from(
+    [
+        (NOW - 10**8, NOW - 10**8),  # never read
+        (NOW - 10**8, NOW - 60),  # read a minute ago
+        _IDLE,
+        (NOW - 10**7, NOW - 10**8),  # atime before mtime (copied timestamps)
+    ]
+)
 
 
 class TestGlobEngineAgainstOracle:
@@ -91,10 +102,18 @@ class TestGlobEngineAgainstOracle:
     @given(
         _groups, _groups, _groups,
         st.lists(st.tuples(_globs, st.sampled_from(_DIGESTS)), max_size=3),
-        st.lists(st.tuples(_paths, st.sampled_from(list(FileKind)), st.sampled_from(_DIGESTS + [None])), min_size=1),
+        st.lists(
+            st.tuples(_paths, st.sampled_from(list(FileKind)), st.sampled_from(_DIGESTS + [None]), _TIMES),
+            min_size=1,
+        ),
     )
     # Two matching checks expect different digests: Degraded whatever the content.
-    @example([], [], [], [("*.b", _DIGESTS[0]), ("a*", _DIGESTS[1])], [("a.b", FileKind.REGULAR, _DIGESTS[0])])
+    @example([], [], [], [("*.b", _DIGESTS[0]), ("a*", _DIGESTS[1])], [("a.b", FileKind.REGULAR, _DIGESTS[0], _IDLE)])
+    # An intact file under a degraded check falls through to an unintentional glob.
+    @example([], ["*.b"], [], [("a*", _DIGESTS[0])], [("a.b", FileKind.REGULAR, _DIGESTS[0], _IDLE)])
+    # The basename hits a degraded check and the full path an unwanted glob:
+    # the check comes first in precedence, so the mismatch makes it Degraded.
+    @example([], [], ["a/*"], [("b", _DIGESTS[0])], [("a/b", FileKind.REGULAR, _DIGESTS[1], _IDLE)])
     def test_classify_groups(self, not_waste, unintentional, unwanted, checks, records):
         rules = RuleSet(
             not_waste_globs=tuple(not_waste),
@@ -102,10 +121,18 @@ class TestGlobEngineAgainstOracle:
             unwanted_globs=tuple(unwanted),
             degraded_checks=tuple(checks),
         )
-        for path, kind, digest in records:
-            rec = make_record(path=path, kind=kind, mtime=NOW - 10**8, atime=NOW - 10**7)
-            provider = lambda p, digest=digest: digest  # noqa: E731
-            assert classify(rec, rules, NOW, provider) is naive_classify(rec, rules, NOW, provider)
+        for path, kind, digest, (mtime, atime) in records:
+            rec = make_record(path=path, kind=kind, mtime=mtime, atime=atime)
+            calls = {"fast": 0, "naive": 0}
+
+            def provider(p, side, digest=digest):
+                calls[side] += 1
+                return digest
+
+            got = classify(rec, rules, NOW, lambda p: provider(p, "fast"))
+            assert got is naive_classify(rec, rules, NOW, lambda p: provider(p, "naive"))
+            # Each content read is a real file read: the count must not move.
+            assert calls["fast"] == calls["naive"]
 
     @settings(max_examples=300, deadline=None)
     @given(_groups, st.lists(_paths, min_size=1, max_size=8))
@@ -154,9 +181,6 @@ class TestRuleSet:
     def test_load_missing_file(self):
         with pytest.raises(RuleSetError):
             load_rules("/nonexistent/rules.json")
-
-
-NOW = 10_000_000_000
 
 
 class TestClassify:

@@ -9,14 +9,22 @@ from hypothesis import given, strategies as st
 
 from wastekit.errors import TraceError, WastekitError
 from wastekit.penalty import (
-    ProducerAccount,
     SchedulerConfig,
-    allocate_shares,
-    largest_remainder,
     load_workload,
     parse_workload,
-    penalty_factor,
     simulate,
+)
+
+from naive_penalty import (
+    ProducerAccount,
+    allocate_shares,
+    events_at,
+    fraction_largest_remainder,
+    fraction_simulate,
+    largest_remainder,
+    naive_apportion,
+    naive_fair_sim,
+    penalty_factor,
 )
 
 
@@ -77,15 +85,6 @@ class TestAccount:
         assert (a.useful_bytes, a.waste_bytes) == (10, 7)
         with pytest.raises(WastekitError):
             a.accrue(-1, 0)
-
-
-from naive_penalty import (  # noqa: E402
-    events_at,
-    fraction_largest_remainder,
-    fraction_simulate,
-    naive_apportion,
-    naive_fair_sim,
-)
 
 
 class TestAllocateShares:

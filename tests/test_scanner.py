@@ -6,9 +6,10 @@ import os
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from wastekit.errors import WastekitError
-from wastekit.model import FileKind, RuleSet, WasteCategory, classify
+from wastekit.model import FileKind, FileRecord, RuleSet, WasteCategory, classify
 from wastekit.scanner import (
     ChurnReport,
     ScanOptions,
@@ -22,6 +23,7 @@ from wastekit.scanner import (
 )
 
 from conftest import make_record
+from naive_snapshot import naive_read_snapshot
 
 
 def touch(path, content=b"", mtime=None, atime=None):
@@ -170,6 +172,143 @@ class TestSnapshotIO:
         snap = Snapshot(root="/r", taken_at=10, records=[make_record(path="b"), make_record(path="a")])
         with pytest.raises(WastekitError, match="sorted"):
             snap.validate()
+
+
+_HEADER = {"format": "wastekit-snapshot-v1", "root": "/r", "taken_at": 10}
+_NAMES = st.text(alphabet="ab.", min_size=1, max_size=3)
+_PATHS = st.lists(st.lists(_NAMES, min_size=1, max_size=3).map("/".join), max_size=6, unique=True).map(sorted)
+# A raw U+2028 or U+0085 ends a line for `str.splitlines`, so a path
+# holding one splits its record in two.
+_BAD_PATHS = ["../x", "/abs", "a/../b", "a/./b", "a//b", "a/", ".", "..", "", 5, None, "a\u2028b", "a\x85b"]
+_ODD_NUMBERS = [True, False, 1.5, -1, None, "7", 2**70]  # all but 2**70 are rejected
+_NOT_OBJECTS = ["[1, 2]", "5", '"s"', "null", "{}", "[]", "{", "x"]
+_DROP = "<dropped>"
+# (key, value) put into one record of three; key None replaces the whole line.
+_SINGLE_FAULTS = (
+    [(key, value) for key in ("size_bytes", "mtime", "atime", "allocated_bytes") for value in _ODD_NUMBERS]
+    + [(key, _DROP) for key in ("path", "size_bytes", "mtime", "atime", "kind", "allocated_bytes")]
+    + [("kind", value) for value in ("Weird", "regular", [], {}, None, 1)]
+    + [("path", value) for value in _BAD_PATHS + ["...", "a\\b", ".hidden", "b"]]
+    + [(None, text) for text in _NOT_OBJECTS + [" " + json.dumps(make_record(path="b").to_json_obj()) + " "]]
+    + [("extra", 1)]
+)
+
+
+def _record_obj(path, data):
+    obj = {
+        "path": path,
+        "size_bytes": data.draw(st.integers(0, 2**40)),
+        "mtime": data.draw(st.integers(0, 2**33)),
+        "atime": data.draw(st.integers(0, 2**33)),
+        "kind": data.draw(st.sampled_from([kind.value for kind in FileKind])),
+    }
+    if data.draw(st.booleans()):
+        obj["allocated_bytes"] = data.draw(st.integers(0, 2**40))
+    return obj
+
+
+def _mutate_record(objs, i, data):
+    """One fault, or one harmless change, in record i."""
+    what = data.draw(st.sampled_from(["number", "drop", "kind", "not-object", "extra", "path", "swap", "dup"]))
+    obj = objs[i]
+    if isinstance(obj, str):  # already not an object
+        return
+    if what == "number":
+        field_ = data.draw(st.sampled_from(["size_bytes", "mtime", "atime", "allocated_bytes"]))
+        obj[field_] = data.draw(st.sampled_from(_ODD_NUMBERS))
+    elif what == "drop" and obj:
+        obj.pop(data.draw(st.sampled_from(sorted(obj))))
+    elif what == "kind":
+        obj["kind"] = data.draw(st.sampled_from(["Weird", "regular", [], {}, None, 1]))
+    elif what == "not-object":
+        objs[i] = data.draw(st.sampled_from(_NOT_OBJECTS))
+    elif what == "extra":
+        obj["extra"] = 1
+    elif what == "path":
+        obj["path"] = data.draw(st.sampled_from(_BAD_PATHS + ["...", "a\\b", ".hidden"]))
+    elif what == "swap" and i + 1 < len(objs):
+        objs[i], objs[i + 1] = objs[i + 1], objs[i]
+    elif what == "dup":
+        objs.insert(i, dict(obj))
+
+
+def _mutate_lines(lines, i, data):
+    """Re-frame line i: join it with the next, split it, pad it, or put a
+    blank line before it."""
+    what = data.draw(st.sampled_from(["join", "split", "pad", "blank"]))
+    if what == "join" and i + 1 < len(lines):
+        lines[i : i + 2] = [lines[i] + data.draw(st.sampled_from(["", " "])) + lines[i + 1]]
+    elif what == "split":
+        cut = data.draw(st.integers(0, len(lines[i])))
+        lines[i : i + 1] = [lines[i][:cut], lines[i][cut:]]
+    elif what == "pad":
+        lines[i] = data.draw(st.sampled_from(["", " ", "\t"])) + lines[i] + data.draw(st.sampled_from(["", " ", "\t"]))
+    elif what == "blank":
+        lines.insert(i, data.draw(st.sampled_from(["", "  "])))
+
+
+def _outcome(reader, path):
+    try:
+        return reader(path)
+    except WastekitError as exc:
+        return f"error: {exc}"
+
+
+class TestSnapshotReaderOracle:
+    """The reader checks each line's fields inline and falls back to the
+    line-at-a-time code for any line that fails; its result must equal
+    `naive_read_snapshot`'s, down to the error message."""
+
+    def check(self, tmp_path, text):
+        p = tmp_path / "s.snap"
+        p.write_text(text, encoding="utf-8", newline="")
+        got = _outcome(read_snapshot, str(p))
+        assert got == _outcome(naive_read_snapshot, str(p))
+        if not isinstance(got, str):
+            assert all(type(rec) is FileRecord for rec in got.records)
+        return got
+
+    @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_matches_oracle(self, tmp_path, data):
+        objs = [_record_obj(path, data) for path in data.draw(_PATHS)]
+        for _ in range(data.draw(st.integers(0, 3))):
+            if objs:
+                _mutate_record(objs, data.draw(st.integers(0, len(objs) - 1)), data)
+        ascii_only = data.draw(st.booleans())
+        lines = [obj if isinstance(obj, str) else json.dumps(obj, ensure_ascii=ascii_only) for obj in objs]
+        for _ in range(data.draw(st.integers(0, 3))):
+            if lines:
+                _mutate_lines(lines, data.draw(st.integers(0, len(lines) - 1)), data)
+        newline = data.draw(st.sampled_from(["\n", "\r\n"]))
+        self.check(tmp_path, newline.join([json.dumps(_HEADER), *lines]) + data.draw(st.sampled_from(["", newline])))
+
+    @pytest.mark.parametrize("fault", _SINGLE_FAULTS, ids=repr)
+    def test_single_fault_matches_oracle(self, tmp_path, fault):
+        objs = [make_record(path=path, allocated_bytes=4096).to_json_obj() for path in ("a", "b", "c")]
+        key, value = fault
+        if key is None:
+            objs[1] = value
+        elif value is _DROP:
+            del objs[1][key]
+        else:
+            objs[1][key] = value
+        lines = [obj if isinstance(obj, str) else json.dumps(obj, ensure_ascii=False) for obj in objs]
+        self.check(tmp_path, "\n".join([json.dumps(_HEADER), *lines]) + "\n")
+
+    def test_split_record_and_joined_pair_are_rejected(self, tmp_path):
+        a, b, c = (json.dumps(make_record(path=path).to_json_obj()) for path in ("a", "b", "c"))
+        cut = a.index(", ")
+        lines = [a[:cut], a[cut + 2 :], b + ", " + c]
+        # Parsed as one JSON array, these three lines are three valid records.
+        assert len(json.loads("[" + ",".join(lines) + "]")) == 3
+        got = self.check(tmp_path, "\n".join([json.dumps(_HEADER), *lines]) + "\n")
+        assert got.startswith("error: ") and "line 2 is not valid JSON" in got
+
+    def test_malformed_line_reported_before_unsorted_records(self, tmp_path):
+        lines = [json.dumps(make_record(path=path).to_json_obj()) for path in ("b", "a")] + ['{"path": "c"}']
+        got = self.check(tmp_path, "\n".join([json.dumps(_HEADER), *lines]) + "\n")
+        assert "line 4: malformed file record" in got
 
 
 def synth_snapshot(records, taken_at=10_000_000_000, root="/syn"):
