@@ -13,7 +13,9 @@ import time
 from wastekit import RuleSet, ScanOptions, WasteCategory, classify, report, scan
 
 now = int(time.time())
-root = tempfile.mkdtemp(prefix="wastekit-demo-")
+# Removed when the script ends, even if it fails part way.
+workdir = tempfile.TemporaryDirectory(prefix="wastekit-demo-")
+root = workdir.name
 
 YEAR = 365 * 86400
 
@@ -64,3 +66,5 @@ for cat in WasteCategory:
     files, nbytes = rep.per_category[cat]
     if files:
         print(f"  {cat.value:<14} {files:>3} / {nbytes}")
+
+workdir.cleanup()

@@ -6,7 +6,9 @@ json` switches every subcommand to schema-stable JSON on stdout.
 
 The only paths ever written are explicit `-o` targets (and the files a
 confirmed `plan --execute --yes` removes); scanning and reporting never
-modify the tree being examined.
+modify the tree being examined, atimes included: files and directories
+are read with O_NOATIME, and one warning counts those the kernel
+refused it for (files the caller does not own).
 """
 
 from __future__ import annotations
@@ -30,7 +32,15 @@ from .hierarchy import (
     plan as build_plan,
 )
 from .landfill import DigitalLandfill, LandfillConfig, load_trace, replay
-from .model import FileKind, WasteCategory, load_rules
+from .model import (
+    FileKind,
+    WasteCategory,
+    atime_moved_count,
+    atime_moved_warning,
+    load_rules,
+    note_atime_moved,
+    open_noatime,
+)
 from .penalty import SchedulerConfig, load_workload, simulate
 from .scanner import (
     ScanOptions,
@@ -74,6 +84,22 @@ def _rules_path(args) -> str:
     if not path:
         raise WastekitError(f"no rules file: pass --rules or set ${RULES_ENV}")
     return path
+
+
+def _warn_atime_moved(since: int) -> None:
+    """One warning for the files and directories read since the tally
+    stood at `since` whose atimes could not be kept."""
+    moved = atime_moved_count() - since
+    if moved:
+        print(f"warning: {atime_moved_warning(moved)}", file=sys.stderr)
+
+
+def _noatime_opener(path: str, flags: int) -> int:
+    # Non-blocking, so opening a FIFO at the path cannot hang.
+    fd, atime_kept = open_noatime(path, flags | os.O_NONBLOCK)
+    if not atime_kept:
+        note_atime_moved()
+    return fd
 
 
 def _add_rules_arg(sub) -> None:
@@ -223,7 +249,9 @@ def _cmd_diff(args) -> int:
     old = read_snapshot(args.old)
     new = read_snapshot(args.new)
     rules = load_rules(_rules_path(args))
+    atime_moved = atime_moved_count()
     churn = diff(old, new, rules)
+    _warn_atime_moved(atime_moved)
     if args.format == "json":
         _print_json(churn.to_json_obj())
         return 0
@@ -252,7 +280,9 @@ def _cmd_plan(args) -> int:
     snapshot = read_snapshot(args.snapshot)
     rules = load_rules(_rules_path(args))
     masks = load_mask_rules(args.masks) if args.masks else MaskRules(default=FeasibilityMask())
+    atime_moved = atime_moved_count()
     categories, _ = classify_snapshot(snapshot, rules)
+    _warn_atime_moved(atime_moved)
     entries = [
         (rec, category, masks.mask_for(rec.path))
         for rec, category in zip(snapshot.records, categories)
@@ -418,6 +448,7 @@ def _cmd_dedup(args) -> int:
         max_chunk=args.max_chunk,
         window=args.window,
     )
+    atime_moved = atime_moved_count()
     snapshot = scan(args.path) if os.path.isdir(args.path) else read_snapshot(args.path)
     store = ChunkStore(config=config)
     skipped = []
@@ -425,12 +456,16 @@ def _cmd_dedup(args) -> int:
         if rec.kind is not FileKind.REGULAR:
             continue
         try:
-            with open(os.path.join(snapshot.root, rec.path), "rb") as fh:
+            with open(os.path.join(snapshot.root, rec.path), "rb", opener=_noatime_opener) as fh:
+                if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                    skipped.append(f"{rec.path}: not a regular file")
+                    continue
                 data = fh.read()
         except OSError as exc:
             skipped.append(f"{rec.path}: {exc}")
             continue
         store.ingest(rec.path, data)
+    _warn_atime_moved(atime_moved)
     stats = store.stats()
     stats["skipped"] = skipped
     if args.format == "json":
@@ -449,7 +484,9 @@ def _cmd_dedup(args) -> int:
 def _cmd_recover(args) -> int:
     snapshot = read_snapshot(args.snapshot)
     rules = load_rules(_rules_path(args))
+    atime_moved = atime_moved_count()
     summary = recover_summary(snapshot, rules)
+    _warn_atime_moved(atime_moved)
     _print_json(summary.to_json_obj())
     return 0
 

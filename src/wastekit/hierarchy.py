@@ -260,6 +260,8 @@ def load_mask_rules(path: str) -> MaskRules:
         raise WastekitError(f"cannot read masks file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise WastekitError(f"masks file {path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise WastekitError(f"masks file {path} is nested too deeply to parse") from exc
     if not isinstance(obj, dict) or set(obj) - {"rules", "default"} or not isinstance(obj.get("rules", []), list):
         raise WastekitError("masks config must be a JSON object with a 'rules' list and optional 'default'")
     rules = []

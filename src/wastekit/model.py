@@ -14,6 +14,7 @@ import json
 import os
 import re
 import stat
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple, Optional
@@ -260,6 +261,8 @@ def load_rules(path: str) -> RuleSet:
         raise RuleSetError(f"cannot read rules file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise RuleSetError(f"rules file {path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise RuleSetError(f"rules file {path} is nested too deeply to parse") from exc
     return ruleset_from_json_obj(obj)
 
 
@@ -275,6 +278,47 @@ def f_lifetime(record: FileRecord) -> int:
     return max(0, record.atime - record.mtime)
 
 
+_NOATIME = getattr(os, "O_NOATIME", 0)
+
+
+def open_noatime(path: str, flags: int) -> tuple[int, bool]:
+    """`os.open` with O_NOATIME added, so reading through the fd leaves
+    the atime alone. The kernel refuses O_NOATIME (EPERM) on a file the
+    caller does not own; then the file is opened without it, as it is on
+    a platform without O_NOATIME. Returns the fd and whether its atime is
+    kept."""
+    if _NOATIME:
+        try:
+            return os.open(path, flags | _NOATIME), True
+        except PermissionError:
+            pass
+    return os.open(path, flags), False
+
+
+# Reads made without O_NOATIME since the process started. Callers take
+# the difference around a piece of work to warn once about it: a digest
+# provider passes only a path to `sha256_file` and gets only the digest
+# back, so the count cannot travel with the result.
+_atime_moved = 0
+_atime_moved_lock = threading.Lock()
+
+
+def note_atime_moved(count: int = 1) -> None:
+    global _atime_moved
+    with _atime_moved_lock:
+        _atime_moved += count
+
+
+def atime_moved_count() -> int:
+    return _atime_moved
+
+
+def atime_moved_warning(count: int) -> str:
+    return (
+        f"atime moved by {count} read(s) made without O_NOATIME, which is refused on entries the caller does not own"
+    )
+
+
 # Non-blocking, so opening a FIFO cannot hang; not following a final
 # symlink, so a digest only ever reads the file the record names.
 _DIGEST_OPEN_FLAGS = os.O_RDONLY | os.O_NONBLOCK | os.O_NOFOLLOW | os.O_CLOEXEC
@@ -284,14 +328,18 @@ def sha256_file(path: str) -> str | None:
     """Lowercase hex sha256 of a file's content, or None if unreadable.
 
     Anything but a regular file counts as unreadable, and so does a
-    symlink at `path` itself (directories above it may be symlinks)."""
+    symlink at `path` itself (directories above it may be symlinks). A
+    read that could not keep the file's atime counts in
+    `atime_moved_count`."""
     try:
-        fd = os.open(path, _DIGEST_OPEN_FLAGS)
+        fd, atime_kept = open_noatime(path, _DIGEST_OPEN_FLAGS)
     except OSError:
         return None
     try:
         if not stat.S_ISREG(os.fstat(fd).st_mode):
             return None
+        if not atime_kept:
+            note_atime_moved()
         h = hashlib.sha256()
         while block := os.read(fd, 1 << 16):
             h.update(block)

@@ -1,6 +1,8 @@
 """Filesystem scanning, snapshot persistence, waste reports, and diffs.
 
-The scanner is strictly read-only: it stats and lists, never modifies.
+The scanner is strictly read-only: it stats and lists, never modifies,
+and it lists directories with O_NOATIME wherever the caller owns them,
+so their atimes stay as they were.
 Snapshots are persisted as line-delimited JSON (one header object, then
 one record object per line, sorted by path) so they stream, diff, and
 survive manual inspection.
@@ -11,11 +13,14 @@ from __future__ import annotations
 import json
 import operator
 import os
-import stat
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import compress, repeat
+from json.encoder import encode_basestring_ascii
+from os import stat_result
+from stat import S_ISDIR, S_ISLNK, S_ISREG
 
 from ._version import __version__
 from .errors import WastekitError
@@ -26,7 +31,11 @@ from .model import (
     GlobSet,
     RuleSet,
     WasteCategory,
+    atime_moved_count,
+    atime_moved_warning,
     classify,
+    note_atime_moved,
+    open_noatime,
     sha256_file,
 )
 
@@ -63,6 +72,9 @@ class Snapshot:
             prev = rec.path
 
 
+_WRITE_BATCH = 4096
+
+
 def _json_line(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -85,8 +97,29 @@ def dump_snapshot(snapshot: Snapshot, fh) -> None:
             }
         )
     )
-    for rec in snapshot.records:
-        fh.write(_json_line(rec.to_json_obj()))
+    # Each record line is one f-string: keys in `sort_keys` order and the
+    # path quoted by the C function `json.dumps` uses (a kind's value needs
+    # no quoting). A record with a field of another type goes through
+    # `_json_line`. Lines are written in batches, so no more than one batch
+    # is held at a time.
+    quote = encode_basestring_ascii
+    records = snapshot.records
+    for start in range(0, len(records), _WRITE_BATCH):
+        lines = []
+        append = lines.append
+        for rec in records[start : start + _WRITE_BATCH]:
+            path, size, mtime, atime, kind, allocated = rec
+            exact = type(path) is str and type(size) is int and type(mtime) is int and type(atime) is int
+            if exact and allocated is None:
+                append(f'{{"atime":{atime},"kind":"{kind._value_}","mtime":{mtime},"path":{quote(path)},"size_bytes":{size}}}\n')
+            elif exact and type(allocated) is int:
+                append(
+                    f'{{"allocated_bytes":{allocated},"atime":{atime},"kind":"{kind._value_}","mtime":{mtime},'
+                    f'"path":{quote(path)},"size_bytes":{size}}}\n'
+                )
+            else:
+                append(_json_line(rec.to_json_obj()))
+        fh.write("".join(lines))
 
 
 _KIND_BY_VALUE = {kind.value: kind for kind in FileKind}
@@ -109,6 +142,8 @@ def _checked_record(path: str, lineno: int, line: str) -> FileRecord | None:
         rec = FileRecord.from_json_obj(json.loads(line))
     except json.JSONDecodeError as exc:
         raise WastekitError(f"snapshot {path} line {lineno} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise WastekitError(f"snapshot {path} line {lineno} is nested too deeply to parse") from exc
     except WastekitError as exc:
         raise WastekitError(f"snapshot {path} line {lineno}: {exc}") from exc
     if type(rec.path) is not str or not _is_relative(rec.path):
@@ -129,6 +164,8 @@ def read_snapshot(path: str) -> Snapshot:
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
         raise WastekitError(f"snapshot {path} header is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise WastekitError(f"snapshot {path} header is nested too deeply to parse") from exc
     if not isinstance(header, dict) or header.get("format") != SNAPSHOT_FORMAT:
         raise WastekitError(f"{path} is not a {SNAPSHOT_FORMAT} file")
     root, taken_at = header.get("root"), header.get("taken_at")
@@ -149,7 +186,7 @@ def read_snapshot(path: str) -> Snapshot:
             obj, end = decode(line)
             rel, size, mtime, atime = obj["path"], obj["size_bytes"], obj["mtime"], obj["atime"]
             kind, allocated = kinds[obj["kind"]], obj.get("allocated_bytes")
-        except (ValueError, KeyError, TypeError):
+        except (ValueError, KeyError, TypeError, RecursionError):
             end = -1
         if (
             end == len(line)
@@ -179,12 +216,49 @@ def read_snapshot(path: str) -> Snapshot:
     return snap
 
 
-def _list_names(abspath: str):
+# Listing a directory reads it, so it is opened with O_NOATIME where the
+# caller owns it (see `open_noatime`); its entries are stat'ed through the
+# same fd.
+_DIR_OPEN_FLAGS = os.O_RDONLY | os.O_DIRECTORY | os.O_CLOEXEC
+_BY_NAME = operator.attrgetter("name")
+_BY_PATH = operator.itemgetter(0)
+
+
+def _read_dir(ab: str, follow_symlinks: bool):
+    """List one directory and stat each entry relative to its fd.
+
+    Returns (pairs, error, atime_kept). `pairs` holds (name, stat result
+    or OSError) sorted by name; with `follow_symlinks`, a symlink whose
+    target exists carries the target's stat. `error` is the text of the
+    error that kept the directory from being listed, else None.
+    """
     try:
-        with os.scandir(abspath) as it:
-            return sorted(e.name for e in it), None
+        fd, atime_kept = open_noatime(ab, _DIR_OPEN_FLAGS)
     except OSError as exc:
-        return None, str(exc)
+        return None, str(exc), True
+    try:
+        with os.scandir(fd) as it:
+            entries = sorted(it, key=_BY_NAME)
+        pairs = []
+        append = pairs.append
+        for entry in entries:
+            try:
+                st = entry.stat(follow_symlinks=False)
+            except OSError as exc:
+                # Named by its full path, as a path-based lstat names it.
+                append((entry.name, OSError(exc.errno, exc.strerror, os.path.join(ab, entry.name))))
+                continue
+            if follow_symlinks and S_ISLNK(st.st_mode):
+                try:
+                    st = entry.stat()
+                except OSError:
+                    pass  # still the link's own stat: the caller warns
+            append((entry.name, st))
+    except OSError as exc:
+        return None, str(OSError(exc.errno, exc.strerror, ab)), atime_kept
+    finally:
+        os.close(fd)
+    return pairs, None, atime_kept
 
 
 def scan(root: str, options: ScanOptions | None = None, *, now: int | None = None) -> Snapshot:
@@ -195,7 +269,8 @@ def scan(root: str, options: ScanOptions | None = None, *, now: int | None = Non
     followed unless `follow_symlinks`. Unreadable subtrees are skipped
     with a warning (a partial snapshot is valid); a missing root is
     fatal. Hardlinked inodes are kept once, under their lexicographically
-    smallest path. Output is independent of `workers`.
+    smallest path. Output is independent of `workers`. Directories are
+    listed without moving their atimes wherever the caller owns them.
     """
     opts = options or ScanOptions()
     root_abs = os.path.abspath(root)
@@ -205,81 +280,72 @@ def scan(root: str, options: ScanOptions | None = None, *, now: int | None = Non
 
     try:
         root_st = os.lstat(root_abs)
-        with os.scandir(root_abs):
-            pass
     except OSError as exc:
         raise WastekitError(f"scan root is not readable: {root}: {exc}") from exc
     root_dev = root_st.st_dev
 
     warnings: list[str] = []
-    collected: list[tuple[FileRecord, tuple | None]] = []  # (record, hardlink inode key)
+    records: list[FileRecord] = []
+    append = records.append
+    new_record = tuple.__new__
+    regular, directory, symlink, other = FileKind.REGULAR, FileKind.DIRECTORY, FileKind.SYMLINK, FileKind.OTHER
+    # Regular files with more than one link: path -> inode key.
+    linked: dict[str, tuple] = {}
     visited_dirs = {(root_st.st_dev, root_st.st_ino)}
-    clamped_times = 0
-    excluded = GlobSet(opts.exclude_globs).matches
-
-    def make_record(rel, st, kind, size, allocated=None):
-        nonlocal clamped_times
-        mtime, atime = int(st.st_mtime), int(st.st_atime)
-        if mtime < 0 or atime < 0:
-            clamped_times += 1
-            mtime, atime = max(0, mtime), max(0, atime)
-        return FileRecord(
-            path=rel, size_bytes=size, mtime=mtime, atime=atime, kind=kind, allocated_bytes=allocated
-        )
+    clamped_times = future = atime_before_mtime = atime_moved_dirs = 0
+    follow, one_filesystem = opts.follow_symlinks, opts.one_filesystem
+    excluded = GlobSet(opts.exclude_globs).matches if opts.exclude_globs else None
+    read_dir = partial(_read_dir, follow_symlinks=follow)
 
     pool = ThreadPoolExecutor(max_workers=opts.workers) if opts.workers > 1 else None
     try:
         level = [("", root_abs)]
         while level:
-            level.sort(key=lambda item: item[0])
+            level.sort(key=_BY_PATH)
             dirs = [ab for _, ab in level]
-            if pool is not None:
-                listings = list(pool.map(_list_names, dirs))
-            else:
-                listings = [_list_names(ab) for ab in dirs]
+            listings = pool.map(read_dir, dirs) if pool is not None else map(read_dir, dirs)
             next_level = []
-            for (rel, ab), (names, err) in zip(level, listings):
+            for (rel, ab), (pairs, err, atime_kept) in zip(level, listings):
+                if not atime_kept:
+                    atime_moved_dirs += 1
                 if err is not None:
-                    warnings.append(f"unreadable directory skipped: {rel or '.'}: {err}")
+                    if not rel:
+                        raise WastekitError(f"scan root is not readable: {root}: {err}")
+                    warnings.append(f"unreadable directory skipped: {rel}: {err}")
                     continue
-                for name in names:
-                    child_rel = f"{rel}/{name}" if rel else name
-                    if opts.exclude_globs and excluded(child_rel):
+                prefix = f"{rel}/" if rel else ""
+                for name, st in pairs:
+                    child_rel = prefix + name
+                    if excluded is not None and excluded(child_rel):
                         continue
-                    child_ab = os.path.join(ab, name)
-                    try:
-                        st_info = os.lstat(child_ab)
-                    except OSError as exc:
-                        warnings.append(f"unreadable entry skipped: {child_rel}: {exc}")
+                    if type(st) is not stat_result:
+                        warnings.append(f"unreadable entry skipped: {child_rel}: {st}")
                         continue
-                    if opts.follow_symlinks and stat.S_ISLNK(st_info.st_mode):
-                        try:
-                            st_info = os.stat(child_ab)
-                        except OSError:
-                            warnings.append(f"broken symlink recorded unfollowed: {child_rel}")
-                    mode = st_info.st_mode
-                    if stat.S_ISLNK(mode):
-                        collected.append((make_record(child_rel, st_info, FileKind.SYMLINK, st_info.st_size), None))
-                    elif stat.S_ISDIR(mode):
-                        collected.append((make_record(child_rel, st_info, FileKind.DIRECTORY, 0), None))
-                        key = (st_info.st_dev, st_info.st_ino)
-                        if key not in visited_dirs and (not opts.one_filesystem or st_info.st_dev == root_dev):
+                    mode = st.st_mode
+                    mtime, atime = int(st.st_mtime), int(st.st_atime)
+                    if mtime < 0 or atime < 0:
+                        clamped_times += 1
+                        mtime, atime = max(0, mtime), max(0, atime)
+                    if mtime > taken_at or atime > taken_at:
+                        future += 1
+                    if S_ISREG(mode):
+                        if atime < mtime:
+                            atime_before_mtime += 1
+                        if st.st_nlink > 1:
+                            linked[child_rel] = (st.st_dev, st.st_ino)
+                        append(new_record(FileRecord, (child_rel, st.st_size, mtime, atime, regular, st.st_blocks * 512)))
+                    elif S_ISDIR(mode):
+                        append(new_record(FileRecord, (child_rel, 0, mtime, atime, directory, None)))
+                        key = (st.st_dev, st.st_ino)
+                        if key not in visited_dirs and (not one_filesystem or st.st_dev == root_dev):
                             visited_dirs.add(key)
-                            next_level.append((child_rel, child_ab))
-                    elif stat.S_ISREG(mode):
-                        ikey = (st_info.st_dev, st_info.st_ino) if st_info.st_nlink > 1 else None
-                        alloc = getattr(st_info, "st_blocks", None)
-                        collected.append(
-                            (
-                                make_record(
-                                    child_rel, st_info, FileKind.REGULAR, st_info.st_size,
-                                    alloc * 512 if alloc is not None else None,
-                                ),
-                                ikey,
-                            )
-                        )
+                            next_level.append((child_rel, os.path.join(ab, name)))
+                    elif S_ISLNK(mode):
+                        if follow:
+                            warnings.append(f"broken symlink recorded unfollowed: {child_rel}")
+                        append(new_record(FileRecord, (child_rel, st.st_size, mtime, atime, symlink, None)))
                     else:
-                        collected.append((make_record(child_rel, st_info, FileKind.OTHER, 0), None))
+                        append(new_record(FileRecord, (child_rel, 0, mtime, atime, other, None)))
             level = next_level
     finally:
         if pool is not None:
@@ -288,30 +354,36 @@ def scan(root: str, options: ScanOptions | None = None, *, now: int | None = Non
     if clamped_times:
         warnings.append(f"negative timestamps clamped to 0 on {clamped_times} entr(ies)")
 
-    collected.sort(key=lambda pair: pair[0].path)
-    records: list[FileRecord] = []
-    seen_inodes: set[tuple] = set()
-    dropped_links = 0
-    for rec, ikey in collected:
-        if ikey is not None:
-            if ikey in seen_inodes:
-                dropped_links += 1
-                continue
-            seen_inodes.add(ikey)
-        records.append(rec)
-    if dropped_links:
-        warnings.append(f"hardlink duplicates skipped: {dropped_links}")
+    records.sort(key=_BY_PATH)
+    if linked:
+        # Each inode is kept under its smallest path; the rest are dropped,
+        # along with their share of the tallies above.
+        smallest: dict[tuple, str] = {}
+        for path in sorted(linked):
+            smallest.setdefault(linked[path], path)
+        dropped = linked.keys() - set(smallest.values())
+        if dropped:
+            kept = []
+            for rec in records:
+                if rec.path in dropped:
+                    future -= rec.mtime > taken_at or rec.atime > taken_at
+                    atime_before_mtime -= rec.atime < rec.mtime
+                else:
+                    kept.append(rec)
+            records = kept
+            warnings.append(f"hardlink duplicates skipped: {len(dropped)}")
 
-    future = sum(1 for r in records if r.mtime > taken_at or r.atime > taken_at)
     if future:
         warnings.append(f"future timestamps on {future} entr(ies)")
-    atime_reliable = not any(r.atime < r.mtime for r in records if r.kind is FileKind.REGULAR)
+    if atime_moved_dirs:
+        note_atime_moved(atime_moved_dirs)
+        warnings.append(atime_moved_warning(atime_moved_dirs))
 
     return Snapshot(
         root=root_abs,
         taken_at=taken_at,
         records=records,
-        atime_reliable=atime_reliable,
+        atime_reliable=not atime_before_mtime,
         warnings=warnings,
     )
 
@@ -375,7 +447,9 @@ def classify_snapshot(
 
 def report(snapshot: Snapshot, rules: RuleSet, digest_provider: DigestProvider | None = None) -> WasteReport:
     """Classify every record and aggregate Table-style waste figures."""
+    atime_moved = atime_moved_count()
     categories, digest_failures = classify_snapshot(snapshot, rules, digest_provider)
+    atime_moved = atime_moved_count() - atime_moved
     sizes = [rec.size_bytes for rec in snapshot.records]
     # Tallied a category at a time: keying a dict by category in the
     # per-record loop would call Enum.__hash__, which is Python code.
@@ -398,6 +472,8 @@ def report(snapshot: Snapshot, rules: RuleSet, digest_provider: DigestProvider |
         warnings.append("atime may be unreliable: some files have atime < mtime (copied timestamps or noatime mount)")
     for path in digest_failures:
         warnings.append(f"digest unreadable, file counted Degraded: {path}")
+    if atime_moved:
+        warnings.append(atime_moved_warning(atime_moved))
 
     return WasteReport(
         total_files=len(snapshot.records),

@@ -26,6 +26,8 @@ def naive_read_snapshot(path):
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
         raise WastekitError(f"snapshot {path} header is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise WastekitError(f"snapshot {path} header is nested too deeply to parse") from exc
     if not isinstance(header, dict) or header.get("format") != SNAPSHOT_FORMAT:
         raise WastekitError(f"{path} is not a {SNAPSHOT_FORMAT} file")
     root, taken_at = header.get("root"), header.get("taken_at")
@@ -41,6 +43,8 @@ def naive_read_snapshot(path):
             rec = FileRecord.from_json_obj(json.loads(line))
         except json.JSONDecodeError as exc:
             raise WastekitError(f"snapshot {path} line {i} is not valid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise WastekitError(f"snapshot {path} line {i} is nested too deeply to parse") from exc
         except WastekitError as exc:
             raise WastekitError(f"snapshot {path} line {i}: {exc}") from exc
         framed = f"/{rec.path}/"

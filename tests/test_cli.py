@@ -1,12 +1,14 @@
 """Command-line surface: exit codes, output schemas, and the one
 destructive path (plan --execute)."""
 
+import errno
 import hashlib
 import json
 import os
 import shutil
 import subprocess
 import sys
+import time
 
 import jsonschema
 import pytest
@@ -14,6 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from wastekit.cli import run
 from wastekit.fixtures import build_never_accessed_tree
+from wastekit.model import atime_moved_warning
 from wastekit.landfill import DigitalLandfill, LandfillConfig, parse_trace, replay
 
 from naive_landfill import NaiveLandfill, naive_replay_events
@@ -354,12 +357,17 @@ class TestExitCodes:
             (_snapshot_with_record(size_bytes=None), ["report", "{bad}", "--rules", "{rules}"]),
             (_snapshot_with_record(allocated_bytes=4096.0), ["report", "{bad}", "--rules", "{rules}"]),
             (_snapshot_with_record(allocated_bytes=False), ["report", "{bad}", "--rules", "{rules}"]),
+            (_snapshot_with_record().replace(b"\n{", b"\n" + b"[" * 100_000 + b"\n{"), ["report", "{bad}", "--rules", "{rules}"]),
+            (b"[" * 100_000 + b"\n", ["report", "{bad}", "--rules", "{rules}"]),
+            (b"[" * 100_000, ["report", "{snap}", "--rules", "{bad}"]),
+            (b'{"rules": ' + b"[" * 100_000, ["plan", "{snap}", "--rules", "{rules}", "--masks", "{bad}"]),
         ],
         ids=[
             "header-no-root", "header-no-taken-at", "header-root-number", "header-taken-at-string", "header-warnings-number",
             "rules-not-utf8", "masks-not-utf8", "snapshot-not-utf8", "trace-not-utf8", "workload-not-utf8",
             "record-size-float", "record-mtime-bool", "record-atime-string", "record-size-null",
             "record-allocated-float", "record-allocated-bool",
+            "record-deep", "header-deep", "rules-deep", "masks-deep",
         ],
     )
     def test_bad_input_file_is_named_in_one_line(self, capsys, small_tree, tmp_path, rules_file, content, argv):
@@ -369,6 +377,7 @@ class TestExitCodes:
         code, _, err = cli(capsys, *(a.format(bad=bad, snap=snap, rules=rules_file) for a in argv))
         assert code == 1
         assert err.startswith("wastekit: error: ") and len(err.splitlines()) == 1
+        assert str(bad) in err
         assert str(bad) in err
 
     @pytest.mark.parametrize("allocated", [{}, {"allocated_bytes": None}, {"allocated_bytes": 4096}])
@@ -934,6 +943,90 @@ class TestPenaltySim:
         assert code == 1
 
 
+# -- reads leave no trace ------------------------------------------------
+
+
+class TestReadsLeaveNoTrace:
+    """Scanning, digests and dedup reads open with O_NOATIME, so the
+    atimes that the never-accessed measure rests on stay where they were,
+    even where relatime would move them (atime < mtime)."""
+
+    DIRS = ("", "sub", "sub/deeper", "keep")
+    FILES = {"sub/a.o": b"intact", "sub/deeper/b.o": b"changed", "c.txt": b"c" * 50, "d.junk": b"d", "keep/e.o": b"e"}
+
+    @pytest.fixture
+    def tree(self, tmp_path):
+        root = tmp_path / "tree"
+        for d in self.DIRS:
+            (root / d).mkdir(exist_ok=True)
+        for path, data in self.FILES.items():
+            (root / path).write_bytes(data)
+        mtime = int(time.time()) - 3600
+        for path in [*self.FILES, *reversed(self.DIRS)]:
+            os.utime(root / path, (mtime - 1000, mtime))
+        rules = tmp_path / "rules.json"
+        check = {"glob": "*.o", "sha256": hashlib.sha256(b"intact").hexdigest()}
+        rules.write_text(json.dumps({"not_waste_globs": ["keep/*"], "unwanted_globs": ["*.junk"], "degraded_checks": [check]}))
+        return root, str(rules)
+
+    def atimes(self, root):
+        # Stat'ed by known path: listing a directory would move its atime.
+        return {path: os.stat(root / path).st_atime_ns for path in [*self.DIRS, *self.FILES]}
+
+    def run_all(self, capsys, root, rules, tmp_path):
+        """Every subcommand that reads the tree; returns (argv, stdout, stderr) per call."""
+        old, new = str(tmp_path / "old.snap"), str(tmp_path / "new.snap")
+        calls = [
+            ["scan", str(root), "-o", old],
+            ["scan", str(root), "-o", new],
+            ["report", old, "--rules", rules],
+            ["diff", old, new, "--rules", rules],
+            ["plan", old, "--rules", rules],
+            ["recover", old, "--rules", rules],
+            ["dedup", str(root)],
+            ["dedup", old],
+        ]
+        out = []
+        for argv in calls:
+            code, stdout, stderr = cli(capsys, "--format", "json", *argv)
+            assert code == 0, stderr
+            out.append((argv[0], json.loads(stdout), stderr))
+        return out
+
+    def test_atimes_unchanged(self, capsys, tree, tmp_path):
+        root, rules = tree
+        before = self.atimes(root)
+        assert all(os.stat(root / p).st_atime < os.stat(root / p).st_mtime for p in before)
+        results = self.run_all(capsys, root, rules, tmp_path)
+        assert self.atimes(root) == before
+        report = results[2][1]
+        assert report["per_category"]["Degraded"]["files"] == 1  # both checked files were read
+        assert all("atime" not in err for _, _, err in results)
+        assert not any("atime moved" in w for w in report["warnings"])
+
+    def test_refused_noatime_gives_one_warning_per_command(self, capsys, tree, tmp_path, monkeypatch):
+        root, rules = tree
+        real_open = os.open
+
+        def refuse_noatime(path, flags, *args, **kw):
+            if flags & os.O_NOATIME:
+                raise PermissionError(errno.EPERM, "Operation not permitted", path)
+            return real_open(path, flags, *args, **kw)
+
+        monkeypatch.setattr(os, "open", refuse_noatime)
+        results = self.run_all(capsys, root, rules, tmp_path)
+        dirs, checked, regular = len(self.DIRS), 2, len(self.FILES)
+        (_, scan_obj, _), _, (_, report, _) = results[:3]
+        assert scan_obj["warnings"] == [atime_moved_warning(dirs)]
+        # The snapshot's own warning, then the report's for its digests.
+        moved = [w for w in report["warnings"] if w.startswith("atime moved")]
+        assert moved == [atime_moved_warning(dirs), atime_moved_warning(checked)]
+        # Elsewhere the count goes to stderr, once. `diff` reads each checked
+        # file once per snapshot; `dedup DIR` lists the directories too.
+        for (command, _, err), moved in zip(results[3:], [2 * checked, checked, checked, dirs + regular, regular]):
+            assert err == f"warning: {atime_moved_warning(moved)}\n", command
+
+
 # -- dedup / recover -----------------------------------------------------
 
 
@@ -970,6 +1063,30 @@ class TestDedup:
         from_snapshot = cli_json(capsys, "--format", "json", "dedup", snap)
         assert from_tree == from_snapshot
         assert (from_tree["objects"], from_tree["dedup_ratio"]) == (2, 1.0)
+
+    def test_snapshot_path_now_a_fifo_is_skipped(self, tmp_path):
+        # Once `dedup` of a snapshot blocked forever opening a FIFO that
+        # had replaced one of its regular files.
+        tree = tmp_path / "tree"
+        tree.mkdir()
+        (tree / "a.bin").write_bytes(b"abc")
+        (tree / "b.bin").write_bytes(b"def")
+        snap = tmp_path / "t.snap"
+        assert run(["scan", str(tree), "-o", str(snap)]) == 0
+        (tree / "a.bin").unlink()
+        os.mkfifo(tree / "a.bin")
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "wastekit", "--format", "json", "dedup", str(snap)],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        obj = json.loads(proc.stdout)
+        assert (obj["objects"], obj["logical_bytes"]) == (1, 3)
+        assert obj["skipped"] == ["a.bin: not a regular file"]
 
     def test_bad_chunk_params(self, capsys, tmp_path):
         root = tmp_path / "d"

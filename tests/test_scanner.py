@@ -1,20 +1,25 @@
 """Filesystem walking, snapshot persistence, reports, and diffs."""
 
+import errno
 import io
 import json
 import os
 import random
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from wastekit.errors import WastekitError
-from wastekit.model import FileKind, FileRecord, RuleSet, WasteCategory, classify
+import wastekit
+import wastekit.scanner as scanner_mod
+from wastekit.model import FileKind, FileRecord, RuleSet, WasteCategory, atime_moved_warning, classify
 from wastekit.scanner import (
     ChurnReport,
     ScanOptions,
     Snapshot,
     diff,
+    _json_line,
     dump_snapshot,
     read_snapshot,
     report,
@@ -23,6 +28,7 @@ from wastekit.scanner import (
 )
 
 from conftest import make_record
+from naive_scan import naive_scan
 from naive_snapshot import naive_read_snapshot
 
 
@@ -37,6 +43,30 @@ def dumps(snapshot):
     buf = io.StringIO()
     dump_snapshot(snapshot, buf)
     return buf.getvalue()
+
+
+def deny_listing(monkeypatch, *names):
+    """Make the directories whose paths end in one of `names` unreadable:
+    `os.open` (the scanner's way in) and `os.scandir` by path (the
+    oracle's) both fail for them as a directory without read permission
+    would, even for root."""
+    real_open, real_scandir = os.open, os.scandir
+    suffixes = tuple("/" + name for name in names)
+
+    def check(path):
+        if isinstance(path, str) and path.endswith(suffixes):
+            raise PermissionError(errno.EACCES, "Permission denied (simulated)", path)
+
+    def fake_open(path, flags, *args, **kw):
+        check(path)
+        return real_open(path, flags, *args, **kw)
+
+    def fake_scandir(path="."):
+        check(path)
+        return real_scandir(path)
+
+    monkeypatch.setattr(os, "open", fake_open)
+    monkeypatch.setattr(os, "scandir", fake_scandir)
 
 
 class TestScan:
@@ -99,16 +129,7 @@ class TestScan:
         touch(tmp_path / "ok" / "f", b"x")
         (tmp_path / "locked").mkdir()
         touch(tmp_path / "locked" / "secret", b"s")
-        import wastekit.scanner as scanner_mod
-
-        original = scanner_mod._list_names
-
-        def flaky(abspath):
-            if abspath.endswith("locked"):
-                return None, "Permission denied (simulated)"
-            return original(abspath)
-
-        monkeypatch.setattr(scanner_mod, "_list_names", flaky)
+        deny_listing(monkeypatch, "locked")
         snap = scan(str(tmp_path))
         assert any("unreadable" in w for w in snap.warnings)
         assert "ok/f" in {r.path for r in snap.records}
@@ -128,6 +149,144 @@ class TestScan:
         one = scan(str(tmp_path), ScanOptions(workers=1), now=12345)
         many = scan(str(tmp_path), ScanOptions(workers=8), now=12345)
         assert dumps(one) == dumps(many)
+
+
+def build_odd_tree(root, now):
+    """A tree with one of every kind of entry the walker tells apart."""
+    touch(root / "a" / "b" / "c" / "deep.txt", b"deep", mtime=now - 5000, atime=now - 4000)
+    touch(root / "top.txt", b"12345", mtime=now - 100, atime=now - 200)  # atime < mtime
+    touch(root / "z_orig", b"payload", mtime=now + 10**6)  # the dropped links are in the future too
+    os.link(root / "z_orig", root / "a_link")
+    os.link(root / "z_orig", root / "a" / "b" / "hard")
+    (root / "empty").mkdir()
+    os.symlink("top.txt", root / "file_link")
+    os.symlink("a", root / "dir_link")
+    os.symlink("missing", root / "broken")
+    os.symlink("loop2", root / "loop1")
+    os.symlink("loop1", root / "loop2")
+    os.symlink(str(root / "a"), root / "a" / "b" / "up")
+    os.mkfifo(root / "fifo")
+    touch(root / "locked" / "secret", b"s")
+    touch(root / "x.tmp", b"t")
+    touch(root / "cache.tmp" / "inner", b"i")
+    touch(root / "future.dat", b"f", mtime=now + 10**6)
+    touch(root / "negative.dat", b"n", mtime=-100, atime=-5)
+    touch(root / "na\u00efve \u00fc \U0001f600 \"q\" \\.txt", b"u")
+    with open(os.path.join(os.fsencode(root), b"raw\xff\xfe.bin"), "wb") as fh:
+        fh.write(b"r")
+    # The oracle lists directories by path, which on a relatime mount moves
+    # the atime of a directory that a followed symlink stats later in the
+    # same walk. One listing now moves each atime past the ctime, and
+    # relatime leaves it there for a day.
+    naive_scan(str(root), ScanOptions(follow_symlinks=True))
+
+
+_ORACLE_OPTIONS = [
+    ScanOptions(),
+    ScanOptions(workers=3),
+    ScanOptions(follow_symlinks=True),
+    ScanOptions(follow_symlinks=True, workers=3),
+    ScanOptions(one_filesystem=True),
+    ScanOptions(exclude_globs=("*.tmp", "a/b", "fifo")),
+    ScanOptions(follow_symlinks=True, one_filesystem=True, exclude_globs=("dir_link",), workers=3),
+]
+
+
+class TestScanOracle:
+    """The walker opens each directory once and stats entries relative to
+    its fd; `naive_scan` lists by path and lstats each joined path. The
+    two must give the same snapshot, warnings and atime flag."""
+
+    def compare(self, root, options, now):
+        got = scan(str(root), options, now=now)  # first: it moves no atime
+        want = naive_scan(str(root), options, now=now)
+        assert got.warnings == want.warnings
+        assert got.atime_reliable == want.atime_reliable
+        assert got.records == want.records
+        assert dumps(got) == dumps(want)
+        assert all(type(rec) is FileRecord for rec in got.records)
+        return got
+
+    @pytest.mark.parametrize("options", _ORACLE_OPTIONS, ids=repr)
+    def test_odd_tree_matches_oracle(self, tmp_path, monkeypatch, options):
+        now = int(time.time())
+        build_odd_tree(tmp_path, now)
+        deny_listing(monkeypatch, "locked")
+        got = self.compare(tmp_path, options, now)
+        assert any(w.startswith("unreadable directory skipped: locked: ") for w in got.warnings)
+        assert "negative timestamps clamped to 0 on 1 entr(ies)" in got.warnings
+        links = 1 if "a/b" in options.exclude_globs else 2
+        assert f"hardlink duplicates skipped: {links}" in got.warnings
+        kinds = {rec.path: rec.kind for rec in got.records}
+        if "fifo" not in options.exclude_globs:
+            assert kinds["fifo"] is FileKind.OTHER
+        if options.follow_symlinks:
+            assert "broken symlink recorded unfollowed: loop1" in got.warnings
+            assert kinds["file_link"] is FileKind.REGULAR
+        else:
+            assert kinds["loop1"] is FileKind.SYMLINK
+
+    def test_entry_vanishing_after_listing_matches_oracle(self, tmp_path, monkeypatch):
+        now = int(time.time())
+        touch(tmp_path / "v" / "gone", b"g")
+        touch(tmp_path / "v" / "stays", b"s")
+        real_scandir = os.scandir
+
+        class Listing:
+            """A directory's entries, listed before `gone` is removed."""
+
+            def __init__(self, path):
+                with real_scandir(path) as it:
+                    self.entries = list(it)
+                for entry in self.entries:
+                    if entry.name == "gone":
+                        os.unlink(entry.name, dir_fd=path) if isinstance(path, int) else os.unlink(entry.path)
+
+            def __enter__(self):
+                return iter(self.entries)
+
+            def __exit__(self, *exc):
+                return False
+
+        monkeypatch.setattr(os, "scandir", Listing)
+        got = scan(str(tmp_path), now=now)
+        touch(tmp_path / "v" / "gone", b"g")
+        want = naive_scan(str(tmp_path), now=now)
+        gone = os.path.join(str(tmp_path), "v", "gone")
+        assert got.warnings == want.warnings == [
+            f"unreadable entry skipped: v/gone: [Errno 2] No such file or directory: {gone!r}"
+        ]
+        assert dumps(got) == dumps(want)
+
+
+class TestScanAtime:
+    def test_listing_keeps_directory_atimes(self, tmp_path):
+        touch(tmp_path / "d" / "e" / "f", b"x")
+        for path in (tmp_path / "d" / "e", tmp_path / "d", tmp_path):
+            os.utime(path, (1000, 2000))  # atime < mtime: relatime would move it
+        before = [os.stat(p).st_atime_ns for p in (tmp_path, tmp_path / "d", tmp_path / "d" / "e")]
+        for workers in (1, 3):
+            snap = scan(str(tmp_path), ScanOptions(workers=workers))
+            assert {rec.path: rec.atime for rec in snap.records if rec.kind is FileKind.DIRECTORY} == {"d": 1000, "d/e": 1000}
+        assert [os.stat(p).st_atime_ns for p in (tmp_path, tmp_path / "d", tmp_path / "d" / "e")] == before
+        assert snap.warnings == []
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_refused_noatime_falls_back_with_one_warning(self, tmp_path, monkeypatch, workers):
+        touch(tmp_path / "d" / "e" / "f", b"x")
+        touch(tmp_path / "g", b"y")
+        plain = scan(str(tmp_path))
+        real_open = os.open
+
+        def refuse_noatime(path, flags, *args, **kw):
+            if flags & os.O_NOATIME:
+                raise PermissionError(errno.EPERM, "Operation not permitted", path)
+            return real_open(path, flags, *args, **kw)
+
+        monkeypatch.setattr(os, "open", refuse_noatime)
+        snap = scan(str(tmp_path), ScanOptions(workers=workers), now=plain.taken_at)
+        assert snap.records == plain.records
+        assert snap.warnings == [atime_moved_warning(3)]  # ., d and d/e
 
 
 class TestSnapshotIO:
@@ -172,6 +331,51 @@ class TestSnapshotIO:
         snap = Snapshot(root="/r", taken_at=10, records=[make_record(path="b"), make_record(path="a")])
         with pytest.raises(WastekitError, match="sorted"):
             snap.validate()
+
+
+# Characters `json.dumps` escapes, or spells as \\u escapes or pairs:
+# quotes, backslashes, control characters, a line separator, non-ASCII,
+# astral, and the surrogate escapes that non-UTF-8 file names decode to.
+_PATH_CHARS = st.one_of(
+    st.characters(),
+    st.sampled_from(['"', "\\", "\n", "\x00", "\x1f", "\x7f", "\u2028", "\u00e9", "\U0001f600", "/"]),
+    st.integers(0xDC80, 0xDCFF).map(chr),
+)
+_WRITER_INTS = st.integers(0, 2**70)
+_WRITER_ODD = st.sampled_from([True, False, 0.0, 2.5, 1e20])  # written by the fallback
+
+
+class TestSnapshotWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        records=st.lists(
+            st.builds(
+                FileRecord,
+                path=st.text(_PATH_CHARS, min_size=1, max_size=12),
+                size_bytes=st.one_of(_WRITER_INTS, _WRITER_ODD),
+                mtime=st.one_of(_WRITER_INTS, _WRITER_ODD),
+                atime=st.one_of(_WRITER_INTS, _WRITER_ODD),
+                kind=st.sampled_from(list(FileKind)),
+                allocated_bytes=st.one_of(st.none(), _WRITER_INTS, _WRITER_ODD),
+            ),
+            max_size=8,
+        ),
+        batch=st.integers(1, 4),
+        warnings=st.lists(st.text(_PATH_CHARS, max_size=5), max_size=2),
+    )
+    def test_lines_equal_json_dumps(self, records, batch, warnings):
+        snap = Snapshot(root="/r\u00e9", taken_at=7, records=records, atime_reliable=False, warnings=warnings)
+        header = {
+            "format": "wastekit-snapshot-v1", "root": snap.root, "taken_at": 7, "tool_version": wastekit.__version__,
+            "atime_reliable": False, "warnings": warnings,
+        }
+        want = _json_line(header) + "".join(_json_line(rec.to_json_obj()) for rec in records)
+        saved = scanner_mod._WRITE_BATCH
+        scanner_mod._WRITE_BATCH = batch
+        try:
+            assert dumps(snap) == want
+        finally:
+            scanner_mod._WRITE_BATCH = saved
 
 
 _HEADER = {"format": "wastekit-snapshot-v1", "root": "/r", "taken_at": 10}
