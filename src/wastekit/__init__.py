@@ -76,6 +76,7 @@ from .penalty import (
     simulate,
 )
 from .dedupe import (
+    ChunkIndex,
     ChunkingConfig,
     ChunkStore,
     IngestResult,
@@ -143,6 +144,7 @@ __all__ = [
     "parse_workload",
     "load_workload",
     # dedupe
+    "ChunkIndex",
     "ChunkingConfig",
     "ChunkStore",
     "IngestResult",

@@ -14,13 +14,15 @@ refused it for (files the caller does not own).
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import stat
 import sys
 
 from ._version import __version__
-from .dedupe import ChunkingConfig, ChunkStore, recover_summary
+from .dedupe import ChunkIndex, ChunkingConfig, recover_summary
+from .dedupe import ChunkStore  # unused here; perfbench's tracer looks the name up in this module
 from .errors import WastekitError
 from .hierarchy import (
     CostModel,
@@ -95,8 +97,9 @@ def _warn_atime_moved(since: int) -> None:
 
 
 def _noatime_opener(path: str, flags: int) -> int:
-    # Non-blocking, so opening a FIFO at the path cannot hang.
-    fd, atime_kept = open_noatime(path, flags | os.O_NONBLOCK)
+    # Non-blocking, so opening a FIFO at the path cannot hang; no-follow,
+    # so a symlink swapped in since the scan is not read through.
+    fd, atime_kept = open_noatime(path, flags | os.O_NONBLOCK | os.O_NOFOLLOW)
     if not atime_kept:
         note_atime_moved()
     return fd
@@ -450,23 +453,25 @@ def _cmd_dedup(args) -> int:
     )
     atime_moved = atime_moved_count()
     snapshot = scan(args.path) if os.path.isdir(args.path) else read_snapshot(args.path)
-    store = ChunkStore(config=config)
+    index = ChunkIndex(config=config)
     skipped = []
     for rec in snapshot.records:
         if rec.kind is not FileKind.REGULAR:
             continue
         try:
-            with open(os.path.join(snapshot.root, rec.path), "rb", opener=_noatime_opener) as fh:
-                if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                    skipped.append(f"{rec.path}: not a regular file")
-                    continue
-                data = fh.read()
+            with open(os.path.join(snapshot.root, rec.path), "rb", buffering=0, opener=_noatime_opener) as fh:
+                regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+                if regular:
+                    index.ingest_file(rec.path, fh)
         except OSError as exc:
-            skipped.append(f"{rec.path}: {exc}")
-            continue
-        store.ingest(rec.path, data)
+            if exc.errno != errno.ELOOP:  # ELOOP: a symlink at the path
+                skipped.append(f"{rec.path}: {exc}")
+                continue
+            regular = False
+        if not regular:
+            skipped.append(f"{rec.path}: not a regular file")
     _warn_atime_moved(atime_moved)
-    stats = store.stats()
+    stats = index.stats()
     stats["skipped"] = skipped
     if args.format == "json":
         _print_json(stats)

@@ -2,9 +2,10 @@
 
 The rolling hash the long way: one rotated copy of the seeded table per
 window offset and one gather pass over the input per copy, over the
-whole input at once, with the cut search made twice per chunk. `chunk`
-in `wastekit.dedupe` (composed windows, hashed block by block) is
-compared against `naive_chunk` here.
+whole input at once, with the cut search made twice per chunk. The
+chunker in `wastekit.dedupe` (prefix XORs of pre-rotated words, hashed
+block by block from streamed reads) is compared against `naive_chunk`
+and these per-offset tables.
 """
 
 import random

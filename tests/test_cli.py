@@ -1088,6 +1088,51 @@ class TestDedup:
         assert (obj["objects"], obj["logical_bytes"]) == (1, 3)
         assert obj["skipped"] == ["a.bin: not a regular file"]
 
+    def test_snapshot_path_now_a_symlink_is_skipped(self, capsys, tmp_path):
+        # A symlink swapped in since the scan must not be read through:
+        # the bytes it reaches lie outside the snapshot's root.
+        (tmp_path / "outside").write_bytes(b"14 bytes here\n")
+        tree = tmp_path / "tree"
+        tree.mkdir()
+        (tree / "a.bin").write_bytes(b"abc")
+        (tree / "b.bin").write_bytes(b"def")
+        snap = scan_to(capsys, tree, tmp_path / "t.snap")
+        (tree / "a.bin").unlink()
+        os.symlink("../outside", tree / "a.bin")
+        obj = cli_json(capsys, "--format", "json", "dedup", snap)
+        assert (obj["objects"], obj["logical_bytes"]) == (1, 3)
+        assert obj["skipped"] == ["a.bin: not a regular file"]
+
+    def test_large_file_is_streamed(self, tmp_path):
+        # Peak RSS of `dedup` on one 64 MiB file stays near that on a tree
+        # of one small file: no whole file, copy or chunk bytes are held.
+        # The peak is the child's VmHWM: its ru_maxrss would also count the
+        # pages of this process, which it shares until exec.
+        def peak_mib(root):
+            src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+            code = ("import sys\n"
+                    "from wastekit.cli import run\n"
+                    "code = run(['--format', 'json', 'dedup', sys.argv[1]])\n"
+                    "with open('/proc/self/status') as fh:\n"
+                    "    print(next(line.split()[1] for line in fh if line.startswith('VmHWM:')), file=sys.stderr)\n"
+                    "sys.exit(code)\n")
+            proc = subprocess.run([sys.executable, "-c", code, str(root)], env=dict(os.environ, PYTHONPATH=src),
+                                  capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            return int(proc.stderr.split()[-1]) / 1024, json.loads(proc.stdout)
+
+        small, big = tmp_path / "small", tmp_path / "big"
+        small.mkdir()
+        big.mkdir()
+        (small / "one.bin").write_bytes(os.urandom(1000))
+        with open(big / "one.bin", "wb") as fh:
+            for _ in range(64):
+                fh.write(os.urandom(1 << 20))
+        baseline, _ = peak_mib(small)
+        peak, obj = peak_mib(big)
+        assert obj["logical_bytes"] == obj["physical_bytes"] == 64 << 20
+        assert peak - baseline < 20, f"64 MiB file peaked at {peak:.0f} MiB against {baseline:.0f} MiB"
+
     def test_bad_chunk_params(self, capsys, tmp_path):
         root = tmp_path / "d"
         root.mkdir()

@@ -1,15 +1,19 @@
 """Content-defined chunking, the chunk store, and recover summaries."""
 
 import hashlib
+import io
 import json
 import random
+import tracemalloc
 from unittest import mock
 
 import pytest
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from wastekit import dedupe
 from wastekit.dedupe import (
+    ChunkIndex,
     ChunkingConfig,
     ChunkStore,
     age_bucket_label,
@@ -23,7 +27,7 @@ from wastekit.model import FileKind, RuleSet
 from wastekit.scanner import Snapshot
 
 from conftest import make_record
-from naive_chunk import naive_chunk
+from naive_chunk import _rolling_hashes as naive_hashes, naive_chunk
 
 SMALL = ChunkingConfig(min_chunk=64, target_chunk=256, max_chunk=1024, window=16)
 
@@ -131,6 +135,33 @@ def chunk_inputs(draw):
     return bytes(rng.choices(b"ab", k=n))
 
 
+@st.composite
+def power_of_two_configs(draw):
+    """Configs whose target is a power of two, so cuts are found by the
+    rotated-mask test instead of the remainder."""
+    target = 1 << draw(st.integers(0, 9))
+    min_chunk = draw(st.integers(1, target))
+    window = draw(st.integers(1, min_chunk))
+    max_chunk = draw(st.integers(target, 4 * target))
+    return ChunkingConfig(min_chunk=min_chunk, target_chunk=target, max_chunk=max_chunk, window=window)
+
+
+class TestHashMatchesOracle:
+    """The prefix-XOR hash takes the values of the one-table-per-offset
+    hash, at any starting offset of the block."""
+
+    @pytest.mark.parametrize("window", [1, 2, 63, 64, 65, 200, 2048])
+    def test_window_hashes(self, window):
+        whole = -(-window // 64) * 64
+        data = np.frombuffer(random.Random(window).randbytes(whole + 200), dtype=np.uint8)
+        # lengths on and off a multiple of 64
+        for n in sorted({window, window + 37, whole, whole + 64, whole + 141}):
+            want = naive_hashes(data[:n], window)
+            for pos in (0, 1, 63, 64 * 5 + 7):
+                finder = dedupe._CutFinder(window, 3)
+                assert np.array_equal(finder.hashes(data[:n], pos), want), (n, pos)
+
+
 class TestChunkMatchesOracle:
     """`chunk` cuts exactly where the one-table-per-offset hash does."""
 
@@ -140,12 +171,78 @@ class TestChunkMatchesOracle:
         with mock.patch.object(dedupe, "_BLOCK", block):
             assert chunk(data, config) == naive_chunk(data, config)
 
+    @settings(max_examples=200, deadline=None)
+    @given(power_of_two_configs(), chunk_inputs(), st.sampled_from((1, 7, 64, 1000)))
+    def test_power_of_two_targets(self, config, data, block):
+        with mock.patch.object(dedupe, "_BLOCK", block):
+            assert chunk(data, config) == naive_chunk(data, config)
+
     @pytest.mark.parametrize("window", [1, 48, 64, 65, 200])
     def test_lengths_around_the_block_boundary(self, window):
         config = ChunkingConfig(min_chunk=256, target_chunk=300, max_chunk=3000, window=window)
         data = random.Random(window).randbytes(2 * dedupe._BLOCK + window + 1)
         for n in (dedupe._BLOCK + window - 2, dedupe._BLOCK + window - 1, dedupe._BLOCK + window, len(data)):
             assert chunk(data[:n], config) == naive_chunk(data[:n], config)
+
+
+def naive_digests(data, config):
+    return [(hashlib.sha256(piece).hexdigest(), len(piece)) for piece in naive_chunk(data, config)]
+
+
+class TestStreamedChunking:
+    """Reads of any size give the cuts and digests of the whole input."""
+
+    @pytest.mark.parametrize("config", [SMALL, ChunkingConfig(min_chunk=64, target_chunk=200, max_chunk=900, window=33)])
+    def test_split_at_every_offset_near_a_block_edge(self, config):
+        block = 256
+        data = random.Random(config.target_chunk).randbytes(6 * block + 77)
+        want = naive_digests(data, config)
+        ends = list(np.cumsum([size for _, size in want])[:-1])
+        with mock.patch.object(dedupe, "_BLOCK", block):
+            for edge in (block, 2 * block, 5 * block):
+                for split in range(edge - config.window, edge + config.window + 1):
+                    reads = (data[:split], data[split:])
+                    cuts = [read_start + c for (_, cs), read_start in
+                            zip(dedupe.cut_points(reads, config), (0, split)) for c in cs]
+                    assert cuts == ends, split
+                    assert list(dedupe._chunk_digests(reads, config)) == want, split
+
+    @settings(max_examples=100, deadline=None)
+    @given(chunking_configs() | power_of_two_configs(), chunk_inputs(), st.sampled_from((1, 7, 64)),
+           st.integers(1, 4))
+    def test_small_reads_match_the_oracle(self, config, data, block, read_blocks):
+        with mock.patch.object(dedupe, "_BLOCK", block), mock.patch.object(dedupe, "_READ_BLOCKS", read_blocks):
+            index = ChunkIndex(config=config)
+            result = index.ingest_file("f", io.BytesIO(data))
+        want = naive_digests(data, config)
+        assert index.objects["f"] == [digest for digest, _ in want]
+        assert result.logical_bytes == len(data)
+        assert {d: size for d, (size, _) in index.index.items()} == dict(want)
+
+    def test_memory_is_bounded_by_the_read_not_the_input(self):
+        data = random.Random(30).randbytes(8 << 20)
+        index = ChunkIndex()
+        tracemalloc.start()
+        try:
+            result = index.ingest_file("big", io.BytesIO(data))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.logical_bytes == len(data)
+        assert peak < 4 << 20
+        assert index.stats()["physical_bytes"] == len(data)
+
+    def test_failed_read_leaves_the_index_unchanged(self):
+        class Failing(io.BytesIO):
+            def readinto(self, buf):
+                if self.tell() >= dedupe._BLOCK:
+                    raise OSError("read failed")
+                return super().readinto(memoryview(buf)[: dedupe._BLOCK])
+
+        index = ChunkIndex()
+        with pytest.raises(OSError):
+            index.ingest_file("f", Failing(random.Random(31).randbytes(4 * dedupe._BLOCK)))
+        assert (index.index, index.objects) == ({}, {})
 
 
 class TestChunkStore:
@@ -189,16 +286,17 @@ class TestChunkStore:
         store = ChunkStore(config=SMALL)
         store.ingest("x", b"A" * 500)
         digest = store.objects["x"][0]
-        store.index[digest][0] = b"B" * 500
+        store.chunks[digest] = b"B" * 500
         with pytest.raises(ChunkCorruptionError, match="digest"):
             store.restore("x")
 
     def test_restore_detects_missing_chunk(self):
         store = ChunkStore(config=SMALL)
         store.ingest("x", b"A" * 500)
-        del store.index[store.objects["x"][0]]
+        del store.chunks[store.objects["x"][0]]
         with pytest.raises(ChunkCorruptionError, match="missing"):
             store.restore("x")
+        assert any("bytes missing" in p for p in store.check_consistency())
 
     def test_prepended_byte_costs_little(self):
         rng = random.Random(0xC0DE)
