@@ -10,7 +10,7 @@ import os
 import tempfile
 import time
 
-from wastekit import RuleSet, ScanOptions, WasteCategory, classify, report, scan
+from wastekit import RuleSet, ScanOptions, WasteCategory, classify, report, scan, snapshot_digest_provider
 
 now = int(time.time())
 # Removed when the script ends, even if it fails part way.
@@ -54,9 +54,11 @@ rules = RuleSet(
 snapshot = scan(root, ScanOptions())
 print(f"scanned {len(snapshot.records)} entries under {root}\n")
 
-for record in snapshot.records:
-    category = classify(record, rules, now=snapshot.taken_at)
-    print(f"  {category.value:<14} {record.path}")
+# Degraded checks read each file under the scan root, as `report` does.
+with snapshot_digest_provider(snapshot) as digest:
+    for record in snapshot.records:
+        category = classify(record, rules, now=snapshot.taken_at, digest_provider=digest)
+        print(f"  {category.value:<14} {record.path}")
 
 rep = report(snapshot, rules)
 print(f"\n% of files never accessed: {rep.never_accessed_files_pct:.1f}")

@@ -8,13 +8,14 @@ The only paths ever written are explicit `-o` targets (and the files a
 confirmed `plan --execute --yes` removes); scanning and reporting never
 modify the tree being examined, atimes included: files and directories
 are read with O_NOATIME, and one warning counts those the kernel
-refused it for (files the caller does not own).
+refused it for (files the caller does not own). Every file a snapshot
+names, whether digested, deduplicated or disposed of, is reached through
+a `TreeOpener` from the snapshot root, never through a symlink.
 """
 
 from __future__ import annotations
 
 import argparse
-import errno
 import json
 import os
 import stat
@@ -36,12 +37,12 @@ from .hierarchy import (
 from .landfill import DigitalLandfill, LandfillConfig, load_trace, replay
 from .model import (
     FileKind,
+    OutsideRoot,
+    TreeOpener,
     WasteCategory,
     atime_moved_count,
     atime_moved_warning,
     load_rules,
-    note_atime_moved,
-    open_noatime,
 )
 from .penalty import SchedulerConfig, load_workload, simulate
 from .scanner import (
@@ -96,15 +97,6 @@ def _warn_atime_moved(since: int) -> None:
         print(f"warning: {atime_moved_warning(moved)}", file=sys.stderr)
 
 
-def _noatime_opener(path: str, flags: int) -> int:
-    # Non-blocking, so opening a FIFO at the path cannot hang; no-follow,
-    # so a symlink swapped in since the scan is not read through.
-    fd, atime_kept = open_noatime(path, flags | os.O_NONBLOCK | os.O_NOFOLLOW)
-    if not atime_kept:
-        note_atime_moved()
-    return fd
-
-
 def _add_rules_arg(sub) -> None:
     sub.add_argument("--rules", help=f"classification rules JSON (default: ${RULES_ENV})")
 
@@ -119,7 +111,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("scan", help="walk a directory tree and write a snapshot")
     p.add_argument("root")
     p.add_argument("-o", "--output", default="-", help="snapshot path ('-' for stdout)")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help="accepted for compatibility; has no effect")
     p.add_argument("--follow-symlinks", action="store_true")
     p.add_argument("--one-filesystem", action="store_true")
     p.add_argument("--exclude", action="append", default=[], metavar="GLOB")
@@ -325,35 +317,6 @@ def _cmd_plan(args) -> int:
     return 0
 
 
-class _OutsideRoot(Exception):
-    pass
-
-
-_DIR_FLAGS = os.O_RDONLY | os.O_DIRECTORY | os.O_NOFOLLOW
-
-
-def _open_parent(root_fd: int, parts: list[str]) -> int:
-    """Open the directory that holds parts[-1] by walking down from
-    root_fd one component at a time, never through a symlink. The
-    returned fd pins that directory: swapping a directory on the path
-    for a symlink afterwards cannot redirect what is done through it."""
-    fd = os.dup(root_fd)
-    try:
-        for name in parts[:-1]:
-            try:
-                child = os.open(name, _DIR_FLAGS, dir_fd=fd)
-            except OSError:
-                if stat.S_ISLNK(os.stat(name, dir_fd=fd, follow_symlinks=False).st_mode):
-                    raise _OutsideRoot from None
-                raise
-            os.close(fd)
-            fd = child
-    except BaseException:
-        os.close(fd)
-        raise
-    return fd
-
-
 def _execute_dispose(root: str, action_plan, snapshot) -> dict:
     """Remove the Regular files the plan marked Dispose. Refuses to run
     at a filesystem root — disposal is the ladder's last resort and the
@@ -363,42 +326,35 @@ def _execute_dispose(root: str, action_plan, snapshot) -> dict:
     check and the unlink act on the same pinned parent directory."""
     if _is_filesystem_root(root):
         raise WastekitError(f"refusing to execute dispose at filesystem root {root!r}")
+    if not os.path.isdir(root):
+        raise WastekitError(f"snapshot root is not a directory: {root!r}")
     records = {rec.path: rec for rec in snapshot.records}
     deleted = 0
     freed = 0
     failures = []
-    root_fd = os.open(root, os.O_RDONLY | os.O_DIRECTORY)
-    try:
+    with TreeOpener(root) as files:
         for entry in action_plan.entries:
             if entry.action is not HierarchyAction.DISPOSE:
                 continue
             rec = records.get(entry.path)
             if rec is None or rec.kind is not FileKind.REGULAR:
                 continue
-            parts = entry.path.split("/")
             try:
-                if any(part in ("", ".", "..") for part in parts):
-                    raise _OutsideRoot
-                parent_fd = _open_parent(root_fd, parts)
-                try:
-                    st = os.stat(parts[-1], dir_fd=parent_fd, follow_symlinks=False)
-                    if not stat.S_ISREG(st.st_mode):
-                        failures.append(f"not a regular file any more, skipped: {entry.path}")
-                        continue
-                    if st.st_size != rec.size_bytes or int(st.st_mtime) != rec.mtime:
-                        failures.append(f"changed since the snapshot, skipped: {entry.path}")
-                        continue
-                    os.unlink(parts[-1], dir_fd=parent_fd)
-                finally:
-                    os.close(parent_fd)
+                parent_fd, name = files.parent(entry.path)
+                st = os.stat(name, dir_fd=parent_fd, follow_symlinks=False)
+                if not stat.S_ISREG(st.st_mode):
+                    failures.append(f"not a regular file any more, skipped: {entry.path}")
+                    continue
+                if st.st_size != rec.size_bytes or int(st.st_mtime) != rec.mtime:
+                    failures.append(f"changed since the snapshot, skipped: {entry.path}")
+                    continue
+                os.unlink(name, dir_fd=parent_fd)
                 deleted += 1
                 freed += entry.bytes_affected
-            except _OutsideRoot:
+            except OutsideRoot:
                 failures.append(f"resolves outside the root, skipped: {entry.path}")
             except OSError as exc:
                 failures.append(f"could not delete {entry.path}: {exc}")
-    finally:
-        os.close(root_fd)
     return {"deleted": deleted, "bytes_freed": freed, "failures": failures}
 
 
@@ -455,21 +411,21 @@ def _cmd_dedup(args) -> int:
     snapshot = scan(args.path) if os.path.isdir(args.path) else read_snapshot(args.path)
     index = ChunkIndex(config=config)
     skipped = []
-    for rec in snapshot.records:
-        if rec.kind is not FileKind.REGULAR:
-            continue
-        try:
-            with open(os.path.join(snapshot.root, rec.path), "rb", buffering=0, opener=_noatime_opener) as fh:
-                regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
-                if regular:
-                    index.ingest_file(rec.path, fh)
-        except OSError as exc:
-            if exc.errno != errno.ELOOP:  # ELOOP: a symlink at the path
-                skipped.append(f"{rec.path}: {exc}")
+    with TreeOpener(snapshot.root) as files:
+        for rec in snapshot.records:
+            if rec.kind is not FileKind.REGULAR:
                 continue
-            regular = False
-        if not regular:
-            skipped.append(f"{rec.path}: not a regular file")
+            try:
+                fd = files.open(rec.path)
+                if fd is None:
+                    skipped.append(f"{rec.path}: not a regular file")
+                    continue
+                with open(fd, "rb", buffering=0) as fh:
+                    index.ingest_file(rec.path, fh)
+            except OutsideRoot:
+                skipped.append(f"{rec.path}: resolves outside the root")
+            except OSError as exc:
+                skipped.append(f"{rec.path}: {exc}")
     _warn_atime_moved(atime_moved)
     stats = index.stats()
     stats["skipped"] = skipped

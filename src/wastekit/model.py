@@ -1,13 +1,14 @@
-"""Core domain types and pure classification logic.
+"""Core domain types, pure classification logic, and `TreeOpener`, the
+one way to open a file that a snapshot names.
 
-Everything here is immutable and side-effect free: records are value
-objects, and `classify` is deterministic given its inputs (content
-digests enter through an injectable provider so callers control where
-bytes come from).
+Records and rules are immutable value objects, and `classify` is
+deterministic given its inputs (content digests enter through an
+injectable provider so callers control where bytes come from).
 """
 
 from __future__ import annotations
 
+import errno
 import fnmatch
 import hashlib
 import json
@@ -281,7 +282,7 @@ def f_lifetime(record: FileRecord) -> int:
 _NOATIME = getattr(os, "O_NOATIME", 0)
 
 
-def open_noatime(path: str, flags: int) -> tuple[int, bool]:
+def open_noatime(path: str, flags: int, dir_fd: int | None = None) -> tuple[int, bool]:
     """`os.open` with O_NOATIME added, so reading through the fd leaves
     the atime alone. The kernel refuses O_NOATIME (EPERM) on a file the
     caller does not own; then the file is opened without it, as it is on
@@ -289,16 +290,14 @@ def open_noatime(path: str, flags: int) -> tuple[int, bool]:
     kept."""
     if _NOATIME:
         try:
-            return os.open(path, flags | _NOATIME), True
+            return os.open(path, flags | _NOATIME, dir_fd=dir_fd), True
         except PermissionError:
             pass
-    return os.open(path, flags), False
+    return os.open(path, flags, dir_fd=dir_fd), False
 
 
 # Reads made without O_NOATIME since the process started. Callers take
-# the difference around a piece of work to warn once about it: a digest
-# provider passes only a path to `sha256_file` and gets only the digest
-# back, so the count cannot travel with the result.
+# the difference around a piece of work to warn once about it.
 _atime_moved = 0
 _atime_moved_lock = threading.Lock()
 
@@ -319,35 +318,121 @@ def atime_moved_warning(count: int) -> str:
     )
 
 
-# Non-blocking, so opening a FIFO cannot hang; not following a final
-# symlink, so a digest only ever reads the file the record names.
-_DIGEST_OPEN_FLAGS = os.O_RDONLY | os.O_NONBLOCK | os.O_NOFOLLOW | os.O_CLOEXEC
-
-
-def sha256_file(path: str) -> str | None:
-    """Lowercase hex sha256 of a file's content, or None if unreadable.
-
-    Anything but a regular file counts as unreadable, and so does a
-    symlink at `path` itself (directories above it may be symlinks). A
-    read that could not keep the file's atime counts in
-    `atime_moved_count`."""
-    try:
-        fd, atime_kept = open_noatime(path, _DIGEST_OPEN_FLAGS)
-    except OSError:
-        return None
+def sha256_file(fd: int) -> str | None:
+    """Lowercase hex sha256 of the regular file open at `fd`, from its
+    offset on; None if it is anything else or a read fails."""
     try:
         if not stat.S_ISREG(os.fstat(fd).st_mode):
             return None
-        if not atime_kept:
-            note_atime_moved()
         h = hashlib.sha256()
         while block := os.read(fd, 1 << 16):
             h.update(block)
     except OSError:
         return None
-    finally:
-        os.close(fd)
     return h.hexdigest()
+
+
+def is_relative(rel: str) -> bool:
+    # Framed in slashes, an absolute path or an empty, '.' or '..'
+    # component shows as '//', '/./' or '/../'. `scan` never writes one.
+    framed = f"/{rel}/"
+    return "//" not in framed and "/./" not in framed and "/../" not in framed
+
+
+class OutsideRoot(OSError):
+    """A record path that leaves its root: through a symlinked directory,
+    or by being absolute or having an empty, '.' or '..' component."""
+
+
+# Directories on the way down are opened without O_NOATIME: opening one
+# does not read it. A file is opened non-blocking, so a FIFO cannot hang.
+_ROOT_FLAGS = os.O_RDONLY | os.O_DIRECTORY | os.O_CLOEXEC
+_DIR_FLAGS = _ROOT_FLAGS | os.O_NOFOLLOW
+_FILE_FLAGS = os.O_RDONLY | os.O_NONBLOCK | os.O_NOFOLLOW | os.O_CLOEXEC
+
+
+class TreeOpener:
+    """Opens the files a snapshot names below its root, never through a
+    symlink, walking down one directory at a time; a context manager, so
+    no fd outlives the pass. The root is opened on first use, so a missing
+    root fails each open, not the `with`. The last path's directories stay
+    open and pinned: with records in path order a sibling costs one
+    `openat`, and swapping a directory for a symlink redirects nothing."""
+
+    def __init__(self, root: str):
+        self.root = root
+        self._names: list[str] = []  # the open directories below the root, outermost first
+        self._fds: list[int] = []  # the root's fd, then one per name in `_names`
+
+    def __enter__(self) -> "TreeOpener":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        while self._fds:
+            os.close(self._fds.pop())
+
+    def parent(self, rel: str) -> tuple[int, str]:
+        """The fd of the directory holding `rel`, open until the next call,
+        and the name of `rel` in it; raises OutsideRoot or OSError."""
+        if not is_relative(rel):
+            raise OutsideRoot(rel)
+        *names, name = rel.split("/")
+        if not self._fds:
+            self._fds.append(os.open(self.root, _ROOT_FLAGS))
+        while self._names != names[: len(self._names)]:
+            self._names.pop()
+            os.close(self._fds.pop())
+        for part in names[len(self._names) :]:
+            try:
+                fd = os.open(part, _DIR_FLAGS, dir_fd=self._fds[-1])
+            except OSError:
+                if stat.S_ISLNK(os.stat(part, dir_fd=self._fds[-1], follow_symlinks=False).st_mode):
+                    raise OutsideRoot(rel) from None
+                raise
+            self._fds.append(fd)
+            self._names.append(part)
+        return self._fds[-1], name
+
+    def open(self, rel: str) -> int | None:
+        """An fd of the regular file at `rel`, for the caller to close, or
+        None if something else is there, a symlink included; raises as
+        `parent` does. A file opened without O_NOATIME is counted."""
+        dir_fd, name = self.parent(rel)
+        try:
+            fd, atime_kept = open_noatime(name, _FILE_FLAGS, dir_fd)
+        except OSError as exc:
+            if exc.errno == errno.ELOOP:  # O_NOFOLLOW met a symlink
+                return None
+            raise
+        try:
+            if not stat.S_ISREG(os.fstat(fd).st_mode):
+                os.close(fd)
+                return None
+        except OSError:
+            os.close(fd)
+            raise
+        if not atime_kept:
+            note_atime_moved()
+        return fd
+
+    def digest(self, rel: str, sha256: Callable[[int], str | None] = sha256_file) -> str | None:
+        """The digest `sha256` gives for the open fd of the regular file at
+        `rel`, or None if there is no such file to read."""
+        try:
+            fd = self.open(rel)
+        except OSError:
+            return None
+        if fd is None:
+            return None
+        try:
+            return sha256(fd)
+        finally:
+            os.close(fd)
+
+
+def _digest_under_cwd(path: str) -> str | None:
+    with TreeOpener(os.curdir) as files:
+        return files.digest(path)
 
 
 def classify(
@@ -363,7 +448,8 @@ def classify(
     the others because corruption dominates any usefulness question.
 
     Degraded checks hash the file content through `digest_provider`
-    (default: read `record.path` from the filesystem); an unreadable
+    (default: read `record.path` under the working directory through a
+    `TreeOpener`); an unreadable
     file counts as degraded, since unreadability is itself a quality
     loss. Content is only read when a degraded glob matches, and only
     for regular files.
@@ -377,7 +463,7 @@ def classify(
         # The first match is a degraded check: no allowlist glob matched.
         if record.kind is FileKind.REGULAR:
             expected = {digest for globs, digest in rules._degraded if globs.matches(path)}
-            provider = digest_provider if digest_provider is not None else sha256_file
+            provider = digest_provider if digest_provider is not None else _digest_under_cwd
             # Degraded unless every matching check expects exactly the
             # content's digest; unreadable content gives None.
             if expected != {provider(path)}:

@@ -14,9 +14,8 @@ import json
 import operator
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from functools import partial
 from itertools import compress, repeat
 from json.encoder import encode_basestring_ascii
 from os import stat_result
@@ -30,10 +29,12 @@ from .model import (
     FileRecord,
     GlobSet,
     RuleSet,
+    TreeOpener,
     WasteCategory,
     atime_moved_count,
     atime_moved_warning,
     classify,
+    is_relative,
     note_atime_moved,
     open_noatime,
     sha256_file,
@@ -47,7 +48,7 @@ class ScanOptions:
     follow_symlinks: bool = False
     one_filesystem: bool = False
     exclude_globs: tuple[str, ...] = ()
-    workers: int = 1
+    workers: int = 1  # checked, and has no effect: the walk runs on the calling thread
 
     def __post_init__(self):
         if self.workers < 1:
@@ -125,14 +126,6 @@ def dump_snapshot(snapshot: Snapshot, fh) -> None:
 _KIND_BY_VALUE = {kind.value: kind for kind in FileKind}
 
 
-def _is_relative(rel: str) -> bool:
-    # Framed in slashes, an absolute path or an empty, '.' or '..'
-    # component shows as '//', '/./' or '/../'. `scan` never writes
-    # one, and `plan --execute` must not follow one out of the root.
-    framed = f"/{rel}/"
-    return "//" not in framed and "/./" not in framed and "/../" not in framed
-
-
 def _checked_record(path: str, lineno: int, line: str) -> FileRecord | None:
     """The record on one snapshot line, or None for a blank line; raises
     a WastekitError naming the file and line if the line is malformed."""
@@ -146,7 +139,7 @@ def _checked_record(path: str, lineno: int, line: str) -> FileRecord | None:
         raise WastekitError(f"snapshot {path} line {lineno} is nested too deeply to parse") from exc
     except WastekitError as exc:
         raise WastekitError(f"snapshot {path} line {lineno}: {exc}") from exc
-    if type(rec.path) is not str or not _is_relative(rec.path):
+    if type(rec.path) is not str or not is_relative(rec.path):
         raise WastekitError(f"snapshot {path} line {lineno}: record path {rec.path!r} must be relative, "
                             "with no empty, '.' or '..' component")
     return rec
@@ -198,7 +191,7 @@ def read_snapshot(path: str) -> Snapshot:
             and mtime >= 0
             and atime >= 0
             and type(rel) is str
-            and _is_relative(rel)
+            and is_relative(rel)
         ):
             append(new_tuple(FileRecord, (rel, size, mtime, atime, kind, allocated)))
         else:
@@ -269,8 +262,8 @@ def scan(root: str, options: ScanOptions | None = None, *, now: int | None = Non
     followed unless `follow_symlinks`. Unreadable subtrees are skipped
     with a warning (a partial snapshot is valid); a missing root is
     fatal. Hardlinked inodes are kept once, under their lexicographically
-    smallest path. Output is independent of `workers`. Directories are
-    listed without moving their atimes wherever the caller owns them.
+    smallest path. `workers` is accepted and has no effect. Directories
+    are listed without moving their atimes wherever the caller owns them.
     """
     opts = options or ScanOptions()
     root_abs = os.path.abspath(root)
@@ -295,61 +288,54 @@ def scan(root: str, options: ScanOptions | None = None, *, now: int | None = Non
     clamped_times = future = atime_before_mtime = atime_moved_dirs = 0
     follow, one_filesystem = opts.follow_symlinks, opts.one_filesystem
     excluded = GlobSet(opts.exclude_globs).matches if opts.exclude_globs else None
-    read_dir = partial(_read_dir, follow_symlinks=follow)
 
-    pool = ThreadPoolExecutor(max_workers=opts.workers) if opts.workers > 1 else None
-    try:
-        level = [("", root_abs)]
-        while level:
-            level.sort(key=_BY_PATH)
-            dirs = [ab for _, ab in level]
-            listings = pool.map(read_dir, dirs) if pool is not None else map(read_dir, dirs)
-            next_level = []
-            for (rel, ab), (pairs, err, atime_kept) in zip(level, listings):
-                if not atime_kept:
-                    atime_moved_dirs += 1
-                if err is not None:
-                    if not rel:
-                        raise WastekitError(f"scan root is not readable: {root}: {err}")
-                    warnings.append(f"unreadable directory skipped: {rel}: {err}")
+    level = [("", root_abs)]
+    while level:
+        level.sort(key=_BY_PATH)
+        next_level = []
+        for rel, ab in level:
+            pairs, err, atime_kept = _read_dir(ab, follow)
+            if not atime_kept:
+                atime_moved_dirs += 1
+            if err is not None:
+                if not rel:
+                    raise WastekitError(f"scan root is not readable: {root}: {err}")
+                warnings.append(f"unreadable directory skipped: {rel}: {err}")
+                continue
+            prefix = f"{rel}/" if rel else ""
+            for name, st in pairs:
+                child_rel = prefix + name
+                if excluded is not None and excluded(child_rel):
                     continue
-                prefix = f"{rel}/" if rel else ""
-                for name, st in pairs:
-                    child_rel = prefix + name
-                    if excluded is not None and excluded(child_rel):
-                        continue
-                    if type(st) is not stat_result:
-                        warnings.append(f"unreadable entry skipped: {child_rel}: {st}")
-                        continue
-                    mode = st.st_mode
-                    mtime, atime = int(st.st_mtime), int(st.st_atime)
-                    if mtime < 0 or atime < 0:
-                        clamped_times += 1
-                        mtime, atime = max(0, mtime), max(0, atime)
-                    if mtime > taken_at or atime > taken_at:
-                        future += 1
-                    if S_ISREG(mode):
-                        if atime < mtime:
-                            atime_before_mtime += 1
-                        if st.st_nlink > 1:
-                            linked[child_rel] = (st.st_dev, st.st_ino)
-                        append(new_record(FileRecord, (child_rel, st.st_size, mtime, atime, regular, st.st_blocks * 512)))
-                    elif S_ISDIR(mode):
-                        append(new_record(FileRecord, (child_rel, 0, mtime, atime, directory, None)))
-                        key = (st.st_dev, st.st_ino)
-                        if key not in visited_dirs and (not one_filesystem or st.st_dev == root_dev):
-                            visited_dirs.add(key)
-                            next_level.append((child_rel, os.path.join(ab, name)))
-                    elif S_ISLNK(mode):
-                        if follow:
-                            warnings.append(f"broken symlink recorded unfollowed: {child_rel}")
-                        append(new_record(FileRecord, (child_rel, st.st_size, mtime, atime, symlink, None)))
-                    else:
-                        append(new_record(FileRecord, (child_rel, 0, mtime, atime, other, None)))
-            level = next_level
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False)
+                if type(st) is not stat_result:
+                    warnings.append(f"unreadable entry skipped: {child_rel}: {st}")
+                    continue
+                mode = st.st_mode
+                mtime, atime = int(st.st_mtime), int(st.st_atime)
+                if mtime < 0 or atime < 0:
+                    clamped_times += 1
+                    mtime, atime = max(0, mtime), max(0, atime)
+                if mtime > taken_at or atime > taken_at:
+                    future += 1
+                if S_ISREG(mode):
+                    if atime < mtime:
+                        atime_before_mtime += 1
+                    if st.st_nlink > 1:
+                        linked[child_rel] = (st.st_dev, st.st_ino)
+                    append(new_record(FileRecord, (child_rel, st.st_size, mtime, atime, regular, st.st_blocks * 512)))
+                elif S_ISDIR(mode):
+                    append(new_record(FileRecord, (child_rel, 0, mtime, atime, directory, None)))
+                    key = (st.st_dev, st.st_ino)
+                    if key not in visited_dirs and (not one_filesystem or st.st_dev == root_dev):
+                        visited_dirs.add(key)
+                        next_level.append((child_rel, os.path.join(ab, name)))
+                elif S_ISLNK(mode):
+                    if follow:
+                        warnings.append(f"broken symlink recorded unfollowed: {child_rel}")
+                    append(new_record(FileRecord, (child_rel, st.st_size, mtime, atime, symlink, None)))
+                else:
+                    append(new_record(FileRecord, (child_rel, 0, mtime, atime, other, None)))
+        level = next_level
 
     if clamped_times:
         warnings.append(f"negative timestamps clamped to 0 on {clamped_times} entr(ies)")
@@ -418,16 +404,23 @@ class WasteReport:
         }
 
 
-def snapshot_digest_provider(snapshot: Snapshot, failures: list[str] | None = None) -> DigestProvider:
-    """Provider resolving record paths against the snapshot root."""
+@contextmanager
+def snapshot_digest_provider(snapshot: Snapshot, failures: list[str] | None = None):
+    """A provider reading each record path once under the snapshot root,
+    for the length of the `with`; unreadable paths go to `failures`."""
+    memo: dict[str, str | None] = {}
+    with TreeOpener(snapshot.root) as files:
 
-    def provider(rel_path: str) -> str | None:
-        digest = sha256_file(os.path.join(snapshot.root, rel_path))
-        if digest is None and failures is not None:
-            failures.append(rel_path)
-        return digest
+        def provider(rel_path: str) -> str | None:
+            if rel_path not in memo:
+                # `sha256_file` is looked up here on each call: perfbench's
+                # tracer wraps it in this module.
+                memo[rel_path] = digest = files.digest(rel_path, sha256_file)
+                if digest is None and failures is not None:
+                    failures.append(rel_path)
+            return memo[rel_path]
 
-    return provider
+        yield provider
 
 
 def classify_snapshot(
@@ -438,10 +431,10 @@ def classify_snapshot(
     in record order, and the paths the default provider, which reads files
     under the snapshot root, could not read for a degraded check."""
     digest_failures: list[str] = []
-    if digest_provider is None:
-        digest_provider = snapshot_digest_provider(snapshot, digest_failures)
     now = snapshot.taken_at
-    categories = [classify(rec, rules, now, digest_provider) for rec in snapshot.records]
+    with snapshot_digest_provider(snapshot, digest_failures) as default:
+        provider = digest_provider or default
+        categories = [classify(rec, rules, now, provider) for rec in snapshot.records]
     return categories, digest_failures
 
 
@@ -513,15 +506,18 @@ def diff(
     """Set-diff two snapshots and track NotWaste <-> waste transitions.
 
     Each snapshot is classified at its own capture time. Both snapshots
-    must share the same root.
+    must share the same root. A degraded check reads the file as it is
+    now under that root, so the default providers are one, and each
+    checked file is read once.
     """
     if old.root != new.root:
         raise WastekitError(f"snapshots have different roots: {old.root!r} vs {new.root!r}")
     old_paths = {rec.path for rec in old.records}
     new_paths = {rec.path for rec in new.records}
     shared = old_paths & new_paths
-    old_waste = _waste_by_path(old, shared, rules, old_digest_provider)
-    new_waste = _waste_by_path(new, shared, rules, new_digest_provider)
+    with snapshot_digest_provider(new) as current:
+        old_waste = _waste_by_path(old, shared, rules, old_digest_provider or current)
+        new_waste = _waste_by_path(new, shared, rules, new_digest_provider or current)
     shared_sorted = sorted(shared)
     return ChurnReport(
         added=sorted(new_paths - old_paths),
@@ -531,9 +527,7 @@ def diff(
     )
 
 
-def _waste_by_path(
-    snapshot: Snapshot, paths: set[str], rules: RuleSet, digest_provider: DigestProvider | None
-) -> dict[str, bool]:
+def _waste_by_path(snapshot: Snapshot, paths: set[str], rules: RuleSet, digest_provider: DigestProvider) -> dict[str, bool]:
     """Whether each record under `paths` is waste. Only those are classified,
     so no digest is read from a removed file."""
     kept = replace(snapshot, records=[rec for rec in snapshot.records if rec.path in paths])

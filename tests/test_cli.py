@@ -1022,9 +1022,145 @@ class TestReadsLeaveNoTrace:
         moved = [w for w in report["warnings"] if w.startswith("atime moved")]
         assert moved == [atime_moved_warning(dirs), atime_moved_warning(checked)]
         # Elsewhere the count goes to stderr, once. `diff` reads each checked
-        # file once per snapshot; `dedup DIR` lists the directories too.
-        for (command, _, err), moved in zip(results[3:], [2 * checked, checked, checked, dirs + regular, regular]):
+        # file once for both snapshots; `dedup DIR` lists the directories too.
+        for (command, _, err), moved in zip(results[3:], [checked, checked, checked, dirs + regular, regular]):
             assert err == f"warning: {atime_moved_warning(moved)}\n", command
+
+
+# -- reads stay below the root ------------------------------------------
+
+
+class TestReadsStayBelowTheRoot:
+    """Every file a snapshot names is reached from its root one directory
+    at a time, never through a symlink: not one swapped in for a directory
+    since the scan, and not one that `scan --follow-symlinks` followed.
+    The link's target holds a file with the expected digest, so reading
+    through the link would count it intact."""
+
+    EXPECTED = b"expected bytes\n"
+
+    def rules(self, tmp_path):
+        path = tmp_path / "rules.json"
+        check = {"glob": "*.bin", "sha256": hashlib.sha256(self.EXPECTED).hexdigest()}
+        path.write_text(json.dumps({"degraded_checks": [check], "used_threshold_secs": 1}))
+        return str(path)
+
+    @pytest.fixture
+    def swapped(self, capsys, tmp_path):
+        """A snapshot of tree/sub/x.bin, then sub replaced by a symlink to
+        a directory outside the tree that holds an intact x.bin."""
+        tree, outside = tmp_path / "tree", tmp_path / "outside"
+        (tree / "sub").mkdir(parents=True)
+        outside.mkdir()
+        (tree / "sub" / "x.bin").write_bytes(b"scanned")
+        (outside / "x.bin").write_bytes(self.EXPECTED)
+        then = time.time() - 1000
+        os.utime(tree / "sub" / "x.bin", (then, then))  # never read since written: NotWaste if intact
+        snap = scan_to(capsys, tree, tmp_path / "t.snap")
+        shutil.rmtree(tree / "sub")
+        (tree / "sub").symlink_to("../outside", target_is_directory=True)
+        return tree, snap, self.rules(tmp_path)
+
+    @pytest.mark.parametrize("command", ["report", "diff", "plan", "recover", "dedup"])
+    def test_directory_swapped_for_a_symlink_is_not_read_through(self, capsys, tmp_path, swapped, command):
+        tree, snap, rules = swapped
+        if command == "report":
+            obj = cli_json(capsys, "--format", "json", "report", snap, "--rules", rules)
+            assert obj["per_category"]["Degraded"] == {"files": 1, "bytes": 7}
+            assert "digest unreadable, file counted Degraded: sub/x.bin" in obj["warnings"]
+        elif command == "diff":
+            # In the older snapshot x.bin had been read since it was written,
+            # so it was Used if intact, and would count reactivated now.
+            lines = [json.loads(line) for line in open(snap, encoding="utf-8")]
+            for rec in lines[1:]:
+                if rec["path"] == "sub/x.bin":
+                    rec["atime"] = rec["mtime"] + 1
+            old = tmp_path / "old.snap"
+            old.write_text("".join(json.dumps(obj) + "\n" for obj in lines))
+            obj = cli_json(capsys, "--format", "json", "diff", str(old), snap, "--rules", rules)
+            assert (obj["became_waste"], obj["reactivated"]) == ([], [])  # Degraded in both
+        elif command == "plan":
+            obj = cli_json(capsys, "--format", "json", "plan", snap, "--rules", rules)
+            assert [(e["path"], e["category"]) for e in obj["plan"]["entries"]] == [("sub/x.bin", "Degraded")]
+        elif command == "recover":
+            obj = cli_json(capsys, "--format", "json", "recover", snap, "--rules", rules)
+            assert (obj["waste_files"], obj["waste_bytes"]) == (1, 7)
+        else:
+            obj = cli_json(capsys, "--format", "json", "dedup", snap)
+            assert (obj["objects"], obj["logical_bytes"]) == (0, 0)
+            assert obj["skipped"] == ["sub/x.bin: resolves outside the root"]
+
+    def test_directory_followed_by_scan_is_not_read_through(self, capsys, tmp_path):
+        tree, outside = tmp_path / "tree", tmp_path / "outside"
+        tree.mkdir()
+        outside.mkdir()
+        (outside / "x.bin").write_bytes(self.EXPECTED)
+        (tree / "link").symlink_to("../outside", target_is_directory=True)
+        snap = str(tmp_path / "t.snap")
+        code, _, err = cli(capsys, "scan", str(tree), "--follow-symlinks", "-o", snap)
+        assert code == 0, err
+        rules = self.rules(tmp_path)
+        obj = cli_json(capsys, "--format", "json", "report", snap, "--rules", rules)
+        assert obj["per_category"]["Degraded"] == {"files": 1, "bytes": len(self.EXPECTED)}
+        assert "digest unreadable, file counted Degraded: link/x.bin" in obj["warnings"]
+        obj = cli_json(capsys, "--format", "json", "dedup", snap)
+        assert obj["skipped"] == ["link/x.bin: resolves outside the root"]
+
+    def test_digest_wrapper_may_size_its_argument(self, capsys, tmp_path, monkeypatch):
+        # perfbench's tracer swaps `wastekit.scanner.sha256_file` for a
+        # wrapper that calls os.path.getsize on the argument afterwards. A
+        # checked file deleted since the scan must still count Degraded.
+        from wastekit import scanner
+
+        tree = tmp_path / "tree"
+        tree.mkdir()
+        (tree / "a.bin").write_bytes(self.EXPECTED)
+        (tree / "gone.bin").write_bytes(self.EXPECTED)
+        snap = scan_to(capsys, tree, tmp_path / "t.snap")
+        (tree / "gone.bin").unlink()
+        real, calls = scanner.sha256_file, []
+
+        def sized(arg):
+            out = real(arg)
+            calls.append(os.path.getsize(arg))
+            return out
+
+        monkeypatch.setattr(scanner, "sha256_file", sized)
+        code, out, err = cli(capsys, "--format", "json", "report", snap, "--rules", self.rules(tmp_path))
+        assert code == 0, err
+        obj = json.loads(out)
+        assert obj["per_category"]["Degraded"] == {"files": 1, "bytes": len(self.EXPECTED)}
+        assert "digest unreadable, file counted Degraded: gone.bin" in obj["warnings"]
+        assert calls == [len(self.EXPECTED)]  # a.bin, digested through the wrapper
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_no_fd_outlives_a_command(self, capsys, tmp_path, swapped):
+        tree, snap, rules = swapped
+        for d in ("a", "a/b", "c"):
+            (tree / d).mkdir()
+        for path in ("a/one.bin", "a/b/two.bin", "a/b/three.junk", "c/four.bin"):
+            (tree / path).write_bytes(self.EXPECTED)
+        (tree / "five.bin").write_bytes(b"corrupt")
+        full = scan_to(capsys, tree, tmp_path / "full.snap")
+        (tree / "a" / "b" / "two.bin").unlink()
+        (tree / "c" / "four.bin").write_bytes(b"changed")
+        commands = [
+            ["report", snap, "--rules", rules],
+            ["report", full, "--rules", rules],
+            ["diff", snap, full, "--rules", rules],
+            ["diff", full, full, "--rules", rules],
+            ["recover", full, "--rules", rules],
+            ["dedup", snap],
+            ["dedup", full],
+            ["dedup", str(tree)],
+            ["plan", full, "--rules", rules, "--execute", "--yes"],
+        ]
+        for argv in commands:
+            before = sorted(os.listdir("/proc/self/fd"))
+            code, _, err = cli(capsys, "--format", "json", *argv)
+            assert sorted(os.listdir("/proc/self/fd")) == before, argv
+            assert code == 0, (argv, err)
+        assert not (tree / "five.bin").exists()  # Degraded, so --execute disposed of it
 
 
 # -- dedup / recover -----------------------------------------------------
