@@ -27,9 +27,9 @@ from .dedupe import ChunkStore  # unused here; perfbench's tracer looks the name
 from .errors import WastekitError
 from .hierarchy import (
     CostModel,
-    FeasibilityMask,
     HierarchyAction,
     MaskRules,
+    dump_plan,
     estimate_cost,
     load_mask_rules,
     plan as build_plan,
@@ -46,6 +46,7 @@ from .model import (
 )
 from .penalty import SchedulerConfig, load_workload, simulate
 from .scanner import (
+    DIGEST_UNREADABLE,
     ScanOptions,
     classify_snapshot,
     diff,
@@ -57,15 +58,6 @@ from .scanner import (
 )
 
 RULES_ENV = "WASTEKIT_RULES"
-
-CATEGORY_ORDER = (
-    WasteCategory.UNINTENTIONAL,
-    WasteCategory.USED,
-    WasteCategory.DEGRADED,
-    WasteCategory.UNWANTED,
-    WasteCategory.NOT_WASTE,
-)
-
 
 class _UsageError(Exception):
     pass
@@ -89,9 +81,11 @@ def _rules_path(args) -> str:
     return path
 
 
-def _warn_atime_moved(since: int) -> None:
-    """One warning for the files and directories read since the tally
-    stood at `since` whose atimes could not be kept."""
+def _warn_reads(since: int, digest_failures=()) -> None:
+    """Warn as `report` does: about each checked file that could not be
+    read, then once about the reads since `since` that moved atimes."""
+    for path in digest_failures:
+        print(f"warning: {DIGEST_UNREADABLE}{path}", file=sys.stderr)
     moved = atime_moved_count() - since
     if moved:
         print(f"warning: {atime_moved_warning(moved)}", file=sys.stderr)
@@ -232,7 +226,7 @@ def _cmd_report(args) -> int:
     print(f"% of files never accessed: {rep.never_accessed_files_pct:.1f}")
     print(f"% of used space never accessed: {rep.never_accessed_space_pct:.1f}")
     print(f"{'category':<14}{'files':>10}{'bytes':>16}")
-    for cat in CATEGORY_ORDER:
+    for cat in WasteCategory:
         files, nbytes = rep.per_category[cat]
         print(f"{cat.value:<14}{files:>10}{nbytes:>16}")
     for w in rep.warnings:
@@ -246,7 +240,7 @@ def _cmd_diff(args) -> int:
     rules = load_rules(_rules_path(args))
     atime_moved = atime_moved_count()
     churn = diff(old, new, rules)
-    _warn_atime_moved(atime_moved)
+    _warn_reads(atime_moved, churn.digest_failures)
     if args.format == "json":
         _print_json(churn.to_json_obj())
         return 0
@@ -274,10 +268,10 @@ def _is_filesystem_root(path: str) -> bool:
 def _cmd_plan(args) -> int:
     snapshot = read_snapshot(args.snapshot)
     rules = load_rules(_rules_path(args))
-    masks = load_mask_rules(args.masks) if args.masks else MaskRules(default=FeasibilityMask())
+    masks = load_mask_rules(args.masks) if args.masks else MaskRules()
     atime_moved = atime_moved_count()
-    categories, _ = classify_snapshot(snapshot, rules)
-    _warn_atime_moved(atime_moved)
+    categories, digest_failures = classify_snapshot(snapshot, rules)
+    _warn_reads(atime_moved, digest_failures)
     entries = [
         (rec, category, masks.mask_for(rec.path))
         for rec, category in zip(snapshot.records, categories)
@@ -296,10 +290,7 @@ def _cmd_plan(args) -> int:
         executed = _execute_dispose(snapshot.root, action_plan, snapshot)
 
     if args.format == "json":
-        obj = {"root": snapshot.root, "plan": action_plan.to_json_obj(), "cost": cost.to_json_obj()}
-        if executed is not None:
-            obj["executed"] = executed
-        _print_json(obj)
+        dump_plan(sys.stdout, snapshot.root, action_plan, cost, executed)
         return 0
     for action in sorted(action_plan.totals, key=int):
         files, nbytes = action_plan.totals[action]
@@ -426,7 +417,7 @@ def _cmd_dedup(args) -> int:
                 skipped.append(f"{rec.path}: resolves outside the root")
             except OSError as exc:
                 skipped.append(f"{rec.path}: {exc}")
-    _warn_atime_moved(atime_moved)
+    _warn_reads(atime_moved)
     stats = index.stats()
     stats["skipped"] = skipped
     if args.format == "json":
@@ -447,7 +438,7 @@ def _cmd_recover(args) -> int:
     rules = load_rules(_rules_path(args))
     atime_moved = atime_moved_count()
     summary = recover_summary(snapshot, rules)
-    _warn_atime_moved(atime_moved)
+    _warn_reads(atime_moved, summary.digest_failures)
     _print_json(summary.to_json_obj())
     return 0
 

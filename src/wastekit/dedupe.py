@@ -440,6 +440,7 @@ class RecoverSummary:
     age_histogram: dict
     waste_files: int
     waste_bytes: int
+    digest_failures: list[str] = field(default_factory=list)  # not in the JSON
 
     def to_json_obj(self) -> dict:
         def hist(d: dict) -> dict:
@@ -455,7 +456,7 @@ class RecoverSummary:
 
 
 def recover_summary(snapshot: Snapshot, rules: RuleSet, digest_provider=None) -> RecoverSummary:
-    categories, _ = classify_snapshot(snapshot, rules, digest_provider)
+    categories, digest_failures = classify_snapshot(snapshot, rules, digest_provider)
     ext_hist: dict[str, list] = {}
     size_hist: dict[str, list] = {}
     age_hist: dict[str, list] = {}
@@ -481,4 +482,5 @@ def recover_summary(snapshot: Snapshot, rules: RuleSet, digest_provider=None) ->
         age_histogram={k: tuple(v) for k, v in age_hist.items()},
         waste_files=files,
         waste_bytes=total,
+        digest_failures=digest_failures,
     )

@@ -1,8 +1,9 @@
 """Action planning over classified waste and flash-aware cost reporting.
 
 Actions form a fixed preference ladder; the planner picks the
-highest-ranked feasible action per object. Cost is reporting only:
-it never influences which action is chosen.
+highest-ranked feasible action per object, searching the ladder once
+per distinct mask, which the objects one mask rule matches all share.
+Cost is reporting only: it never influences which action is chosen.
 """
 
 from __future__ import annotations
@@ -11,9 +12,11 @@ import json
 from dataclasses import dataclass, field
 from enum import IntEnum
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 from .errors import WastekitError
-from .model import FileRecord, GlobSet, WasteCategory, _validate_globs
+from .model import FileRecord, GlobSet, WasteCategory, _validate_globs, load_json_file
 
 
 class HierarchyAction(IntEnum):
@@ -37,15 +40,8 @@ class HierarchyAction(IntEnum):
         return _ACTION_LABELS[self]
 
 
-_ACTION_LABELS = {
-    HierarchyAction.ZERO_WASTE: "ZeroWaste",
-    HierarchyAction.REDUCE: "Reduce",
-    HierarchyAction.REUSE: "Reuse",
-    HierarchyAction.RECYCLE: "Recycle",
-    HierarchyAction.RECOVER: "Recover",
-    HierarchyAction.DISPOSE: "Dispose",
-    HierarchyAction.PHYSICAL_ELIMINATION: "PhysicalElimination",
-}
+# The names in CamelCase: ZERO_WASTE is "ZeroWaste".
+_ACTION_LABELS = {action: action.name.title().replace("_", "") for action in HierarchyAction}
 
 SELECTABLE_ACTIONS = (
     HierarchyAction.REDUCE,
@@ -61,17 +57,13 @@ class FeasibilityMask:
     """Which ladder rungs are available for one object.
 
     Disposal is always possible, so only the upper four rungs are
-    inputs; `dispose_ok` is a constant.
+    inputs.
     """
 
     reduce_ok: bool = False
     reuse_ok: bool = False
     recycle_ok: bool = False
     recover_ok: bool = False
-
-    @property
-    def dispose_ok(self) -> bool:
-        return True
 
     def allows(self, action: HierarchyAction) -> bool:
         if action is HierarchyAction.DISPOSE:
@@ -123,20 +115,13 @@ class CostModel:
         return cls(device_kind=kind_norm if kind_norm != "OTHER" else "Other", **kwargs)
 
 
-@dataclass(frozen=True)
-class PlanEntry:
+class PlanEntry(NamedTuple):
+    """The action chosen for one object; a tuple, as one is built per entry."""
+
     path: str
     category: WasteCategory
     action: HierarchyAction
     bytes_affected: int
-
-    def to_json_obj(self) -> dict:
-        return {
-            "path": self.path,
-            "category": self.category.value,
-            "action": self.action.label,
-            "bytes_affected": self.bytes_affected,
-        }
 
 
 @dataclass
@@ -145,15 +130,6 @@ class ActionPlan:
 
     entries: list[PlanEntry]
     totals: dict[HierarchyAction, tuple[int, int]]  # action -> (count, bytes)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "entries": [e.to_json_obj() for e in self.entries],
-            "totals": {
-                action.label: {"files": count, "bytes": nbytes}
-                for action, (count, nbytes) in self.totals.items()
-            },
-        }
 
 
 def plan(entries: list[tuple[FileRecord, WasteCategory, FeasibilityMask]]) -> ActionPlan:
@@ -168,13 +144,22 @@ def plan(entries: list[tuple[FileRecord, WasteCategory, FeasibilityMask]]) -> Ac
     is zero.
     """
     plan_entries = []
+    append = plan_entries.append
+    new_entry = tuple.__new__  # PlanEntry's own __new__ is Python code
+    # Keyed on `id(mask)`, as hashing the dataclass runs Python code per
+    # entry; `masks_seen` keeps each mask alive, so no id is reused.
+    chosen_by_mask: dict[int, HierarchyAction] = {}
+    masks_seen = []
     totals = {action: [0, 0] for action in SELECTABLE_ACTIONS}
     for record, category, mask in entries:
         if category is WasteCategory.NOT_WASTE:
             raise WastekitError(f"cannot plan an action for NotWaste entry: {record.path}")
-        chosen = next(a for a in SELECTABLE_ACTIONS if mask.allows(a))
+        chosen = chosen_by_mask.get(id(mask))
+        if chosen is None:
+            masks_seen.append(mask)
+            chosen = chosen_by_mask[id(mask)] = next(a for a in SELECTABLE_ACTIONS if mask.allows(a))
         nbytes = 0 if chosen is HierarchyAction.REDUCE else record.size_bytes
-        plan_entries.append(PlanEntry(path=record.path, category=category, action=chosen, bytes_affected=nbytes))
+        append(new_entry(PlanEntry, (record.path, category, chosen, nbytes)))
         totals[chosen][0] += 1
         totals[chosen][1] += nbytes
     return ActionPlan(entries=plan_entries, totals={a: (c, b) for a, (c, b) in totals.items()})
@@ -195,6 +180,27 @@ class CostReport:
             "endurance_fraction": float(self.endurance_fraction),
             "energy_units": self.energy_units,
         }
+
+
+def dump_plan(fh, root: str, action_plan: ActionPlan, cost: CostReport, executed: dict | None = None) -> None:
+    """Write `plan`'s JSON object as one line: the bytes `json.dumps(obj,
+    sort_keys=True)` gives when sizes are ints, as `read_snapshot` ensures.
+    Each entry is one f-string, keys sorted and the path quoted by the C
+    function `json.dumps` uses; labels and category values are plain words."""
+    quote, labels = encode_basestring_ascii, _ACTION_LABELS
+    entries = ", ".join(
+        [
+            f'{{"action": "{labels[action]}", "bytes_affected": {nbytes}, '
+            f'"category": "{category._value_}", "path": {quote(path)}}}'
+            for path, category, action, nbytes in action_plan.entries
+        ]
+    )
+    totals = {action.label: {"files": count, "bytes": nbytes} for action, (count, nbytes) in action_plan.totals.items()}
+    executed_json = "" if executed is None else f', "executed": {json.dumps(executed, sort_keys=True)}'
+    fh.write(
+        f'{{"cost": {json.dumps(cost.to_json_obj(), sort_keys=True)}{executed_json}, "plan": {{"entries": [{entries}], '
+        f'"totals": {json.dumps(totals, sort_keys=True)}}}, "root": {quote(root)}}}\n'
+    )
 
 
 def estimate_cost(action_plan: ActionPlan, model: CostModel) -> CostReport:
@@ -253,15 +259,7 @@ def _mask_from_obj(obj, where: str) -> FeasibilityMask:
 
 
 def load_mask_rules(path: str) -> MaskRules:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise WastekitError(f"cannot read masks file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise WastekitError(f"masks file {path} is not valid JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise WastekitError(f"masks file {path} is nested too deeply to parse") from exc
+    obj = load_json_file(path, "masks file")
     if not isinstance(obj, dict) or set(obj) - {"rules", "default"} or not isinstance(obj.get("rules", []), list):
         raise WastekitError("masks config must be a JSON object with a 'rules' list and optional 'default'")
     rules = []

@@ -253,18 +253,23 @@ def ruleset_from_json_obj(obj: dict) -> RuleSet:
     )
 
 
-def load_rules(path: str) -> RuleSet:
-    """Load and validate a rules config file (JSON)."""
+def load_json_file(path: str, what: str, error: type[WastekitError] = WastekitError):
+    """The JSON value in the config file at `path`; raises `error`, naming
+    the file as `what`, if it cannot be read or parsed."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            return json.load(fh)
     except (OSError, UnicodeDecodeError) as exc:
-        raise RuleSetError(f"cannot read rules file {path}: {exc}") from exc
+        raise error(f"cannot read {what} {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise RuleSetError(f"rules file {path} is not valid JSON: {exc}") from exc
+        raise error(f"{what} {path} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
-        raise RuleSetError(f"rules file {path} is nested too deeply to parse") from exc
-    return ruleset_from_json_obj(obj)
+        raise error(f"{what} {path} is nested too deeply to parse") from exc
+
+
+def load_rules(path: str) -> RuleSet:
+    """Load and validate a rules config file (JSON)."""
+    return ruleset_from_json_obj(load_json_file(path, "rules file", RuleSetError))
 
 
 def f_lifetime(record: FileRecord) -> int:

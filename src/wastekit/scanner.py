@@ -41,6 +41,7 @@ from .model import (
 )
 
 SNAPSHOT_FORMAT = "wastekit-snapshot-v1"
+DIGEST_UNREADABLE = "digest unreadable, file counted Degraded: "  # then the path
 
 
 @dataclass(frozen=True)
@@ -464,7 +465,7 @@ def report(snapshot: Snapshot, rules: RuleSet, digest_provider: DigestProvider |
     if not snapshot.atime_reliable:
         warnings.append("atime may be unreliable: some files have atime < mtime (copied timestamps or noatime mount)")
     for path in digest_failures:
-        warnings.append(f"digest unreadable, file counted Degraded: {path}")
+        warnings.append(f"{DIGEST_UNREADABLE}{path}")
     if atime_moved:
         warnings.append(atime_moved_warning(atime_moved))
 
@@ -486,6 +487,7 @@ class ChurnReport:
     removed: list[str]
     became_waste: list[str]
     reactivated: list[str]
+    digest_failures: list[str] = field(default_factory=list)  # not in the JSON
 
     def to_json_obj(self) -> dict:
         return {
@@ -515,7 +517,8 @@ def diff(
     old_paths = {rec.path for rec in old.records}
     new_paths = {rec.path for rec in new.records}
     shared = old_paths & new_paths
-    with snapshot_digest_provider(new) as current:
+    digest_failures: list[str] = []
+    with snapshot_digest_provider(new, digest_failures) as current:
         old_waste = _waste_by_path(old, shared, rules, old_digest_provider or current)
         new_waste = _waste_by_path(new, shared, rules, new_digest_provider or current)
     shared_sorted = sorted(shared)
@@ -524,6 +527,7 @@ def diff(
         removed=sorted(old_paths - new_paths),
         became_waste=[path for path in shared_sorted if new_waste[path] and not old_waste[path]],
         reactivated=[path for path in shared_sorted if old_waste[path] and not new_waste[path]],
+        digest_failures=digest_failures,
     )
 
 

@@ -1061,6 +1061,15 @@ class TestReadsStayBelowTheRoot:
         (tree / "sub").symlink_to("../outside", target_is_directory=True)
         return tree, snap, self.rules(tmp_path)
 
+    WARNING = "warning: digest unreadable, file counted Degraded: sub/x.bin"
+
+    def json_and_warning(self, capsys, *argv):
+        """The command's JSON; its stderr names the unread file once."""
+        code, out, err = cli(capsys, "--format", "json", *argv)
+        assert code == 0, err
+        assert err.splitlines().count(self.WARNING) == 1, err
+        return json.loads(out)
+
     @pytest.mark.parametrize("command", ["report", "diff", "plan", "recover", "dedup"])
     def test_directory_swapped_for_a_symlink_is_not_read_through(self, capsys, tmp_path, swapped, command):
         tree, snap, rules = swapped
@@ -1077,13 +1086,13 @@ class TestReadsStayBelowTheRoot:
                     rec["atime"] = rec["mtime"] + 1
             old = tmp_path / "old.snap"
             old.write_text("".join(json.dumps(obj) + "\n" for obj in lines))
-            obj = cli_json(capsys, "--format", "json", "diff", str(old), snap, "--rules", rules)
+            obj = self.json_and_warning(capsys, "diff", str(old), snap, "--rules", rules)
             assert (obj["became_waste"], obj["reactivated"]) == ([], [])  # Degraded in both
         elif command == "plan":
-            obj = cli_json(capsys, "--format", "json", "plan", snap, "--rules", rules)
+            obj = self.json_and_warning(capsys, "plan", snap, "--rules", rules)
             assert [(e["path"], e["category"]) for e in obj["plan"]["entries"]] == [("sub/x.bin", "Degraded")]
         elif command == "recover":
-            obj = cli_json(capsys, "--format", "json", "recover", snap, "--rules", rules)
+            obj = self.json_and_warning(capsys, "recover", snap, "--rules", rules)
             assert (obj["waste_files"], obj["waste_bytes"]) == (1, 7)
         else:
             obj = cli_json(capsys, "--format", "json", "dedup", snap)

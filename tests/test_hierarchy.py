@@ -4,7 +4,10 @@ import itertools
 import json
 import random
 
+import io
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wastekit.errors import WastekitError
 from wastekit.hierarchy import (
@@ -13,6 +16,7 @@ from wastekit.hierarchy import (
     CostModel,
     FeasibilityMask,
     HierarchyAction,
+    dump_plan,
     estimate_cost,
     load_mask_rules,
     plan,
@@ -105,6 +109,123 @@ def test_reduce_touches_no_bytes():
     entry = plan([(make_record(size=500), WasteCategory.UNINTENTIONAL, FeasibilityMask(reduce_ok=True))]).entries[0]
     assert entry.action is HierarchyAction.REDUCE
     assert entry.bytes_affected == 0
+
+
+_MASKS = st.builds(FeasibilityMask, st.booleans(), st.booleans(), st.booleans(), st.booleans())
+
+
+def _ladder_search(mask):
+    return next(a for a in SELECTABLE_ACTIONS if mask.allows(a))
+
+
+@settings(max_examples=200, deadline=None)
+@given(masks=st.lists(_MASKS, min_size=1, max_size=6), picks=st.lists(st.tuples(st.integers(0, 5), st.booleans())))
+def test_choice_equals_per_entry_ladder_search(masks, picks):
+    # A pick names one of the mask objects, shared by every entry that
+    # picks it, or asks for an equal mask that is a distinct object.
+    entries = []
+    for i, (k, fresh) in enumerate(picks):
+        mask = masks[k % len(masks)]
+        if fresh:
+            mask = FeasibilityMask(mask.reduce_ok, mask.reuse_ok, mask.recycle_ok, mask.recover_ok)
+        entries.append((make_record(path=f"f{i}"), WasteCategory.USED, mask))
+    assert [e.action for e in plan(entries).entries] == [_ladder_search(mask) for _, _, mask in entries]
+
+
+@settings(max_examples=100, deadline=None)
+@given(bits=st.lists(st.tuples(st.booleans(), st.booleans(), st.booleans(), st.booleans()), max_size=40))
+def test_choice_holds_for_masks_freed_as_the_entries_are_read(bits):
+    # Each mask dies once its entry is read unless the planner keeps it, so
+    # a later mask may be allocated at the same address.
+    entries = ((make_record(path=f"f{i}"), WasteCategory.USED, FeasibilityMask(*b)) for i, b in enumerate(bits))
+    assert [e.action for e in plan(entries).entries] == [_ladder_search(FeasibilityMask(*b)) for b in bits]
+
+
+def test_one_mask_object_shared_by_many_entries():
+    mask = FeasibilityMask(reuse_ok=True, recover_ok=True)
+    result = plan([(make_record(path=f"f{i}", size=i), WasteCategory.UNWANTED, mask) for i in range(1000)])
+    assert {e.action for e in result.entries} == {HierarchyAction.REUSE}
+    assert result.totals[HierarchyAction.REUSE] == (1000, sum(range(1000)))
+
+
+# Characters `json.dumps` escapes, or spells as \\u escapes or pairs:
+# quotes, backslashes, control characters, a line separator, non-ASCII,
+# astral, and lone surrogates (which non-UTF-8 file names decode to).
+_TEXT_CHARS = st.one_of(
+    st.characters(),
+    st.sampled_from(['"', "\\", "\n", "\x00", "\x1f", "\x7f", "\u2028", "\u00e9", "\U0001f600", "/"]),
+    st.integers(0xD800, 0xDFFF).map(chr),
+)
+_WASTE_CATEGORIES = [category for category in WasteCategory if category.is_waste()]
+_BIG = st.integers(0, 10**30)
+
+
+def _plan_as_dict(root, action_plan, cost, executed):
+    """`plan`'s JSON object built as a dict, the way it used to be."""
+    obj = {
+        "root": root,
+        "plan": {
+            "entries": [
+                {"path": path, "category": category.value, "action": action.label, "bytes_affected": nbytes}
+                for path, category, action, nbytes in action_plan.entries
+            ],
+            "totals": {a.label: {"files": n, "bytes": b} for a, (n, b) in action_plan.totals.items()},
+        },
+        "cost": cost.to_json_obj(),
+    }
+    if executed is not None:
+        obj["executed"] = executed
+    return obj
+
+
+def _assert_written_as_json_dumps(root, entries, executed, model=CostModel()):
+    action_plan = plan(entries)
+    cost = estimate_cost(action_plan, model)
+    out = io.StringIO()
+    dump_plan(out, root, action_plan, cost, executed)
+    assert out.getvalue() == json.dumps(_plan_as_dict(root, action_plan, cost, executed), sort_keys=True) + "\n"
+
+
+class TestPlanWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        root=st.text(_TEXT_CHARS, max_size=8),
+        entries=st.lists(
+            st.tuples(
+                st.builds(make_record, path=st.text(_TEXT_CHARS, min_size=1, max_size=12), size=_BIG),
+                st.sampled_from(_WASTE_CATEGORIES),
+                _MASKS,
+            ),
+            max_size=8,
+        ),
+        executed=st.one_of(
+            st.none(),
+            st.fixed_dictionaries(
+                {
+                    "deleted": _BIG,
+                    "bytes_freed": _BIG,
+                    "failures": st.lists(st.text(_TEXT_CHARS, max_size=16), max_size=3),
+                }
+            ),
+        ),
+        erase_block=st.integers(1, 10**30),
+    )
+    def test_equals_json_dumps_of_the_dict_form(self, root, entries, executed, erase_block):
+        _assert_written_as_json_dumps(root, entries, executed, CostModel(erase_block_bytes=erase_block))
+
+    def test_every_action_and_category(self):
+        entries = [
+            (make_record(path=f"{category.value}/{bits}", size=1 + i), category, FeasibilityMask(*bits))
+            for i, (category, bits) in enumerate(
+                itertools.product(_WASTE_CATEGORIES, itertools.product([False, True], repeat=4))
+            )
+        ]
+        assert {e.action for e in plan(entries).entries} == set(SELECTABLE_ACTIONS)
+        _assert_written_as_json_dumps("/r", entries, None)
+        _assert_written_as_json_dumps("/r", entries, {"deleted": 1, "bytes_freed": 2, "failures": ["x \u00e9"]})
+
+    def test_empty_plan(self):
+        _assert_written_as_json_dumps("/r", [], None)
 
 
 class TestCostModel:
