@@ -74,13 +74,22 @@ class FileRecord(_FileRecordFields):
     filesystem. atime < mtime is stored as-is (copy-preserved
     timestamps, noatime mounts); the f-lifetime computation clamps.
 
-    An immutable named tuple, not a dataclass, because a snapshot read
-    builds one per line and that must stay cheap next to the parse.
+    Sizes and timestamps are `int`s, not `bool`s. An immutable named
+    tuple, not a dataclass, because a snapshot read builds one per line
+    and that must stay cheap next to the parse (`read_snapshot` and
+    `scan` check fields inline and skip `__new__`).
     """
 
     __slots__ = ()
 
     def __new__(cls, path, size_bytes, mtime, atime, kind, allocated_bytes=None):
+        if not (type(size_bytes) is int and type(mtime) is int and type(atime) is int) or (
+            allocated_bytes is not None and type(allocated_bytes) is not int
+        ):
+            raise ValueError(
+                f"size_bytes, mtime and atime must be integers and allocated_bytes an integer or null, "
+                f"got {size_bytes!r}, {mtime!r}, {atime!r} and {allocated_bytes!r}"
+            )
         if size_bytes < 0:
             raise ValueError(f"size_bytes must be >= 0, got {size_bytes}")
         if mtime < 0 or atime < 0:
@@ -109,56 +118,64 @@ class FileRecord(_FileRecordFields):
     @classmethod
     def from_json_obj(cls, obj: dict) -> "FileRecord":
         try:
-            size, mtime, atime = obj["size_bytes"], obj["mtime"], obj["atime"]
-            allocated = obj.get("allocated_bytes")
-            if not (type(size) is int and type(mtime) is int and type(atime) is int) or (
-                allocated is not None and type(allocated) is not int
-            ):
-                raise ValueError(
-                    f"size_bytes, mtime and atime must be integers and allocated_bytes an integer or null, "
-                    f"got {size!r}, {mtime!r}, {atime!r} and {allocated!r}"
-                )
             return cls(
                 path=obj["path"],
-                size_bytes=size,
-                mtime=mtime,
-                atime=atime,
+                size_bytes=obj["size_bytes"],
+                mtime=obj["mtime"],
+                atime=obj["atime"],
                 kind=FileKind(obj["kind"]),
-                allocated_bytes=allocated,
+                allocated_bytes=obj.get("allocated_bytes"),
             )
         except (KeyError, ValueError, TypeError) as exc:
             raise WastekitError(f"malformed file record: {exc}") from exc
 
 
 class GlobSet:
-    """A glob group compiled once into one alternation regex.
+    """A glob group compiled once: a table for `*.EXT` patterns and one
+    alternation regex for the rest.
 
     A pattern matches a path when it matches the full path or its
     basename, case-sensitively: '*.aux' matches 'docs/paper.aux';
     'build/*' matches only paths under a top-level build directory.
+
+    A `*.EXT` pattern, EXT free of '.', '/', '*', '?' and '[', matches
+    exactly the paths ending in '.EXT', so a table mapping '.EXT' to its
+    lowest index is looked up with the path's text from its last '.'.
     """
 
-    __slots__ = ("_match", "_index")
+    __slots__ = ("_match", "_index", "_ext")
 
     def __init__(self, patterns):
         # Each alternative is a named group so `first` can read which one
         # matched from `lastgroup`. `lastindex` would count the groups that
-        # `fnmatch.translate` itself emits on Python 3.10. An empty group
-        # compiles to `(?!)`, which matches nothing. Alternatives are tried
-        # in order, so a match names the lowest-numbered pattern that
-        # matches the whole string.
-        patterns = list(patterns)
-        alternation = "|".join(f"(?P<p{i}>{fnmatch.translate(pat)})" for i, pat in enumerate(patterns))
-        self._match = re.compile(alternation or "(?!)").match
-        self._index = {f"p{i}": i for i in range(len(patterns))}
+        # `fnmatch.translate` itself emits on Python 3.10. With no
+        # alternatives the regex is `(?!)`, which matches nothing.
+        # Alternatives are tried in order, so a match names the
+        # lowest-numbered pattern that matches the whole string.
+        self._ext: dict[str, int] = {}
+        self._index: dict[str, int] = {}
+        alternatives = []
+        for i, pat in enumerate(patterns):
+            if pat.startswith("*.") and not any(c in pat[2:] for c in "./*?["):
+                self._ext.setdefault(pat[1:], i)
+            else:
+                self._index[f"p{i}"] = i
+                alternatives.append(f"(?P<p{i}>{fnmatch.translate(pat)})")
+        self._match = re.compile("|".join(alternatives) or "(?!)").match
 
     def matches(self, path: str) -> bool:
-        return self._match(path) is not None or self._match(path[path.rfind("/") + 1 :]) is not None
+        return self.first(path) is not None
 
     def first(self, path: str) -> int | None:
         """Index of the first pattern matching `path`, or None."""
+        # A path without a '.' looks up its last character, which no key
+        # ('.EXT') equals.
+        first = self._ext.get(path[path.rfind(".") :])
         hit = self._match(path)
-        first = None if hit is None else self._index[hit.lastgroup]
+        if hit is not None:
+            index = self._index[hit.lastgroup]
+            if first is None or index < first:
+                first = index
         hit = self._match(path[path.rfind("/") + 1 :])
         if hit is not None:
             index = self._index[hit.lastgroup]
@@ -440,6 +457,40 @@ def _digest_under_cwd(path: str) -> str | None:
         return files.digest(path)
 
 
+def rule_category(
+    record: FileRecord, rules: RuleSet, digest_provider: DigestProvider | None = None
+) -> WasteCategory | None:
+    """The category the glob groups and degraded checks give a record, or
+    None when none decides (see `classify`). Unlike the Used test, it
+    does not depend on the time."""
+    path = record.path
+    index = rules._globs.first(path)
+    if index is None:
+        return None
+    category = rules._categories[index]
+    if category is not None:
+        return category
+    # The first match is a degraded check: no allowlist glob matched.
+    if record.kind is FileKind.REGULAR:
+        expected = {digest for globs, digest in rules._degraded if globs.matches(path)}
+        provider = digest_provider if digest_provider is not None else _digest_under_cwd
+        # Degraded unless every matching check expects exactly the
+        # content's digest; unreadable content gives None.
+        if expected != {provider(path)}:
+            return WasteCategory.DEGRADED
+    if rules._unintentional.matches(path):
+        return WasteCategory.UNINTENTIONAL
+    if rules._unwanted.matches(path):
+        return WasteCategory.UNWANTED
+    return None
+
+
+def is_idle(record: FileRecord, rules: RuleSet, now: int) -> bool:
+    """The Used test: a regular file read since its last write (a positive
+    f-lifetime), then left unread for longer than the idle threshold."""
+    return record.kind is FileKind.REGULAR and record.atime > record.mtime and now - record.atime > rules.used_threshold_secs
+
+
 def classify(
     record: FileRecord,
     rules: RuleSet,
@@ -451,6 +502,8 @@ def classify(
     Precedence: NotWaste allowlist, then Degraded, Unintentional,
     Unwanted, Used, and NotWaste as the fallthrough. Degraded wins over
     the others because corruption dominates any usefulness question.
+    `rule_category` decides everything above Used, and `is_idle` is the
+    Used test.
 
     Degraded checks hash the file content through `digest_provider`
     (default: read `record.path` under the working directory through a
@@ -459,27 +512,7 @@ def classify(
     loss. Content is only read when a degraded glob matches, and only
     for regular files.
     """
-    path = record.path
-    index = rules._globs.first(path)
-    if index is not None:
-        category = rules._categories[index]
-        if category is not None:
-            return category
-        # The first match is a degraded check: no allowlist glob matched.
-        if record.kind is FileKind.REGULAR:
-            expected = {digest for globs, digest in rules._degraded if globs.matches(path)}
-            provider = digest_provider if digest_provider is not None else _digest_under_cwd
-            # Degraded unless every matching check expects exactly the
-            # content's digest; unreadable content gives None.
-            if expected != {provider(path)}:
-                return WasteCategory.DEGRADED
-        if rules._unintentional.matches(path):
-            return WasteCategory.UNINTENTIONAL
-        if rules._unwanted.matches(path):
-            return WasteCategory.UNWANTED
-
-    # f_lifetime(record) > 0, inlined: this runs once per record.
-    if record.kind is FileKind.REGULAR and record.atime > record.mtime and now - record.atime > rules.used_threshold_secs:
-        return WasteCategory.USED
-
-    return WasteCategory.NOT_WASTE
+    category = rule_category(record, rules, digest_provider)
+    if category is not None:
+        return category
+    return WasteCategory.USED if is_idle(record, rules, now) else WasteCategory.NOT_WASTE

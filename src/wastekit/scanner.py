@@ -15,7 +15,7 @@ import operator
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import compress, repeat
 from json.encoder import encode_basestring_ascii
 from os import stat_result
@@ -34,9 +34,11 @@ from .model import (
     atime_moved_count,
     atime_moved_warning,
     classify,
+    is_idle,
     is_relative,
     note_atime_moved,
     open_noatime,
+    rule_category,
     sha256_file,
 )
 
@@ -67,11 +69,9 @@ class Snapshot:
     warnings: list[str] = field(default_factory=list)
 
     def validate(self) -> None:
-        prev = None
-        for rec in self.records:
-            if prev is not None and rec.path <= prev:
-                raise WastekitError(f"snapshot records not sorted/unique at {rec.path!r}")
-            prev = rec.path
+        paths = list(map(_BY_PATH, self.records))
+        for path in compress(paths[1:], map(operator.ge, paths, paths[1:])):
+            raise WastekitError(f"snapshot records not sorted/unique at {path!r}")
 
 
 _WRITE_BATCH = 4096
@@ -507,33 +507,48 @@ def diff(
 ) -> ChurnReport:
     """Set-diff two snapshots and track NotWaste <-> waste transitions.
 
-    Each snapshot is classified at its own capture time. Both snapshots
-    must share the same root. A degraded check reads the file as it is
-    now under that root, so the default providers are one, and each
+    One merge pass over the two record lists, which must be sorted by
+    path and unique (else WastekitError names the path). Both snapshots
+    must share the same root. Each shared path is classified at each
+    snapshot's own capture time, but only the Used test depends on it:
+    `rule_category` runs once when both records have the same kind and
+    both sides the same provider. A degraded check reads the file as it
+    is now under that root, so the default providers are one, and each
     checked file is read once.
     """
     if old.root != new.root:
         raise WastekitError(f"snapshots have different roots: {old.root!r} vs {new.root!r}")
-    old_paths = {rec.path for rec in old.records}
-    new_paths = {rec.path for rec in new.records}
-    shared = old_paths & new_paths
-    digest_failures: list[str] = []
-    with snapshot_digest_provider(new, digest_failures) as current:
-        old_waste = _waste_by_path(old, shared, rules, old_digest_provider or current)
-        new_waste = _waste_by_path(new, shared, rules, new_digest_provider or current)
-    shared_sorted = sorted(shared)
-    return ChurnReport(
-        added=sorted(new_paths - old_paths),
-        removed=sorted(old_paths - new_paths),
-        became_waste=[path for path in shared_sorted if new_waste[path] and not old_waste[path]],
-        reactivated=[path for path in shared_sorted if old_waste[path] and not new_waste[path]],
-        digest_failures=digest_failures,
-    )
-
-
-def _waste_by_path(snapshot: Snapshot, paths: set[str], rules: RuleSet, digest_provider: DigestProvider) -> dict[str, bool]:
-    """Whether each record under `paths` is waste. Only those are classified,
-    so no digest is read from a removed file."""
-    kept = replace(snapshot, records=[rec for rec in snapshot.records if rec.path in paths])
-    categories, _ = classify_snapshot(kept, rules, digest_provider)
-    return {rec.path: cat.is_waste() for rec, cat in zip(kept.records, categories)}
+    old.validate()
+    new.validate()
+    old_paths, new_paths = list(map(_BY_PATH, old.records)), list(map(_BY_PATH, new.records))
+    churn = ChurnReport([], [], [], [])
+    i = j = 0
+    with snapshot_digest_provider(new, churn.digest_failures) as current:
+        old_provider = old_digest_provider or current
+        new_provider = new_digest_provider or current
+        while i < len(old_paths) and j < len(new_paths):
+            path, new_path = old_paths[i], new_paths[j]
+            if path < new_path:
+                churn.removed.append(path)
+                i += 1
+            elif new_path < path:
+                churn.added.append(new_path)
+                j += 1
+            else:
+                old_rec, new_rec = old.records[i], new.records[j]
+                i += 1
+                j += 1
+                old_category = rule_category(old_rec, rules, old_provider)
+                if old_rec.kind is new_rec.kind and old_provider is new_provider:
+                    new_category = old_category
+                else:
+                    new_category = rule_category(new_rec, rules, new_provider)
+                was_waste = is_idle(old_rec, rules, old.taken_at) if old_category is None else old_category.is_waste()
+                is_waste = is_idle(new_rec, rules, new.taken_at) if new_category is None else new_category.is_waste()
+                if is_waste and not was_waste:
+                    churn.became_waste.append(path)
+                elif was_waste and not is_waste:
+                    churn.reactivated.append(path)
+    churn.removed += old_paths[i:]
+    churn.added += new_paths[j:]
+    return churn

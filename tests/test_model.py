@@ -72,7 +72,9 @@ class TestPathMatches:
 # Small alphabets, so random paths and patterns match each other often.
 _GLOB_TOKENS = ["a", "b", ".", "/", "*", "?", "[ab]", "[!a]", "[!/]", "[", "]"]
 _globs = st.lists(st.sampled_from(_GLOB_TOKENS), min_size=1, max_size=6).map("".join)
-_groups = st.lists(_globs, max_size=4)
+# `*.EXT` patterns, which `GlobSet` finds by table lookup, drawn half the time.
+_ext_globs = st.text(alphabet="ab", min_size=1, max_size=2).map("*.".__add__)
+_groups = st.lists(st.one_of(_globs, _ext_globs), max_size=4)
 _paths = st.lists(st.text(alphabet="ab.", min_size=1, max_size=4), min_size=1, max_size=4).map("/".join)
 _DIGESTS = [hashlib.sha256(bytes([i])).hexdigest() for i in range(3)]
 NOW = 10_000_000_000
@@ -92,6 +94,14 @@ class TestGlobEngineAgainstOracle:
     @settings(max_examples=300, deadline=None)
     @given(_groups, st.lists(_paths, min_size=1, max_size=8))
     @example(["b", "a/*"], ["a/b"])  # the basename hit comes first: the answer is 0, not 1
+    # A table pattern: no '.' in the path, a leading '.', a '.' only in a
+    # directory name, and two '.'s.
+    @example(["*.a"], ["a", ".a", "b.a/b", "a.b.a"])
+    # Precedence between a regex hit and a table hit, either way round.
+    @example(["a.*", "*.b"], ["a.b"])
+    @example(["*.b", "a.*"], ["a.b"])
+    # Patterns that look like `*.EXT` but must stay in the regex.
+    @example(["*.a.b", "*.[a]"], ["b.a.b", "a.b", "b.a", "a/.a"])
     def test_any_and_first_match(self, globs, paths):
         engine = GlobSet(globs)
         for path in paths:
@@ -287,6 +297,22 @@ class TestFileRecord:
     def test_rejects_negative_size(self):
         with pytest.raises(ValueError):
             make_record(size=-1)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"size_bytes": True},
+            {"size_bytes": 2.5},
+            {"mtime": False},
+            {"atime": "7"},
+            {"allocated_bytes": True},
+            {"allocated_bytes": 4096.0},
+        ],
+    )
+    def test_rejects_non_int_numbers(self, fields):
+        args = {"path": "a", "size_bytes": 0, "mtime": 0, "atime": 0, "kind": FileKind.REGULAR, **fields}
+        with pytest.raises(ValueError, match="must be integers"):
+            FileRecord(**args)
 
     def test_malformed_json_object(self):
         with pytest.raises(WastekitError):

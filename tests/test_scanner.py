@@ -1,6 +1,7 @@
 """Filesystem walking, snapshot persistence, reports, and diffs."""
 
 import errno
+import hashlib
 import io
 import json
 import os
@@ -13,7 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from wastekit.errors import WastekitError
 import wastekit
 import wastekit.scanner as scanner_mod
-from wastekit.model import FileKind, FileRecord, RuleSet, WasteCategory, atime_moved_warning, classify
+from wastekit.model import FileKind, FileRecord, RuleSet, TreeOpener, WasteCategory, atime_moved_warning, classify
 from wastekit.scanner import (
     ChurnReport,
     ScanOptions,
@@ -28,6 +29,7 @@ from wastekit.scanner import (
 )
 
 from conftest import make_record
+from naive_glob import naive_classify
 from naive_scan import naive_scan
 from naive_snapshot import naive_read_snapshot
 
@@ -345,12 +347,18 @@ _WRITER_INTS = st.integers(0, 2**70)
 _WRITER_ODD = st.sampled_from([True, False, 0.0, 2.5, 1e20])  # written by the fallback
 
 
+def _unchecked_record(path, size_bytes, mtime, atime, kind, allocated_bytes):
+    """A record built past `FileRecord`'s type checks, as `read_snapshot`
+    and `scan` build theirs, so odd field types reach the writer."""
+    return tuple.__new__(FileRecord, (path, size_bytes, mtime, atime, kind, allocated_bytes))
+
+
 class TestSnapshotWriter:
     @settings(max_examples=300, deadline=None)
     @given(
         records=st.lists(
             st.builds(
-                FileRecord,
+                _unchecked_record,
                 path=st.text(_PATH_CHARS, min_size=1, max_size=12),
                 size_bytes=st.one_of(_WRITER_INTS, _WRITER_ODD),
                 mtime=st.one_of(_WRITER_INTS, _WRITER_ODD),
@@ -575,7 +583,113 @@ class TestReport:
         assert any("atime" in w for w in rep.warnings)
 
 
+def naive_diff(old, new, rules, old_provider, new_provider):
+    """`diff` as two dicts and two whole classifications of every shared path."""
+    old_by_path = {rec.path: rec for rec in old.records}
+    new_by_path = {rec.path: rec for rec in new.records}
+    shared = sorted(old_by_path.keys() & new_by_path.keys())
+    was = {p: naive_classify(old_by_path[p], rules, old.taken_at, old_provider).is_waste() for p in shared}
+    now = {p: naive_classify(new_by_path[p], rules, new.taken_at, new_provider).is_waste() for p in shared}
+    return {
+        "added": sorted(new_by_path.keys() - old_by_path.keys()),
+        "removed": sorted(old_by_path.keys() - new_by_path.keys()),
+        "became_waste": [p for p in shared if now[p] and not was[p]],
+        "reactivated": [p for p in shared if was[p] and not now[p]],
+    }
+
+
+_DIFF_NOW = 10_000_000_000
+_DIFF_DIGESTS = [hashlib.sha256(bytes([i])).hexdigest() for i in range(2)]
+# Few paths, so the two sides share many of them.
+_DIFF_PATHS = ["a", "b.x", "c.y", "d.x", "k/e.x", "k/f.y", "k/g"]
+# (mtime, atime): never read, read a minute before the earlier capture
+# (idle only at the later one), read long ago, and copied timestamps.
+_DIFF_TIMES = [
+    (_DIFF_NOW - 10**8, _DIFF_NOW - 10**8),
+    (_DIFF_NOW - 10**8, _DIFF_NOW - 60),
+    (_DIFF_NOW - 10**8, _DIFF_NOW - 10**7),
+    (_DIFF_NOW - 10**7, _DIFF_NOW - 10**8),
+]
+_diff_side = st.dictionaries(
+    st.sampled_from(_DIFF_PATHS), st.tuples(st.sampled_from(list(FileKind)), st.sampled_from(_DIFF_TIMES))
+).map(lambda recs: synth_snapshot([make_record(path=p, kind=k, mtime=m, atime=a) for p, (k, (m, a)) in recs.items()]))
+_diff_digests = st.dictionaries(st.sampled_from(_DIFF_PATHS), st.sampled_from(_DIFF_DIGESTS + [None]))
+
+
+def _subset(pool):
+    return st.lists(st.sampled_from(pool), max_size=2, unique=True).map(tuple)
+
+
+_diff_rules = st.builds(
+    RuleSet,
+    not_waste_globs=_subset(["k/*", "*.z", "a"]),
+    unintentional_globs=_subset(["*.y", "c*", "k/g"]),
+    unwanted_globs=_subset(["*.x", "b*"]),
+    degraded_checks=_subset([("*.x", _DIFF_DIGESTS[0]), ("b*", _DIFF_DIGESTS[1]), ("k/*", _DIFF_DIGESTS[0])]),
+)
+
+
 class TestDiff:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        old=_diff_side,
+        new=_diff_side,
+        taken_at=st.tuples(*[st.sampled_from([_DIFF_NOW, _DIFF_NOW + 10**7])] * 2),
+        rules=_diff_rules,
+        digests=st.tuples(_diff_digests, _diff_digests),
+        one_provider=st.booleans(),
+    )
+    def test_matches_per_side_naive_classify(self, old, new, taken_at, rules, digests, one_provider):
+        # The snapshots may be taken at different times, and a shared path
+        # may change kind. Explicit providers stand for the file as it is
+        # now: either one for both sides, or two distinct ones that can
+        # disagree, so neither side's rules may be reused for the other.
+        old.taken_at, new.taken_at = taken_at
+        old_provider = digests[0].get
+        new_provider = old_provider if one_provider else digests[1].get
+        got = diff(old, new, rules, old_provider, new_provider)
+        assert got.to_json_obj() == naive_diff(old, new, rules, old_provider, new_provider)
+        assert got.digest_failures == []
+
+    def test_default_provider_reads_each_checked_file_once(self, tmp_path, monkeypatch):
+        rules = RuleSet(degraded_checks=(("*.chk", hashlib.sha256(b"ok").hexdigest()),))
+        for name, content in (("a.chk", b"ok"), ("b.chk", b"bad"), ("e.chk", b"ok"), ("gone.chk", b"ok")):
+            touch(tmp_path / name, content)
+        (tmp_path / "d.chk").mkdir()
+        old = scan(str(tmp_path))
+        # d.chk becomes a file and e.chk a directory; gone.chk is removed
+        # and new.chk added, so neither is read.
+        (tmp_path / "d.chk").rmdir()
+        touch(tmp_path / "d.chk", b"ok")
+        (tmp_path / "e.chk").unlink()
+        (tmp_path / "e.chk").mkdir()
+        (tmp_path / "gone.chk").unlink()
+        touch(tmp_path / "new.chk", b"bad")
+        new = scan(str(tmp_path))
+        reads = []
+        real_digest = TreeOpener.digest
+
+        def counting_digest(self, rel, *args):
+            reads.append(rel)
+            return real_digest(self, rel, *args)
+
+        monkeypatch.setattr(TreeOpener, "digest", counting_digest)
+        churn = diff(old, new, rules)
+        assert reads == ["a.chk", "b.chk", "d.chk", "e.chk"]
+        # e.chk, a Regular file in the old snapshot, is a directory now, so
+        # its digest cannot be read: Degraded then, a plain directory now.
+        assert churn.digest_failures == ["e.chk"]
+        assert churn.reactivated == ["e.chk"]
+        assert churn.became_waste == []
+
+    @pytest.mark.parametrize("paths", [["b", "a"], ["a", "a"]])
+    def test_unsorted_snapshot_rejected(self, basic_rules, paths):
+        bad = Snapshot(root="/syn", taken_at=0, records=[make_record(path=p) for p in paths])
+        good = synth_snapshot([make_record(path="a")])
+        for old, new in ((bad, good), (good, bad)):
+            with pytest.raises(WastekitError, match="not sorted/unique at 'a'"):
+                diff(old, new, basic_rules)
+
     def test_identity(self, basic_rules, tmp_path):
         touch(tmp_path / "a", b"x")
         snap = scan(str(tmp_path))
