@@ -3,18 +3,24 @@
 Producers accumulate useful and waste bytes; a hyperbolic penalty
 factor, 1 / (1 + alpha x waste ratio), shrinks the effective weight of
 polluters, and a discrete-time simulator shows the incentive playing
-out. All internal arithmetic is exact, so identical inputs give
-bit-identical reports on any platform; floats appear only at the JSON
-boundary. The tick loop works in integers, with the water-filling over
-weights scaled to a common denominator."""
+out. Results are exact, so identical inputs give bit-identical reports
+on any platform. The tick loop works in integers. Each tick's
+water-filling is first decided in floats, which settle only what a
+proven error bound lets them settle; a tick they cannot settle is
+filled in exact integer arithmetic over the weights scaled to a common
+denominator."""
 
 from __future__ import annotations
 
 import json
 import math
+import operator
+import sys
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from itertools import accumulate, compress
+from typing import NamedTuple, Optional, Union
 
 from .errors import TraceError, WastekitError
 
@@ -74,8 +80,7 @@ def _apportion(total: int, weights: list) -> dict:
 # and is parsed exactly.
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     tick: int
     producer: str
     requested_bytes: int
@@ -98,6 +103,7 @@ class WorkloadTrace:
 
 def parse_workload(lines) -> WorkloadTrace:
     events = []
+    new_event = tuple.__new__  # TraceEvent's own __new__ is Python code
     fractions: dict[str, Fraction] = {}  # each distinct spelling is parsed once
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -124,7 +130,7 @@ def parse_workload(lines) -> WorkloadTrace:
             if not 0 <= fraction <= 1:
                 raise TraceError(f"workload line {lineno}: waste_fraction must be in [0, 1]")
             fractions[parts[3]] = fraction
-        events.append(TraceEvent(tick, parts[1], requested, fraction))
+        events.append(new_event(TraceEvent, (tick, parts[1], requested, fraction)))
     return WorkloadTrace(events=tuple(events))
 
 
@@ -157,22 +163,34 @@ class SimulationReport:
     delivered_per_tick_total: list[int] = field(default_factory=list)
 
     def to_json_obj(self) -> dict:
-        def num(x: Fraction):
-            return int(x) if x.denominator == 1 else float(x)
+        """The report in JSON types. A number JSON cannot carry (past the
+        float range, or past Python's int-to-string digit limit) raises
+        WastekitError naming the producer and the field."""
+
+        def num(x: Fraction, name: str, pid: Optional[str] = None):
+            try:
+                if x.denominator != 1:
+                    return float(x)
+                value = int(x)
+                str(value)  # json.dumps would raise the same ValueError
+                return value
+            except (OverflowError, ValueError):
+                what = name if pid is None else f"producer {pid!r}: {name}"
+                raise WastekitError(f"{what} is too large to write as a JSON number") from None
 
         return {
             "total_bandwidth": self.config.total_bandwidth,
-            "alpha": num(self.config.alpha),
+            "alpha": num(self.config.alpha, "alpha"),
             "tick_count": self.config.tick_count,
             "delivered_per_tick_total": self.delivered_per_tick_total,
             "producers": {
                 pid: {
                     "delivered_per_tick": r.delivered_per_tick,
-                    "requested_total": r.requested_total,
-                    "delivered_total": r.delivered_total,
+                    "requested_total": num(r.requested_total, "requested_total", pid),
+                    "delivered_total": num(r.delivered_total, "delivered_total", pid),
                     "completion_tick": r.completion_tick,
-                    "useful_bytes": num(r.useful_bytes),
-                    "waste_bytes": num(r.waste_bytes),
+                    "useful_bytes": num(r.useful_bytes, "useful_bytes", pid),
+                    "waste_bytes": num(r.waste_bytes, "waste_bytes", pid),
                     "final_factor": float(r.final_factor),
                 }
                 for pid, r in sorted(self.producers.items())
@@ -234,61 +252,132 @@ def simulate(
     scale = math.lcm(*{e.waste_fraction.denominator for e in trace.events})
     k = scale * config.alpha.denominator
     alpha_num = config.alpha.numerator
-    eff_num = [w.numerator for w in base]
-    eff_den = [w.denominator for w in base]
+    base_num = [w.numerator for w in base]
+    base_den = [w.denominator for w in base]
+    eff_num = base_num[:]
+    eff_den = base_den[:]
     scaled_waste = [0] * n
     requested_total = [0] * n
-    backlog = [0] * n
-    delivered_per_tick = [[] for _ in producers]
-    total_per_tick = []
-    completion = [None] * n
-    last_event_tick = [-1] * n
+    last_event_tick = [0] * n
     events_by_tick: dict[int, list[tuple[int, int, int]]] = {}
-    for e in trace.events:
-        i = index[e.producer]
-        last_event_tick[i] = max(last_event_tick[i], e.tick)
-        f = e.waste_fraction
-        events_by_tick.setdefault(e.tick, []).append(
-            (i, e.requested_bytes, e.requested_bytes * f.numerator * (scale // f.denominator))
+    for tick, pid, requested, f in trace.events:
+        events_by_tick.setdefault(tick, []).append(
+            (index[pid], requested, requested * f.numerator * (scale // f.denominator))
         )
 
+    bandwidth = config.total_bandwidth
+    backlog = [0] * n
+    rows = []  # rows[tick][i]: bytes delivered to producer i in that tick
     for tick in range(config.tick_count):
         for i, requested, waste in events_by_tick.get(tick, ()):
             backlog[i] += requested
             requested_total[i] += requested
             scaled_waste[i] += waste
+            last_event_tick[i] = tick
             m = max(1, requested_total[i]) * k
-            num = base[i].numerator * m
-            den = base[i].denominator * (m + alpha_num * scaled_waste[i])
+            num = base_num[i] * m
+            den = base_den[i] * (m + alpha_num * scaled_waste[i])
             g = math.gcd(num, den)
             eff_num[i], eff_den[i] = num // g, den // g
+        if sum(backlog) <= bandwidth:
+            rows.append(backlog)
+            backlog = [0] * n
+        else:
+            row = _water_fill(bandwidth, backlog, eff_num, eff_den)
+            rows.append(row)
+            backlog = list(map(operator.sub, backlog, row))
 
-        delivered = _water_fill(config.total_bandwidth, backlog, eff_num, eff_den)
-
-        for i, got in enumerate(delivered):
-            backlog[i] -= got
-            delivered_per_tick[i].append(got)
-            if completion[i] is None and backlog[i] == 0 and tick >= last_event_tick[i]:
-                completion[i] = tick
-        total_per_tick.append(sum(delivered))
-
+    # A producer's cumulative delivery never exceeds its requested total,
+    # so it completes at the first tick, from its last event on, where
+    # the running sum reaches that total.
     results = {}
-    for i, pid in enumerate(producers):
+    for i, (pid, series) in enumerate(zip(producers, zip(*rows))):
+        delivered = list(accumulate(series))
+        done = bisect_left(delivered, requested_total[i], lo=last_event_tick[i])
         waste = Fraction(scaled_waste[i], scale)
         m = max(1, requested_total[i]) * k
         results[pid] = ProducerResult(
-            delivered_per_tick=delivered_per_tick[i],
+            delivered_per_tick=list(series),
             requested_total=requested_total[i],
-            delivered_total=sum(delivered_per_tick[i]),
-            completion_tick=completion[i],
+            delivered_total=delivered[-1],
+            completion_tick=done if done < len(delivered) else None,
             useful_bytes=requested_total[i] - waste,
             waste_bytes=waste,
             final_factor=Fraction(m, m + alpha_num * scaled_waste[i]),
         )
-    return SimulationReport(config=config, producers=results, delivered_per_tick_total=total_per_tick)
+    return SimulationReport(config=config, producers=results, delivered_per_tick_total=list(map(sum, rows)))
+
+
+_MARGIN = 2.0**-40  # see _water_fill
 
 
 def _water_fill(bandwidth: int, backlog: list[int], eff_num: list[int], eff_den: list[int]) -> list[int]:
+    """Water-filling split of an overloaded tick (sum(backlog) >
+    bandwidth), producer by index: `_exact_water_fill`'s capping rounds
+    and largest-remainder apportionment, decided in floats where an
+    error bound proves the decision.
+
+    Each weight w_i is eff_num[i] / eff_den[i], correctly rounded, and
+    the total W is their math.fsum, so each share x_i = remaining x w_i
+    / W is within 5 x 2**-53 of exact, relative, and x_i / backlog_i
+    within 7 x 2**-53. A decision is taken only when it clears the
+    margin _MARGIN = 2**-40, which leaves a factor of 2**10 to spare:
+    - each cap test: x_i / backlog_i must lie outside
+      [1 - _MARGIN, 1 + _MARGIN];
+    - each floor of x_i: its fractional part must lie in
+      [eta, 1 - eta], with eta = remaining x _MARGIN;
+    - the leftover cut-off: the smallest fractional part that gets a
+      unit must exceed the largest that does not by more than 2 x eta.
+
+    Any other tick is filled by `_exact_water_fill`: one with a
+    decision inside the margin (an exact cap equality, an integral
+    share, a tie at the cut-off such as equal weights), a bandwidth of
+    2**53 or more, a weight or backlog that overflows a float, a weight
+    that is 0 or subnormal, or a bandwidth x W that overflows. Either
+    way the result is the exact fill's, on every platform.
+    """
+    hungry = list(compress(range(len(backlog)), backlog))
+    try:
+        weight = list(map(operator.truediv, compress(eff_num, backlog), compress(eff_den, backlog)))
+        need = list(map(float, compress(backlog, backlog)))
+        total_weight = math.fsum(weight)
+    except OverflowError:
+        return _exact_water_fill(bandwidth, backlog, eff_num, eff_den)
+    if bandwidth >= 2**53 or min(weight) < sys.float_info.min or math.isinf(bandwidth * total_weight):
+        return _exact_water_fill(bandwidth, backlog, eff_num, eff_den)
+    below, above = 1 - _MARGIN, 1 + _MARGIN
+    delivered = [0] * len(backlog)
+    remaining = bandwidth
+    while True:
+        share = [remaining * w / total_weight for w in weight]
+        fill = list(map(operator.truediv, share, need))  # the cap test is fill >= 1
+        if max(fill) <= below:
+            break
+        for i, f in zip(hungry, fill):
+            if f > below:
+                if f < above:
+                    return _exact_water_fill(bandwidth, backlog, eff_num, eff_den)
+                delivered[i] = backlog[i]
+                remaining -= backlog[i]
+        keep = [f <= below for f in fill]
+        hungry, weight, need = (list(compress(v, keep)) for v in (hungry, weight, need))
+        total_weight = math.fsum(weight)
+    eta = remaining * _MARGIN
+    floor = list(map(int, share))
+    frac = list(map(operator.sub, share, floor))
+    if min(frac) < eta or max(frac) > 1 - eta:
+        return _exact_water_fill(bandwidth, backlog, eff_num, eff_den)
+    leftover = remaining - sum(floor)
+    ranked = sorted(frac, reverse=True)
+    cut = ranked[leftover - 1]
+    if cut - ranked[leftover] <= 2 * eta:
+        return _exact_water_fill(bandwidth, backlog, eff_num, eff_den)
+    for i, q, f in zip(hungry, floor, frac):
+        delivered[i] = q + (f >= cut)
+    return delivered
+
+
+def _exact_water_fill(bandwidth: int, backlog: list[int], eff_num: list[int], eff_den: list[int]) -> list[int]:
     """Water-filling split of one tick's bandwidth, producer by index.
 
     The hungry producers' effective weights are scaled to integers over

@@ -18,8 +18,10 @@ from wastekit.cli import run
 from wastekit.fixtures import build_never_accessed_tree
 from wastekit.model import atime_moved_warning
 from wastekit.landfill import DigitalLandfill, LandfillConfig, parse_trace, replay
+from wastekit.penalty import SchedulerConfig, parse_workload
 
 from naive_landfill import NaiveLandfill, naive_replay_events
+from naive_penalty import fraction_simulate
 
 # -- output schemas ------------------------------------------------------
 
@@ -941,6 +943,41 @@ class TestPenaltySim:
             "--alpha", "0", "--bandwidth", "10", "--ticks", "3",
         )
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "workload, field",
+        [
+            # useful_bytes is 2/3 x 10**400: not integral, and past the float range
+            ("0 a 1" + "0" * 400 + " 1/3\n", "producer 'a': useful_bytes"),
+            # requested_total has 4,301 digits, past Python's default limit
+            (("0 a " + "9" * 4300 + " 0\n") * 2, "producer 'a': requested_total"),
+        ],
+        ids=["float-range", "digit-limit"],
+    )
+    @pytest.mark.parametrize("output", [["--format", "json"], ["-v"]], ids=["json", "table"])
+    def test_total_too_large_for_json(self, capsys, tmp_path, workload, field, output):
+        trace = tmp_path / "w.trace"
+        trace.write_text(workload)
+        code, out, err = cli(capsys, *output, "penalty-sim", "--trace", str(trace), "--alpha", "0",
+                             "--bandwidth", "10", "--ticks", "1")
+        assert code == 1 and out == ""
+        assert err.startswith("wastekit: error: ") and len(err.splitlines()) == 1
+        assert field in err
+
+    def test_exact_fill_at_a_huge_weight_and_bandwidth(self, capsys, tmp_path):
+        """A 400-digit weight overflows a float and a bandwidth of 2**60
+        is past 2**53, so every tick takes the exact fill."""
+        lines = ["0 a 3000000000000000000 1/3", "0 b 2000000000000000000 0.5", "1 c 1500000000000000000 0",
+                 "1 a 1000000000000000000 0.9"]
+        trace = tmp_path / "w.trace"
+        trace.write_text("\n".join(lines) + "\n")
+        weight = "7" * 400
+        code, out, err = cli(capsys, "--format", "json", "penalty-sim", "--trace", str(trace), "--alpha", "1/2",
+                             "--bandwidth", str(2**60), "--ticks", "8", "--weight", f"a={weight}")
+        assert code == 0, err
+        config = SchedulerConfig(total_bandwidth=2**60, alpha="1/2", tick_count=8)
+        want = fraction_simulate(parse_workload(lines), config, {"a": weight})
+        assert out == json.dumps(want.to_json_obj(), sort_keys=True) + "\n"
 
 
 # -- reads leave no trace ------------------------------------------------

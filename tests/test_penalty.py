@@ -5,8 +5,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
+from wastekit import penalty
 from wastekit.errors import TraceError, WastekitError
 from wastekit.penalty import (
     SchedulerConfig,
@@ -346,10 +347,14 @@ ALPHA_SPELLINGS = ("0", "0", "1/2", "3", "7/3")
 def scheduler_runs(draw):
     """A small random trace with its config and base weights. Small
     bandwidths leave many remainder ties; a mirrored producer (the same
-    requests as another) makes exact ties that only the id can break."""
+    requests as another) makes exact ties that only the id can break.
+    Half the runs scale bandwidth and requests up to about 10**7, where
+    most overloaded ticks are settled by `_water_fill`'s float pass."""
     pids = draw(st.lists(st.sampled_from("abcdef"), min_size=1, max_size=5, unique=True))
     ticks = draw(st.integers(1, 8))
-    event = st.tuples(st.integers(0, ticks - 1), st.sampled_from(pids), st.integers(0, 60), st.sampled_from(WASTE_SPELLINGS))
+    top = draw(st.sampled_from((40, 10**7)))
+    requested = st.integers(0, top * 3 // 2)
+    event = st.tuples(st.integers(0, ticks - 1), st.sampled_from(pids), requested, st.sampled_from(WASTE_SPELLINGS))
     events = draw(st.lists(event, min_size=1, max_size=30))
     if len(pids) > 1 and draw(st.booleans()):
         events += [(t, pids[1], r, f) for t, p, r, f in events if p == pids[0]]
@@ -357,7 +362,7 @@ def scheduler_runs(draw):
     named = sorted({p for _, p, _, _ in events})
     weights = draw(st.dictionaries(st.sampled_from(named), st.sampled_from(WEIGHT_SPELLINGS)))
     config = SchedulerConfig(
-        total_bandwidth=draw(st.integers(1, 40)), alpha=draw(st.sampled_from(ALPHA_SPELLINGS)), tick_count=ticks
+        total_bandwidth=draw(st.integers(1, top)), alpha=draw(st.sampled_from(ALPHA_SPELLINGS)), tick_count=ticks
     )
     return parse_workload(lines), config, weights
 
@@ -382,6 +387,83 @@ def test_simulate_matches_fraction_oracle_at_scale():
     for alpha in ("0", "0.5", "7/3"):
         config = SchedulerConfig(total_bandwidth=1_999, alpha=alpha, tick_count=60)
         assert simulate(trace, config, weights).to_json() == fraction_simulate(trace, config, weights).to_json()
+
+
+# -- the float-checked water-filling -------------------------------------
+
+# Overloaded ticks, as (bandwidth, backlog, eff_num, eff_den), that the
+# float pass must hand to the exact fill.
+FALLBACK_TICKS = {
+    "remainder-tie": (10, [100, 100, 100], [1, 1, 1], [1, 1, 1]),
+    "cap-equality": (3, [1, 5, 5], [1, 1, 1], [1, 1, 1]),
+    "bandwidth-2**53": (2**53, [2**53, 2**53], [1, 2], [1, 3]),
+    "weight-overflow": (3, [5, 5], [10**400, 1], [1, 1]),
+    "weight-underflow": (3, [5, 5], [1, 1], [10**400, 1]),
+    "backlog-overflow": (3, [2 * 10**308, 5], [1, 2], [1, 3]),
+    # Found by search. The exact shares are 1/2 - 10**-18, 3/2 and
+    # 35 + 10**-18, so the one leftover unit goes to the second producer;
+    # unguarded, the float remainders come out the other way round.
+    "wrong-side": (
+        37,
+        [10**6] * 3,
+        [499999999999999999, 3, 35000000000000000001],
+        [11000000000000000000, 22, 11000000000000000000],
+    ),
+}
+
+
+@st.composite
+def overloaded_ticks(draw):
+    """Arguments for `_water_fill`: a backlog above the bandwidth, and
+    weights that are small ratios (ties and integral shares), ratios of
+    64-bit integers, or ratios within 2**-60 of 1."""
+    n = draw(st.integers(1, 8))
+    top = draw(st.sampled_from((40, 10**7)))
+    backlog = draw(st.lists(st.integers(0, top), min_size=n, max_size=n))
+    near_one = st.integers(2**60 - 5, 2**60 + 5).map(lambda x: (x, 2**60))
+    weight = st.one_of(
+        st.tuples(st.integers(1, 5), st.integers(1, 5)),
+        st.tuples(st.integers(1, 2**64), st.integers(1, 2**64)),
+        near_one,
+    )
+    weights = draw(st.lists(weight, min_size=n, max_size=n))
+    if n > 1 and draw(st.booleans()):
+        backlog[1], weights[1] = backlog[0], weights[0]
+    assume(sum(backlog) > 1)
+    bandwidth = draw(st.integers(1, sum(backlog) - 1))
+    return bandwidth, backlog, [w[0] for w in weights], [w[1] for w in weights]
+
+
+def _count_fallbacks(monkeypatch) -> list:
+    calls = []
+    exact = penalty._exact_water_fill
+    monkeypatch.setattr(penalty, "_exact_water_fill", lambda *args: calls.append(args) or exact(*args))
+    return calls
+
+
+def test_water_fill_equals_the_exact_fill(monkeypatch):
+    exact = penalty._exact_water_fill
+    fallbacks = _count_fallbacks(monkeypatch)
+    ticks = 0
+
+    @given(overloaded_ticks())
+    def check(tick):
+        nonlocal ticks
+        ticks += 1
+        assert penalty._water_fill(*tick) == exact(*tick)
+
+    for tick in FALLBACK_TICKS.values():
+        check = example(tick)(check)
+    check()
+    assert 0 < len(fallbacks) < ticks, "both the float pass and the exact fill must run"
+
+
+@pytest.mark.parametrize("tick", FALLBACK_TICKS.values(), ids=FALLBACK_TICKS.keys())
+def test_water_fill_falls_back_to_the_exact_fill(monkeypatch, tick):
+    want = penalty._exact_water_fill(*tick)
+    fallbacks = _count_fallbacks(monkeypatch)
+    assert penalty._water_fill(*tick) == want
+    assert len(fallbacks) == 1
 
 
 class TestRejectedInputs:
