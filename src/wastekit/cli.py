@@ -7,10 +7,11 @@ json` switches every subcommand to schema-stable JSON on stdout.
 The only paths ever written are explicit `-o` targets (and the files a
 confirmed `plan --execute --yes` removes); scanning and reporting never
 modify the tree being examined, atimes included: files and directories
-are read with O_NOATIME, and one warning counts those the kernel
-refused it for (files the caller does not own). Every file a snapshot
-names, whether digested, deduplicated or disposed of, is reached through
-a `TreeOpener` from the snapshot root, never through a symlink.
+are read with O_NOATIME, and each pass warns once with the count of
+those the kernel refused it for (files the caller does not own). Every
+file a snapshot names, whether digested, deduplicated or disposed of,
+is reached through a `TreeOpener` from the snapshot root, never
+through a symlink.
 """
 
 from __future__ import annotations
@@ -40,13 +41,11 @@ from .model import (
     OutsideRoot,
     TreeOpener,
     WasteCategory,
-    atime_moved_count,
     atime_moved_warning,
     load_rules,
 )
 from .penalty import SchedulerConfig, load_workload, simulate
 from .scanner import (
-    DIGEST_UNREADABLE,
     ScanOptions,
     classify_snapshot,
     diff,
@@ -81,14 +80,9 @@ def _rules_path(args) -> str:
     return path
 
 
-def _warn_reads(since: int, digest_failures=()) -> None:
-    """Warn as `report` does: about each checked file that could not be
-    read, then once about the reads since `since` that moved atimes."""
-    for path in digest_failures:
-        print(f"warning: {DIGEST_UNREADABLE}{path}", file=sys.stderr)
-    moved = atime_moved_count() - since
-    if moved:
-        print(f"warning: {atime_moved_warning(moved)}", file=sys.stderr)
+def _warn(warnings) -> None:
+    for w in warnings:
+        print(f"warning: {w}", file=sys.stderr)
 
 
 def _add_rules_arg(sub) -> None:
@@ -170,10 +164,7 @@ def run(argv: list[str]) -> int:
         return 2
     except SystemExit as exc:  # --help / --version
         return int(exc.code or 0)
-    except WastekitError as exc:
-        print(f"wastekit: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (WastekitError, OSError) as exc:
         print(f"wastekit: error: {exc}", file=sys.stderr)
         return 1
 
@@ -208,8 +199,7 @@ def _cmd_scan(args) -> int:
         )
     else:
         print(f"scanned {len(snapshot.records)} entries under {snapshot.root} -> {args.output}")
-        for w in snapshot.warnings:
-            print(f"warning: {w}", file=sys.stderr)
+        _warn(snapshot.warnings)
     return 0
 
 
@@ -229,8 +219,7 @@ def _cmd_report(args) -> int:
     for cat in WasteCategory:
         files, nbytes = rep.per_category[cat]
         print(f"{cat.value:<14}{files:>10}{nbytes:>16}")
-    for w in rep.warnings:
-        print(f"warning: {w}", file=sys.stderr)
+    _warn(rep.warnings)
     return 0
 
 
@@ -238,9 +227,8 @@ def _cmd_diff(args) -> int:
     old = read_snapshot(args.old)
     new = read_snapshot(args.new)
     rules = load_rules(_rules_path(args))
-    atime_moved = atime_moved_count()
     churn = diff(old, new, rules)
-    _warn_reads(atime_moved, churn.digest_failures)
+    _warn(churn.warnings)
     if args.format == "json":
         _print_json(churn.to_json_obj())
         return 0
@@ -269,9 +257,8 @@ def _cmd_plan(args) -> int:
     snapshot = read_snapshot(args.snapshot)
     rules = load_rules(_rules_path(args))
     masks = load_mask_rules(args.masks) if args.masks else MaskRules()
-    atime_moved = atime_moved_count()
-    categories, digest_failures = classify_snapshot(snapshot, rules)
-    _warn_reads(atime_moved, digest_failures)
+    categories, warnings = classify_snapshot(snapshot, rules)
+    _warn(warnings)
     entries = [
         (rec, category, masks.mask_for(rec.path))
         for rec, category in zip(snapshot.records, categories)
@@ -303,8 +290,7 @@ def _cmd_plan(args) -> int:
             print(f"{entry.action.label:<10} {entry.category.value:<14} {entry.path}")
     if executed is not None:
         print(f"deleted: {executed['deleted']} files, {executed['bytes_freed']} bytes")
-        for failure in executed["failures"]:
-            print(f"warning: {failure}", file=sys.stderr)
+        _warn(executed["failures"])
     return 0
 
 
@@ -398,8 +384,11 @@ def _cmd_dedup(args) -> int:
         max_chunk=args.max_chunk,
         window=args.window,
     )
-    atime_moved = atime_moved_count()
-    snapshot = scan(args.path) if os.path.isdir(args.path) else read_snapshot(args.path)
+    if os.path.isdir(args.path):
+        snapshot = scan(args.path)
+        _warn(snapshot.warnings)
+    else:
+        snapshot = read_snapshot(args.path)
     index = ChunkIndex(config=config)
     skipped = []
     with TreeOpener(snapshot.root) as files:
@@ -417,7 +406,8 @@ def _cmd_dedup(args) -> int:
                 skipped.append(f"{rec.path}: resolves outside the root")
             except OSError as exc:
                 skipped.append(f"{rec.path}: {exc}")
-    _warn_reads(atime_moved)
+    if files.atime_moved:
+        _warn([atime_moved_warning(files.atime_moved)])
     stats = index.stats()
     stats["skipped"] = skipped
     if args.format == "json":
@@ -428,17 +418,15 @@ def _cmd_dedup(args) -> int:
     print(f"logical bytes: {stats['logical_bytes']}")
     print(f"physical bytes: {stats['physical_bytes']}")
     print(f"dedup ratio: {stats['dedup_ratio']:.4f}")
-    for s in skipped:
-        print(f"warning: skipped {s}", file=sys.stderr)
+    _warn(f"skipped {s}" for s in skipped)
     return 0
 
 
 def _cmd_recover(args) -> int:
     snapshot = read_snapshot(args.snapshot)
     rules = load_rules(_rules_path(args))
-    atime_moved = atime_moved_count()
     summary = recover_summary(snapshot, rules)
-    _warn_reads(atime_moved, summary.digest_failures)
+    _warn(summary.warnings)
     _print_json(summary.to_json_obj())
     return 0
 

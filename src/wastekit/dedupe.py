@@ -433,14 +433,16 @@ def extension_token(path: str) -> str:
 class RecoverSummary:
     """Structural view of a snapshot's waste: what kinds, sizes and ages
     of files pile up, with all identifying detail stripped so the
-    summary can be shared."""
+    summary can be shared. `warnings` holds the default provider's
+    warnings about its reads (see `snapshot_digest_provider`); they name
+    paths, so they are not in the JSON."""
 
     extension_histogram: dict
     size_histogram: dict
     age_histogram: dict
     waste_files: int
     waste_bytes: int
-    digest_failures: list[str] = field(default_factory=list)  # not in the JSON
+    warnings: list[str] = field(default_factory=list)
 
     def to_json_obj(self) -> dict:
         def hist(d: dict) -> dict:
@@ -456,7 +458,7 @@ class RecoverSummary:
 
 
 def recover_summary(snapshot: Snapshot, rules: RuleSet, digest_provider=None) -> RecoverSummary:
-    categories, digest_failures = classify_snapshot(snapshot, rules, digest_provider)
+    categories, warnings = classify_snapshot(snapshot, rules, digest_provider)
     ext_hist: dict[str, list] = {}
     size_hist: dict[str, list] = {}
     age_hist: dict[str, list] = {}
@@ -482,5 +484,5 @@ def recover_summary(snapshot: Snapshot, rules: RuleSet, digest_provider=None) ->
         age_histogram={k: tuple(v) for k, v in age_hist.items()},
         waste_files=files,
         waste_bytes=total,
-        digest_failures=digest_failures,
+        warnings=warnings,
     )

@@ -30,10 +30,10 @@ class LandfillConfig:
     refresh_on_read: bool = True
 
     def __post_init__(self):
-        if self.capacity_bytes <= 0:
-            raise WastekitError("capacity_bytes must be > 0")
-        if self.fade_lifetime_epochs < 1:
-            raise WastekitError("fade_lifetime_epochs must be >= 1")
+        if type(self.capacity_bytes) is not int or self.capacity_bytes <= 0:
+            raise WastekitError(f"capacity_bytes must be an integer > 0, got {self.capacity_bytes!r}")
+        if type(self.fade_lifetime_epochs) is not int or self.fade_lifetime_epochs < 1:
+            raise WastekitError(f"fade_lifetime_epochs must be an integer >= 1, got {self.fade_lifetime_epochs!r}")
 
 
 @dataclass(slots=True)

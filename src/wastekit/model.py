@@ -15,7 +15,6 @@ import json
 import os
 import re
 import stat
-import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple, Optional
@@ -318,22 +317,6 @@ def open_noatime(path: str, flags: int, dir_fd: int | None = None) -> tuple[int,
     return os.open(path, flags, dir_fd=dir_fd), False
 
 
-# Reads made without O_NOATIME since the process started. Callers take
-# the difference around a piece of work to warn once about it.
-_atime_moved = 0
-_atime_moved_lock = threading.Lock()
-
-
-def note_atime_moved(count: int = 1) -> None:
-    global _atime_moved
-    with _atime_moved_lock:
-        _atime_moved += count
-
-
-def atime_moved_count() -> int:
-    return _atime_moved
-
-
 def atime_moved_warning(count: int) -> str:
     return (
         f"atime moved by {count} read(s) made without O_NOATIME, which is refused on entries the caller does not own"
@@ -379,10 +362,12 @@ class TreeOpener:
     no fd outlives the pass. The root is opened on first use, so a missing
     root fails each open, not the `with`. The last path's directories stay
     open and pinned: with records in path order a sibling costs one
-    `openat`, and swapping a directory for a symlink redirects nothing."""
+    `openat`, and swapping a directory for a symlink redirects nothing.
+    `atime_moved` counts the files opened without O_NOATIME."""
 
     def __init__(self, root: str):
         self.root = root
+        self.atime_moved = 0
         self._names: list[str] = []  # the open directories below the root, outermost first
         self._fds: list[int] = []  # the root's fd, then one per name in `_names`
 
@@ -434,7 +419,7 @@ class TreeOpener:
             os.close(fd)
             raise
         if not atime_kept:
-            note_atime_moved()
+            self.atime_moved += 1
         return fd
 
     def digest(self, rel: str, sha256: Callable[[int], str | None] = sha256_file) -> str | None:

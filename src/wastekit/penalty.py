@@ -50,12 +50,12 @@ class SchedulerConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", _as_fraction(self.alpha, "alpha"))
-        if self.total_bandwidth <= 0:
-            raise WastekitError("total_bandwidth must be > 0")
+        if type(self.total_bandwidth) is not int or self.total_bandwidth <= 0:
+            raise WastekitError(f"total_bandwidth must be an integer > 0, got {self.total_bandwidth!r}")
         if self.alpha < 0:
             raise WastekitError("alpha must be >= 0")
-        if self.tick_count < 1:
-            raise WastekitError("tick_count must be >= 1")
+        if type(self.tick_count) is not int or self.tick_count < 1:
+            raise WastekitError(f"tick_count must be an integer >= 1, got {self.tick_count!r}")
 
 
 def _apportion(total: int, weights: list) -> dict:
@@ -378,7 +378,8 @@ def _water_fill(bandwidth: int, backlog: list[int], eff_num: list[int], eff_den:
 
 
 def _exact_water_fill(bandwidth: int, backlog: list[int], eff_num: list[int], eff_den: list[int]) -> list[int]:
-    """Water-filling split of one tick's bandwidth, producer by index.
+    """Water-filling split of an overloaded tick (sum(backlog) >
+    bandwidth), producer by index.
 
     The hungry producers' effective weights are scaled to integers over
     the lcm of their denominators, so every test below is exact integer
@@ -390,8 +391,6 @@ def _exact_water_fill(bandwidth: int, backlog: list[int], eff_num: list[int], ef
     producer's backlog because the exact share was strictly below an
     integer backlog.
     """
-    if sum(backlog) <= bandwidth:
-        return backlog[:]
     delivered = [0] * len(backlog)
     hungry = [i for i, b in enumerate(backlog) if b]
     lcm = math.lcm(*(eff_den[i] for i in hungry))

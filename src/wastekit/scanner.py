@@ -31,12 +31,10 @@ from .model import (
     RuleSet,
     TreeOpener,
     WasteCategory,
-    atime_moved_count,
     atime_moved_warning,
     classify,
     is_idle,
     is_relative,
-    note_atime_moved,
     open_noatime,
     rule_category,
     sha256_file,
@@ -55,7 +53,7 @@ class ScanOptions:
 
     def __post_init__(self):
         if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+            raise WastekitError("workers must be >= 1")
 
 
 @dataclass
@@ -363,7 +361,6 @@ def scan(root: str, options: ScanOptions | None = None, *, now: int | None = Non
     if future:
         warnings.append(f"future timestamps on {future} entr(ies)")
     if atime_moved_dirs:
-        note_atime_moved(atime_moved_dirs)
         warnings.append(atime_moved_warning(atime_moved_dirs))
 
     return Snapshot(
@@ -406,9 +403,11 @@ class WasteReport:
 
 
 @contextmanager
-def snapshot_digest_provider(snapshot: Snapshot, failures: list[str] | None = None):
+def snapshot_digest_provider(snapshot: Snapshot, warnings: list[str] | None = None):
     """A provider reading each record path once under the snapshot root,
-    for the length of the `with`; unreadable paths go to `failures`."""
+    for the length of the `with`. `warnings`, if given, gets one
+    `DIGEST_UNREADABLE` line per unreadable path and, when the `with`
+    exits, one line counting the reads that moved atimes, if any did."""
     memo: dict[str, str | None] = {}
     with TreeOpener(snapshot.root) as files:
 
@@ -417,11 +416,13 @@ def snapshot_digest_provider(snapshot: Snapshot, failures: list[str] | None = No
                 # `sha256_file` is looked up here on each call: perfbench's
                 # tracer wraps it in this module.
                 memo[rel_path] = digest = files.digest(rel_path, sha256_file)
-                if digest is None and failures is not None:
-                    failures.append(rel_path)
+                if digest is None and warnings is not None:
+                    warnings.append(DIGEST_UNREADABLE + rel_path)
             return memo[rel_path]
 
         yield provider
+    if files.atime_moved and warnings is not None:
+        warnings.append(atime_moved_warning(files.atime_moved))
 
 
 def classify_snapshot(
@@ -429,21 +430,19 @@ def classify_snapshot(
 ) -> tuple[list[WasteCategory], list[str]]:
     """Classify every record at the snapshot's own capture time, so a
     stored snapshot always classifies the same way. Returns the categories
-    in record order, and the paths the default provider, which reads files
-    under the snapshot root, could not read for a degraded check."""
-    digest_failures: list[str] = []
+    in record order, and the warnings of the default provider, which reads
+    files under the snapshot root (see `snapshot_digest_provider`)."""
+    warnings: list[str] = []
     now = snapshot.taken_at
-    with snapshot_digest_provider(snapshot, digest_failures) as default:
+    with snapshot_digest_provider(snapshot, warnings) as default:
         provider = digest_provider or default
         categories = [classify(rec, rules, now, provider) for rec in snapshot.records]
-    return categories, digest_failures
+    return categories, warnings
 
 
 def report(snapshot: Snapshot, rules: RuleSet, digest_provider: DigestProvider | None = None) -> WasteReport:
     """Classify every record and aggregate Table-style waste figures."""
-    atime_moved = atime_moved_count()
-    categories, digest_failures = classify_snapshot(snapshot, rules, digest_provider)
-    atime_moved = atime_moved_count() - atime_moved
+    categories, read_warnings = classify_snapshot(snapshot, rules, digest_provider)
     sizes = [rec.size_bytes for rec in snapshot.records]
     # Tallied a category at a time: keying a dict by category in the
     # per-record loop would call Enum.__hash__, which is Python code.
@@ -464,10 +463,7 @@ def report(snapshot: Snapshot, rules: RuleSet, digest_provider: DigestProvider |
     warnings = list(snapshot.warnings)
     if not snapshot.atime_reliable:
         warnings.append("atime may be unreliable: some files have atime < mtime (copied timestamps or noatime mount)")
-    for path in digest_failures:
-        warnings.append(f"{DIGEST_UNREADABLE}{path}")
-    if atime_moved:
-        warnings.append(atime_moved_warning(atime_moved))
+    warnings += read_warnings
 
     return WasteReport(
         total_files=len(snapshot.records),
@@ -481,13 +477,15 @@ def report(snapshot: Snapshot, rules: RuleSet, digest_provider: DigestProvider |
 
 @dataclass
 class ChurnReport:
-    """Path-level changes between two snapshots of the same root."""
+    """Path-level changes between two snapshots of the same root.
+    `warnings` holds the default provider's warnings about its reads
+    (see `snapshot_digest_provider`); they are not in the JSON."""
 
     added: list[str]
     removed: list[str]
     became_waste: list[str]
     reactivated: list[str]
-    digest_failures: list[str] = field(default_factory=list)  # not in the JSON
+    warnings: list[str] = field(default_factory=list)
 
     def to_json_obj(self) -> dict:
         return {
@@ -523,7 +521,7 @@ def diff(
     old_paths, new_paths = list(map(_BY_PATH, old.records)), list(map(_BY_PATH, new.records))
     churn = ChurnReport([], [], [], [])
     i = j = 0
-    with snapshot_digest_provider(new, churn.digest_failures) as current:
+    with snapshot_digest_provider(new, churn.warnings) as current:
         old_provider = old_digest_provider or current
         new_provider = new_digest_provider or current
         while i < len(old_paths) and j < len(new_paths):

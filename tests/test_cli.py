@@ -420,6 +420,10 @@ class TestScan:
         code, _, err = cli(capsys, "scan", "/no/such/dir")
         assert code == 1
 
+    def test_workers_below_one_is_one_line(self, capsys, small_tree):
+        code, _, err = cli(capsys, "scan", str(small_tree), "--workers", "0")
+        assert (code, err) == (1, "wastekit: error: workers must be >= 1\n")
+
     def test_scan_exclude(self, capsys, small_tree, tmp_path):
         dest = tmp_path / "t.snap"
         obj = cli_json(
@@ -1058,10 +1062,11 @@ class TestReadsLeaveNoTrace:
         # The snapshot's own warning, then the report's for its digests.
         moved = [w for w in report["warnings"] if w.startswith("atime moved")]
         assert moved == [atime_moved_warning(dirs), atime_moved_warning(checked)]
-        # Elsewhere the count goes to stderr, once. `diff` reads each checked
-        # file once for both snapshots; `dedup DIR` lists the directories too.
-        for (command, _, err), moved in zip(results[3:], [checked, checked, checked, dirs + regular, regular]):
-            assert err == f"warning: {atime_moved_warning(moved)}\n", command
+        # Elsewhere each pass's count goes to stderr, once. `diff` reads each
+        # checked file once for both snapshots; `dedup DIR` warns as its scan
+        # does, then about its own reads.
+        for (command, _, err), moved in zip(results[3:], [[checked], [checked], [checked], [dirs, regular], [regular]]):
+            assert err == "".join(f"warning: {atime_moved_warning(n)}\n" for n in moved), command
 
 
 # -- reads stay below the root ------------------------------------------
@@ -1245,6 +1250,17 @@ class TestDedup:
         from_snapshot = cli_json(capsys, "--format", "json", "dedup", snap)
         assert from_tree == from_snapshot
         assert (from_tree["objects"], from_tree["dedup_ratio"]) == (2, 1.0)
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_tree_warns_as_its_scan_does(self, capsys, tmp_path, fmt):
+        root = tmp_path / "data"
+        root.mkdir()
+        (root / "a").write_bytes(b"shared")
+        os.link(root / "a", root / "b")
+        code, _, scan_err = cli(capsys, "scan", str(root), "-o", str(tmp_path / "t.snap"))
+        assert (code, scan_err) == (0, "warning: hardlink duplicates skipped: 1\n")
+        code, _, err = cli(capsys, "--format", fmt, "dedup", str(root))
+        assert (code, err) == (0, scan_err)
 
     def test_snapshot_path_now_a_fifo_is_skipped(self, tmp_path):
         # Once `dedup` of a snapshot blocked forever opening a FIFO that

@@ -37,6 +37,15 @@ class TestConfig:
         with pytest.raises(WastekitError):
             LandfillConfig(10, 0)
 
+    @pytest.mark.parametrize("field", ["capacity_bytes", "fade_lifetime_epochs"])
+    @pytest.mark.parametrize("value", [100.0, 1.5, True])
+    def test_integer_fields_must_be_ints(self, field, value):
+        # Once capacity_bytes=True made `replay` write `"capacity_bytes": True`,
+        # which is not JSON, and 100.0 wrote `100.0`.
+        kwargs = {"capacity_bytes": 100, "fade_lifetime_epochs": 2} | {field: value}
+        with pytest.raises(WastekitError, match=f"{field} must be an integer"):
+            LandfillConfig(**kwargs)
+
 
 class TestPut:
     def test_store_into_empty(self):

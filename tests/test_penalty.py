@@ -476,6 +476,15 @@ class TestRejectedInputs:
         with pytest.raises(WastekitError, match="exponent"):
             simulate(parse_workload(["0 a 1 0"]), cfg(ticks=1), {"a": spelling})
 
+    @pytest.mark.parametrize("field", ["total_bandwidth", "tick_count"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, True])
+    def test_integer_fields_must_be_ints(self, field, value):
+        # Once a float failed deep in the fill with a TypeError, and True
+        # ran as 1.
+        kwargs = {"total_bandwidth": 10, "alpha": 1, "tick_count": 2} | {field: value}
+        with pytest.raises(WastekitError, match=f"{field} must be an integer"):
+            SchedulerConfig(**kwargs)
+
     def test_float_inputs_keep_their_decimal_spelling(self):
         assert SchedulerConfig(total_bandwidth=1, alpha=1e-05, tick_count=1).alpha == Fraction(1, 100000)
 

@@ -16,6 +16,7 @@ import wastekit
 import wastekit.scanner as scanner_mod
 from wastekit.model import FileKind, FileRecord, RuleSet, TreeOpener, WasteCategory, atime_moved_warning, classify
 from wastekit.scanner import (
+    DIGEST_UNREADABLE,
     ChurnReport,
     ScanOptions,
     Snapshot,
@@ -649,7 +650,7 @@ class TestDiff:
         new_provider = old_provider if one_provider else digests[1].get
         got = diff(old, new, rules, old_provider, new_provider)
         assert got.to_json_obj() == naive_diff(old, new, rules, old_provider, new_provider)
-        assert got.digest_failures == []
+        assert got.warnings == []
 
     def test_default_provider_reads_each_checked_file_once(self, tmp_path, monkeypatch):
         rules = RuleSet(degraded_checks=(("*.chk", hashlib.sha256(b"ok").hexdigest()),))
@@ -678,7 +679,7 @@ class TestDiff:
         assert reads == ["a.chk", "b.chk", "d.chk", "e.chk"]
         # e.chk, a Regular file in the old snapshot, is a directory now, so
         # its digest cannot be read: Degraded then, a plain directory now.
-        assert churn.digest_failures == ["e.chk"]
+        assert churn.warnings == [DIGEST_UNREADABLE + "e.chk"]
         assert churn.reactivated == ["e.chk"]
         assert churn.became_waste == []
 
