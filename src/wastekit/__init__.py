@@ -10,145 +10,102 @@ The library is organized around four mechanisms:
   unaccessed entries expire for free;
 - incentives and reuse (`penalty`, `dedupe`): pay-as-you-throw
   bandwidth sharing and content-defined-chunking deduplication.
+
+Each public name, and each module above, is imported on first use
+(PEP 562), so `import wastekit` alone loads none of them.
 """
 
-from ._version import __version__
-from .errors import (
-    ChunkCorruptionError,
-    ObjectNotFoundError,
-    RuleSetError,
-    TraceError,
-    WastekitError,
-)
-from .model import (
-    FileKind,
-    FileRecord,
-    RuleSet,
-    WasteCategory,
-    classify,
-    f_lifetime,
-    load_rules,
-    ruleset_from_json_obj,
-    sha256_file,
-)
-from .scanner import (
-    ChurnReport,
-    ScanOptions,
-    Snapshot,
-    WasteReport,
-    classify_snapshot,
-    diff,
-    read_snapshot,
-    report,
-    scan,
-    snapshot_digest_provider,
-    write_snapshot,
-)
-from .hierarchy import (
-    ActionPlan,
-    CostModel,
-    CostReport,
-    FeasibilityMask,
-    HierarchyAction,
-    MaskRules,
-    PlanEntry,
-    estimate_cost,
-    load_mask_rules,
-    plan,
-)
-from .landfill import (
-    DigitalLandfill,
-    FadeStats,
-    LandfillConfig,
-    LandfillEntry,
-    LandfillStats,
-    PutOutcome,
-    load_trace,
-    parse_trace,
-    replay,
-)
-from .penalty import (
-    SchedulerConfig,
-    SimulationReport,
-    WorkloadTrace,
-    load_workload,
-    parse_workload,
-    simulate,
-)
-from .dedupe import (
-    ChunkIndex,
-    ChunkingConfig,
-    ChunkStore,
-    IngestResult,
-    RecoverSummary,
-    chunk,
-    recover_summary,
-)
+from importlib import import_module
 
-__all__ = [
-    "__version__",
-    # errors
-    "WastekitError",
-    "RuleSetError",
-    "TraceError",
-    "ObjectNotFoundError",
-    "ChunkCorruptionError",
-    # model
-    "FileKind",
-    "FileRecord",
-    "RuleSet",
-    "WasteCategory",
-    "classify",
-    "f_lifetime",
-    "load_rules",
-    "ruleset_from_json_obj",
-    "sha256_file",
-    # scanner
-    "ScanOptions",
-    "Snapshot",
-    "WasteReport",
-    "ChurnReport",
-    "scan",
-    "classify_snapshot",
-    "report",
-    "diff",
-    "read_snapshot",
-    "write_snapshot",
-    "snapshot_digest_provider",
-    # hierarchy
-    "HierarchyAction",
-    "FeasibilityMask",
-    "MaskRules",
-    "ActionPlan",
-    "PlanEntry",
-    "CostModel",
-    "CostReport",
-    "plan",
-    "estimate_cost",
-    "load_mask_rules",
-    # landfill
-    "DigitalLandfill",
-    "LandfillConfig",
-    "LandfillEntry",
-    "LandfillStats",
-    "FadeStats",
-    "PutOutcome",
-    "parse_trace",
-    "load_trace",
-    "replay",
-    # penalty
-    "SchedulerConfig",
-    "WorkloadTrace",
-    "SimulationReport",
-    "simulate",
-    "parse_workload",
-    "load_workload",
-    # dedupe
-    "ChunkIndex",
-    "ChunkingConfig",
-    "ChunkStore",
-    "IngestResult",
-    "RecoverSummary",
-    "chunk",
-    "recover_summary",
-]
+from ._version import __version__
+
+# Module -> the public names it exports.
+_EXPORTS = {
+    "errors": (
+        "WastekitError",
+        "RuleSetError",
+        "TraceError",
+        "ObjectNotFoundError",
+        "ChunkCorruptionError",
+    ),
+    "model": (
+        "FileKind",
+        "FileRecord",
+        "RuleSet",
+        "WasteCategory",
+        "classify",
+        "f_lifetime",
+        "load_rules",
+        "ruleset_from_json_obj",
+        "sha256_file",
+    ),
+    "scanner": (
+        "ScanOptions",
+        "Snapshot",
+        "WasteReport",
+        "ChurnReport",
+        "scan",
+        "classify_snapshot",
+        "report",
+        "diff",
+        "read_snapshot",
+        "write_snapshot",
+        "snapshot_digest_provider",
+    ),
+    "hierarchy": (
+        "HierarchyAction",
+        "FeasibilityMask",
+        "MaskRules",
+        "ActionPlan",
+        "PlanEntry",
+        "CostModel",
+        "CostReport",
+        "plan",
+        "estimate_cost",
+        "load_mask_rules",
+    ),
+    "landfill": (
+        "DigitalLandfill",
+        "LandfillConfig",
+        "LandfillEntry",
+        "LandfillStats",
+        "FadeStats",
+        "PutOutcome",
+        "parse_trace",
+        "load_trace",
+        "replay",
+    ),
+    "penalty": (
+        "SchedulerConfig",
+        "WorkloadTrace",
+        "SimulationReport",
+        "simulate",
+        "parse_workload",
+        "load_workload",
+    ),
+    "dedupe": (
+        "ChunkIndex",
+        "ChunkingConfig",
+        "ChunkStore",
+        "IngestResult",
+        "RecoverSummary",
+        "chunk",
+        "recover_summary",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["__version__", *_MODULE_OF]
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return import_module(f".{name}", __name__)
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_EXPORTS})

@@ -359,6 +359,8 @@ def _cmd_penalty_sim(args) -> int:
         pid, sep, w = spec_.partition("=")
         if not sep or not pid:
             raise _UsageError(f"wastekit penalty-sim: error: --weight expects ID=W, got {spec_!r}")
+        if pid in weights:
+            raise _UsageError(f"wastekit penalty-sim: error: --weight given twice for {pid!r}")
         weights[pid] = w
     rep = simulate(trace, config, base_weights=weights or None)
     if args.format == "json":

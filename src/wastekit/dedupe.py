@@ -433,9 +433,9 @@ def extension_token(path: str) -> str:
 class RecoverSummary:
     """Structural view of a snapshot's waste: what kinds, sizes and ages
     of files pile up, with all identifying detail stripped so the
-    summary can be shared. `warnings` holds the default provider's
-    warnings about its reads (see `snapshot_digest_provider`); they name
-    paths, so they are not in the JSON."""
+    summary can be shared. `warnings` holds the warnings about the files
+    it read (see `snapshot_digest_provider`); they name paths, so they
+    are not in the JSON."""
 
     extension_histogram: dict
     size_histogram: dict
@@ -457,8 +457,8 @@ class RecoverSummary:
         }
 
 
-def recover_summary(snapshot: Snapshot, rules: RuleSet, digest_provider=None) -> RecoverSummary:
-    categories, warnings = classify_snapshot(snapshot, rules, digest_provider)
+def recover_summary(snapshot: Snapshot, rules: RuleSet) -> RecoverSummary:
+    categories, warnings = classify_snapshot(snapshot, rules)
     ext_hist: dict[str, list] = {}
     size_hist: dict[str, list] = {}
     age_hist: dict[str, list] = {}

@@ -1,8 +1,9 @@
 """Action planning over classified waste and flash-aware cost reporting.
 
 Actions form a fixed preference ladder; the planner picks the
-highest-ranked feasible action per object, searching the ladder once
-per distinct mask, which the objects one mask rule matches all share.
+highest-ranked feasible action per object. Each mask searches the
+ladder once, when it is made, and the objects one mask rule matches
+all share that mask.
 Cost is reporting only: it never influences which action is chosen.
 """
 
@@ -51,13 +52,17 @@ SELECTABLE_ACTIONS = (
     HierarchyAction.DISPOSE,
 )
 
+# The four rungs above Dispose in ladder order.
+_MASK_BITS = ("reduce_ok", "reuse_ok", "recycle_ok", "recover_ok")
+
 
 @dataclass(frozen=True)
 class FeasibilityMask:
     """Which ladder rungs are available for one object.
 
     Disposal is always possible, so only the upper four rungs are
-    inputs.
+    inputs. `action` is the most preferred rung the mask allows, chosen
+    once here: every object the mask covers gets it.
     """
 
     reduce_ok: bool = False
@@ -65,10 +70,12 @@ class FeasibilityMask:
     recycle_ok: bool = False
     recover_ok: bool = False
 
+    def __post_init__(self):
+        object.__setattr__(self, "action", next(a for a in SELECTABLE_ACTIONS if self.allows(a)))
+
     def allows(self, action: HierarchyAction) -> bool:
         if action is HierarchyAction.DISPOSE:
             return True
-        # _MASK_BITS names the four rungs above Dispose in ladder order.
         return HierarchyAction.REDUCE <= action < HierarchyAction.DISPOSE and getattr(self, _MASK_BITS[action])
 
 
@@ -146,18 +153,11 @@ def plan(entries: list[tuple[FileRecord, WasteCategory, FeasibilityMask]]) -> Ac
     plan_entries = []
     append = plan_entries.append
     new_entry = tuple.__new__  # PlanEntry's own __new__ is Python code
-    # Keyed on `id(mask)`, as hashing the dataclass runs Python code per
-    # entry; `masks_seen` keeps each mask alive, so no id is reused.
-    chosen_by_mask: dict[int, HierarchyAction] = {}
-    masks_seen = []
     totals = {action: [0, 0] for action in SELECTABLE_ACTIONS}
     for record, category, mask in entries:
         if category is WasteCategory.NOT_WASTE:
             raise WastekitError(f"cannot plan an action for NotWaste entry: {record.path}")
-        chosen = chosen_by_mask.get(id(mask))
-        if chosen is None:
-            masks_seen.append(mask)
-            chosen = chosen_by_mask[id(mask)] = next(a for a in SELECTABLE_ACTIONS if mask.allows(a))
+        chosen = mask.action
         nbytes = 0 if chosen is HierarchyAction.REDUCE else record.size_bytes
         append(new_entry(PlanEntry, (record.path, category, chosen, nbytes)))
         totals[chosen][0] += 1
@@ -241,9 +241,6 @@ class MaskRules:
     def mask_for(self, path: str) -> FeasibilityMask:
         index = self._globs.first(path)
         return self.default if index is None else self.rules[index][1]
-
-
-_MASK_BITS = ("reduce_ok", "reuse_ok", "recycle_ok", "recover_ok")
 
 
 def _mask_from_obj(obj, where: str) -> FeasibilityMask:

@@ -12,7 +12,6 @@ denominator."""
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 import sys
@@ -196,9 +195,6 @@ class SimulationReport:
                 for pid, r in sorted(self.producers.items())
             },
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":"))
 
 
 def simulate(

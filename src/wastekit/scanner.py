@@ -24,7 +24,6 @@ from stat import S_ISDIR, S_ISLNK, S_ISREG
 from ._version import __version__
 from .errors import WastekitError
 from .model import (
-    DigestProvider,
     FileKind,
     FileRecord,
     GlobSet,
@@ -162,7 +161,8 @@ def read_snapshot(path: str) -> Snapshot:
         raise WastekitError(f"{path} is not a {SNAPSHOT_FORMAT} file")
     root, taken_at = header.get("root"), header.get("taken_at")
     atime_reliable, warnings = header.get("atime_reliable", True), header.get("warnings", [])
-    if not (isinstance(root, str) and type(taken_at) is int and type(atime_reliable) is bool and type(warnings) is list):
+    if not (isinstance(root, str) and type(taken_at) is int and type(atime_reliable) is bool
+            and type(warnings) is list and all(type(w) is str for w in warnings)):
         raise WastekitError(f"snapshot {path} header needs a string 'root', an integer 'taken_at', "
                             "and optionally a boolean 'atime_reliable' and a 'warnings' list")
     # Each line is decoded and checked on its own, inline. A line that
@@ -404,45 +404,40 @@ class WasteReport:
 
 @contextmanager
 def snapshot_digest_provider(snapshot: Snapshot, warnings: list[str] | None = None):
-    """A provider reading each record path once under the snapshot root,
-    for the length of the `with`. `warnings`, if given, gets one
+    """A provider reading record paths under the snapshot root, for the
+    length of the `with`. `warnings`, if given, gets one
     `DIGEST_UNREADABLE` line per unreadable path and, when the `with`
     exits, one line counting the reads that moved atimes, if any did."""
-    memo: dict[str, str | None] = {}
     with TreeOpener(snapshot.root) as files:
 
         def provider(rel_path: str) -> str | None:
-            if rel_path not in memo:
-                # `sha256_file` is looked up here on each call: perfbench's
-                # tracer wraps it in this module.
-                memo[rel_path] = digest = files.digest(rel_path, sha256_file)
-                if digest is None and warnings is not None:
-                    warnings.append(DIGEST_UNREADABLE + rel_path)
-            return memo[rel_path]
+            # `sha256_file` is looked up here on each call: perfbench's
+            # tracer wraps it in this module.
+            digest = files.digest(rel_path, sha256_file)
+            if digest is None and warnings is not None:
+                warnings.append(DIGEST_UNREADABLE + rel_path)
+            return digest
 
         yield provider
     if files.atime_moved and warnings is not None:
         warnings.append(atime_moved_warning(files.atime_moved))
 
 
-def classify_snapshot(
-    snapshot: Snapshot, rules: RuleSet, digest_provider: DigestProvider | None = None
-) -> tuple[list[WasteCategory], list[str]]:
+def classify_snapshot(snapshot: Snapshot, rules: RuleSet) -> tuple[list[WasteCategory], list[str]]:
     """Classify every record at the snapshot's own capture time, so a
     stored snapshot always classifies the same way. Returns the categories
-    in record order, and the warnings of the default provider, which reads
-    files under the snapshot root (see `snapshot_digest_provider`)."""
+    in record order, and the warnings about the files that degraded
+    checks read under the snapshot root (see `snapshot_digest_provider`)."""
     warnings: list[str] = []
     now = snapshot.taken_at
-    with snapshot_digest_provider(snapshot, warnings) as default:
-        provider = digest_provider or default
+    with snapshot_digest_provider(snapshot, warnings) as provider:
         categories = [classify(rec, rules, now, provider) for rec in snapshot.records]
     return categories, warnings
 
 
-def report(snapshot: Snapshot, rules: RuleSet, digest_provider: DigestProvider | None = None) -> WasteReport:
+def report(snapshot: Snapshot, rules: RuleSet) -> WasteReport:
     """Classify every record and aggregate Table-style waste figures."""
-    categories, read_warnings = classify_snapshot(snapshot, rules, digest_provider)
+    categories, read_warnings = classify_snapshot(snapshot, rules)
     sizes = [rec.size_bytes for rec in snapshot.records]
     # Tallied a category at a time: keying a dict by category in the
     # per-record loop would call Enum.__hash__, which is Python code.
@@ -478,8 +473,8 @@ def report(snapshot: Snapshot, rules: RuleSet, digest_provider: DigestProvider |
 @dataclass
 class ChurnReport:
     """Path-level changes between two snapshots of the same root.
-    `warnings` holds the default provider's warnings about its reads
-    (see `snapshot_digest_provider`); they are not in the JSON."""
+    `warnings` holds the warnings about the files it read (see
+    `snapshot_digest_provider`); they are not in the JSON."""
 
     added: list[str]
     removed: list[str]
@@ -496,23 +491,16 @@ class ChurnReport:
         }
 
 
-def diff(
-    old: Snapshot,
-    new: Snapshot,
-    rules: RuleSet,
-    old_digest_provider: DigestProvider | None = None,
-    new_digest_provider: DigestProvider | None = None,
-) -> ChurnReport:
+def diff(old: Snapshot, new: Snapshot, rules: RuleSet) -> ChurnReport:
     """Set-diff two snapshots and track NotWaste <-> waste transitions.
 
     One merge pass over the two record lists, which must be sorted by
     path and unique (else WastekitError names the path). Both snapshots
     must share the same root. Each shared path is classified at each
     snapshot's own capture time, but only the Used test depends on it:
-    `rule_category` runs once when both records have the same kind and
-    both sides the same provider. A degraded check reads the file as it
-    is now under that root, so the default providers are one, and each
-    checked file is read once.
+    `rule_category` runs once when both records have the same kind. A
+    degraded check reads the file as it is now under that root, and only
+    a Regular record is read, so each checked file is read once.
     """
     if old.root != new.root:
         raise WastekitError(f"snapshots have different roots: {old.root!r} vs {new.root!r}")
@@ -521,9 +509,7 @@ def diff(
     old_paths, new_paths = list(map(_BY_PATH, old.records)), list(map(_BY_PATH, new.records))
     churn = ChurnReport([], [], [], [])
     i = j = 0
-    with snapshot_digest_provider(new, churn.warnings) as current:
-        old_provider = old_digest_provider or current
-        new_provider = new_digest_provider or current
+    with snapshot_digest_provider(new, churn.warnings) as provider:
         while i < len(old_paths) and j < len(new_paths):
             path, new_path = old_paths[i], new_paths[j]
             if path < new_path:
@@ -536,11 +522,11 @@ def diff(
                 old_rec, new_rec = old.records[i], new.records[j]
                 i += 1
                 j += 1
-                old_category = rule_category(old_rec, rules, old_provider)
-                if old_rec.kind is new_rec.kind and old_provider is new_provider:
+                old_category = rule_category(old_rec, rules, provider)
+                if old_rec.kind is new_rec.kind:
                     new_category = old_category
                 else:
-                    new_category = rule_category(new_rec, rules, new_provider)
+                    new_category = rule_category(new_rec, rules, provider)
                 was_waste = is_idle(old_rec, rules, old.taken_at) if old_category is None else old_category.is_waste()
                 is_waste = is_idle(new_rec, rules, new.taken_at) if new_category is None else new_category.is_waste()
                 if is_waste and not was_waste:

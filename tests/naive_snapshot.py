@@ -32,7 +32,8 @@ def naive_read_snapshot(path):
         raise WastekitError(f"{path} is not a {SNAPSHOT_FORMAT} file")
     root, taken_at = header.get("root"), header.get("taken_at")
     atime_reliable, warnings = header.get("atime_reliable", True), header.get("warnings", [])
-    if not (isinstance(root, str) and type(taken_at) is int and type(atime_reliable) is bool and type(warnings) is list):
+    if not (isinstance(root, str) and type(taken_at) is int and type(atime_reliable) is bool
+            and type(warnings) is list and all(type(w) is str for w in warnings)):
         raise WastekitError(f"snapshot {path} header needs a string 'root', an integer 'taken_at', "
                             "and optionally a boolean 'atime_reliable' and a 'warnings' list")
     records = []

@@ -336,7 +336,7 @@ def test_criterion_9_determinism(tmp_path, check):
     lines = ["0 a 100 0.25", "1 b 300 0.5", "2 a 50 0"]
     def penalty_json():
         cfg = SchedulerConfig(total_bandwidth=120, alpha=Fraction(1, 2), tick_count=6)
-        return simulate(parse_workload(lines), cfg).to_json()
+        return json.dumps(simulate(parse_workload(lines), cfg).to_json_obj(), sort_keys=True, separators=(",", ":"))
 
     if penalty_json() != penalty_json():
         problems.append("penalty report JSON differs between repeated runs")

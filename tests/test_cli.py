@@ -348,6 +348,8 @@ class TestExitCodes:
             (b'{"format": "wastekit-snapshot-v1", "root": 5, "taken_at": 1}\n', ["report", "{bad}", "--rules", "{rules}"]),
             (b'{"format": "wastekit-snapshot-v1", "root": "/r", "taken_at": "1"}\n', ["report", "{bad}", "--rules", "{rules}"]),
             (b'{"format": "wastekit-snapshot-v1", "root": "/r", "taken_at": 1, "warnings": 5}\n', ["report", "{bad}", "--rules", "{rules}"]),
+            (b'{"format": "wastekit-snapshot-v1", "root": "/r", "taken_at": 1, "warnings": [5, {"a": 1}]}\n',
+             ["report", "{bad}", "--rules", "{rules}"]),
             (b'{"unwanted_globs": ["\xff"]}', ["report", "{snap}", "--rules", "{bad}"]),
             (b'{"rules": [{"glob": "\xff"}]}', ["plan", "{snap}", "--rules", "{rules}", "--masks", "{bad}"]),
             (b'{"format": "wastekit-snapshot-v1", "root": "\xff", "taken_at": 1}\n', ["report", "{bad}", "--rules", "{rules}"]),
@@ -366,6 +368,7 @@ class TestExitCodes:
         ],
         ids=[
             "header-no-root", "header-no-taken-at", "header-root-number", "header-taken-at-string", "header-warnings-number",
+            "header-warnings-not-strings",
             "rules-not-utf8", "masks-not-utf8", "snapshot-not-utf8", "trace-not-utf8", "workload-not-utf8",
             "record-size-float", "record-mtime-bool", "record-atime-string", "record-size-null",
             "record-allocated-float", "record-allocated-bool",
@@ -891,6 +894,17 @@ class TestPenaltySim:
             "--alpha", "0", "--bandwidth", "10", "--ticks", "1", "--weight", "nodelimiter",
         )
         assert code == 2
+
+    def test_repeated_weight_id_is_usage_error(self, capsys, tmp_path):
+        trace = tmp_path / "w.trace"
+        trace.write_text("0 a 100 0.0\n0 b 100 0.0\n")
+        code, out, err = cli(
+            capsys, "penalty-sim", "--trace", str(trace), "--alpha", "0", "--bandwidth", "10", "--ticks", "1",
+            "--weight", "a=2", "--weight", "b=1", "--weight", "a=3",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "wastekit penalty-sim: error: --weight given twice for 'a'\n"
 
     def test_bad_workload(self, capsys, tmp_path):
         trace = tmp_path / "w.trace"

@@ -7,6 +7,7 @@ import json
 import os
 import random
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -330,6 +331,14 @@ class TestSnapshotIO:
             with pytest.raises(WastekitError, match="line 2: record path"):
                 read_snapshot(str(p))
 
+    @pytest.mark.parametrize("warnings", [[5, {"a": 1}], ["ok", None]])
+    def test_rejects_header_warnings_that_are_not_strings(self, tmp_path, warnings):
+        p = tmp_path / "s.snap"
+        header = {"format": "wastekit-snapshot-v1", "root": "/r", "taken_at": 10, "warnings": warnings}
+        p.write_text(json.dumps(header) + "\n")
+        with pytest.raises(WastekitError, match="header needs .* a 'warnings' list"):
+            read_snapshot(str(p))
+
     def test_rejects_unsorted_records(self):
         snap = Snapshot(root="/r", taken_at=10, records=[make_record(path="b"), make_record(path="a")])
         with pytest.raises(WastekitError, match="sorted"):
@@ -584,13 +593,13 @@ class TestReport:
         assert any("atime" in w for w in rep.warnings)
 
 
-def naive_diff(old, new, rules, old_provider, new_provider):
+def naive_diff(old, new, rules, provider):
     """`diff` as two dicts and two whole classifications of every shared path."""
     old_by_path = {rec.path: rec for rec in old.records}
     new_by_path = {rec.path: rec for rec in new.records}
     shared = sorted(old_by_path.keys() & new_by_path.keys())
-    was = {p: naive_classify(old_by_path[p], rules, old.taken_at, old_provider).is_waste() for p in shared}
-    now = {p: naive_classify(new_by_path[p], rules, new.taken_at, new_provider).is_waste() for p in shared}
+    was = {p: naive_classify(old_by_path[p], rules, old.taken_at, provider).is_waste() for p in shared}
+    now = {p: naive_classify(new_by_path[p], rules, new.taken_at, provider).is_waste() for p in shared}
     return {
         "added": sorted(new_by_path.keys() - old_by_path.keys()),
         "removed": sorted(old_by_path.keys() - new_by_path.keys()),
@@ -637,20 +646,24 @@ class TestDiff:
         new=_diff_side,
         taken_at=st.tuples(*[st.sampled_from([_DIFF_NOW, _DIFF_NOW + 10**7])] * 2),
         rules=_diff_rules,
-        digests=st.tuples(_diff_digests, _diff_digests),
-        one_provider=st.booleans(),
+        digests=_diff_digests,
     )
-    def test_matches_per_side_naive_classify(self, old, new, taken_at, rules, digests, one_provider):
+    def test_matches_per_side_naive_classify(self, old, new, taken_at, rules, digests):
         # The snapshots may be taken at different times, and a shared path
-        # may change kind. Explicit providers stand for the file as it is
-        # now: either one for both sides, or two distinct ones that can
-        # disagree, so neither side's rules may be reused for the other.
+        # may change kind. The drawn digests stand for the files as they
+        # are now under the root; a None digest is an unreadable file.
         old.taken_at, new.taken_at = taken_at
-        old_provider = digests[0].get
-        new_provider = old_provider if one_provider else digests[1].get
-        got = diff(old, new, rules, old_provider, new_provider)
-        assert got.to_json_obj() == naive_diff(old, new, rules, old_provider, new_provider)
-        assert got.warnings == []
+        reads = []
+
+        def drawn_digest(opener, rel, *args):
+            reads.append(rel)
+            return digests.get(rel)
+
+        with mock.patch.object(TreeOpener, "digest", drawn_digest):
+            got = diff(old, new, rules)
+        assert got.to_json_obj() == naive_diff(old, new, rules, digests.get)
+        assert len(reads) == len(set(reads))
+        assert got.warnings == [DIGEST_UNREADABLE + rel for rel in reads if digests.get(rel) is None]
 
     def test_default_provider_reads_each_checked_file_once(self, tmp_path, monkeypatch):
         rules = RuleSet(degraded_checks=(("*.chk", hashlib.sha256(b"ok").hexdigest()),))
