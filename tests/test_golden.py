@@ -1,0 +1,246 @@
+"""Byte-identity gate: every subcommand's stdout, stderr and exit code on
+small seeded inputs, against the expected files in `tests/golden/`.
+
+The inputs are rebuilt for each run with fixed contents and timestamps,
+and `scan` runs at a fixed `now`, so every byte of output is fixed. The
+work directory is written `$WORK` in the expected files, and each
+snapshot record's `allocated_bytes` (which depends on the filesystem)
+`<blocks>`. Regenerate the expected files only with
+`python tests/golden/regen.py`, and say why in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import functools
+import hashlib
+import io
+import os
+import random
+import re
+import shutil
+from unittest import mock
+
+from wastekit import cli
+from wastekit.scanner import scan, write_snapshot
+
+GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+DAY = 86400
+T0 = 1_700_000_000  # `now` of every scan but the old one
+T_OLD = T0 - 20 * DAY  # `now` of the old snapshot that `diff` compares
+SEED = 17
+_ALLOCATED = re.compile(r'"allocated_bytes":\d+')
+
+
+def _build_tree(dest: str, later: bool) -> None:
+    """A tree with a file for each category, a symlink, names that JSON
+    escapes or that sort apart from their components, and related binary
+    files for `dedup`. `later` is the tree
+    after the changes that `diff` finds: a file removed, one added and
+    one read again."""
+    rng = random.Random(SEED)
+    clip = rng.randbytes(40_000)
+    files = {
+        "keep/notes.txt": (b"kept\n", T0 - 90 * DAY, T0 - 90 * DAY),
+        "paper.aux": (rng.randbytes(700), T0 - 50 * DAY, T0 - 50 * DAY),
+        "build/a.tmp": (rng.randbytes(1500), T0 - 10 * DAY, T0 - 9 * DAY),
+        "empty.tmp": (b"", T0 - 5 * DAY, T0 - 5 * DAY),
+        "junk.spam": (rng.randbytes(300), T0 - 70 * DAY, T0 - 70 * DAY),
+        "data/good.chk": (b"good content\n", T0 - 40 * DAY, T0 - 40 * DAY),
+        "data/bad.chk": (b"bit rot\n", T0 - 40 * DAY, T0 - 40 * DAY),
+        "old/used1.dat": (rng.randbytes(5000), T0 - 200 * DAY, T0 - 100 * DAY),
+        "aging.dat": (rng.randbytes(900), T0 - 60 * DAY, T0 - 45 * DAY),
+        "fresh.dat": (rng.randbytes(120), T0 - 3 * DAY, T0 - DAY),
+        "Zeta.txt": (b"upper case sorts first\n", T0 - 8 * DAY, T0 - 8 * DAY),
+        "media-2/x.txt": (b"'-' sorts before '/'\n", T0 - 8 * DAY, T0 - 8 * DAY),
+        "copied.dat": (rng.randbytes(64), T0 - 30 * DAY, T0 - 31 * DAY),  # atime < mtime
+        "obj/unit0.o": (rng.randbytes(2500), T0 - 80 * DAY, T0 - 80 * DAY),
+        "obj/unit1.o": (rng.randbytes(3100), T0 - 80 * DAY, T0 - 80 * DAY),
+        'q"uote é.txt': (b"quoted\n", T0 - 35 * DAY, T0 - 33 * DAY),
+        "media/clip.bin": (clip, T0 - 120 * DAY, T0 - 120 * DAY),
+        "media/clip-copy.bin": (clip, T0 - 110 * DAY, T0 - 110 * DAY),
+        "media/clip-edit.bin": (clip[:9000] + rng.randbytes(77) + clip[9000:], T0 - 100 * DAY, T0 - 100 * DAY),
+    }
+    if later:
+        del files["junk.spam"]
+        files["new.tmp"] = (b"new\n", T0 - 2 * DAY, T0 - 2 * DAY)
+        content, mtime, _ = files["old/used1.dat"]
+        files["old/used1.dat"] = (content, mtime, T0 - DAY)
+    for rel, (content, mtime, atime) in files.items():
+        path = os.path.join(dest, rel)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "wb") as fh:
+            fh.write(content)
+        os.utime(path, (atime, mtime))
+    for rel in {os.path.dirname(rel) for rel in files} - {""}:
+        os.utime(os.path.join(dest, rel), (T0 - 6 * DAY, T0 - 7 * DAY))
+    # Last, and nothing follows it: following a symlink moves its atime.
+    os.symlink("fresh.dat", os.path.join(dest, "link"))
+    os.utime(os.path.join(dest, "link"), (T0 - 4 * DAY, T0 - 4 * DAY), follow_symlinks=False)
+
+
+def _workload(rng: random.Random) -> str:
+    lines = ["# tick producer requested waste_fraction"]
+    for tick in range(12):
+        for pid in ("clean", "dirty", "mixed"):
+            if rng.random() < 0.7:
+                waste = {"clean": "0", "dirty": "3/4", "mixed": f"{rng.randint(0, 9)}/10"}[pid]
+                lines.append(f"{tick} {pid} {rng.randint(10, 400)} {waste}")
+    return "\n".join(lines) + "\n"
+
+
+def _landfill_trace(rng: random.Random) -> str:
+    keys = [f"k{i}" for i in range(12)] + ["café"]
+    lines = ["# seeded ops"]
+    for _ in range(120):
+        roll = rng.random()
+        if roll < 0.45:
+            lines.append(f"PUT {rng.choice(keys)} {rng.randint(0, 700)}")
+        elif roll < 0.9:
+            lines.append(f"GET {rng.choice(keys)}")
+        else:
+            lines.append(f"ADV {rng.randint(1, 3)}")
+    return "\n".join(lines) + "\n"
+
+
+def build_inputs(work: str) -> dict[str, str]:
+    """Build every input under `work`; returns the paths by name."""
+    paths = {name: os.path.join(work, name) for name in ("tree", "exec-json", "exec-table")}
+    _build_tree(paths["tree"], later=False)
+    paths["old.snap"] = os.path.join(work, "old.snap")
+    write_snapshot(scan(paths["tree"], now=T_OLD), paths["old.snap"])
+    # The later tree, rebuilt in place of the earlier one.
+    shutil.rmtree(paths["tree"])
+    _build_tree(paths["tree"], later=True)
+    paths["new.snap"] = os.path.join(work, "new.snap")
+    write_snapshot(scan(paths["tree"], now=T0), paths["new.snap"])
+    # Two more copies for `plan --execute`, each with one planned file
+    # changed after its scan, so that its deletion is skipped: one grown,
+    # one replaced by a directory.
+    for name in ("exec-json", "exec-table"):
+        _build_tree(paths[name], later=True)
+        paths[f"{name}.snap"] = os.path.join(work, f"{name}.snap")
+        write_snapshot(scan(paths[name], now=T0), paths[f"{name}.snap"])
+    with open(os.path.join(paths["exec-json"], "paper.aux"), "ab") as fh:
+        fh.write(b"grown")
+    os.unlink(os.path.join(paths["exec-table"], "empty.tmp"))
+    os.mkdir(os.path.join(paths["exec-table"], "empty.tmp"))
+    good = hashlib.sha256(b"good content\n").hexdigest()
+    bad = hashlib.sha256(b"not the content\n").hexdigest()
+    files = {
+        "rules.json": (
+            '{"not_waste_globs": ["keep/*"], "unintentional_globs": ["*.aux", "*.tmp", "*.o"], '
+            '"unwanted_globs": ["*.spam"], "degraded_checks": ['
+            f'{{"glob": "data/good.chk", "sha256": "{good}"}}, {{"glob": "data/bad.chk", "sha256": "{bad}"}}], '
+            f'"used_threshold_secs": {30 * DAY}}}\n'
+        ),
+        "masks.json": (
+            '{"rules": [{"glob": "*.o", "reduce_ok": true}, {"glob": "old/*", "reuse_ok": true, "recover_ok": true}, '
+            '{"glob": "*.aux", "recycle_ok": true}], "default": {"recover_ok": true}}\n'
+        ),
+        "unsorted.snap": (
+            '{"format": "wastekit-snapshot-v1", "root": "/r", "taken_at": 10}\n'
+            '{"atime":1,"kind":"Regular","mtime":1,"path":"b","size_bytes":1}\n'
+            '{"atime":1,"kind":"Regular","mtime":1,"path":"a","size_bytes":1}\n'
+        ),
+        "workload.trace": _workload(random.Random(SEED)),
+        "ops.trace": _landfill_trace(random.Random(SEED)),
+    }
+    for name, text in files.items():
+        paths[name] = os.path.join(work, name)
+        with open(paths[name], "w", encoding="utf-8") as fh:
+            fh.write(text)
+    for name in ("ops.log", "scan-table.snap", "scan-json.snap"):
+        paths[name] = os.path.join(work, name)
+    return paths
+
+
+def cases(p: dict[str, str]) -> dict[str, list[str]]:
+    """Each case's argv, by the name of its expected file."""
+    rules = ["--rules", p["rules.json"]]
+    penalty = ["penalty-sim", "--trace", p["workload.trace"], "--alpha", "1/2", "--bandwidth", "350", "--ticks", "16"]
+    landfill = ["landfill", "--trace", p["ops.trace"], "--capacity", "1500", "--fade", "2"]
+    return {
+        "scan_stdout": ["scan", p["tree"]],
+        "scan_table": ["scan", p["tree"], "-o", p["scan-table.snap"]],
+        "scan_json": ["--format", "json", "scan", p["tree"], "-o", p["scan-json.snap"]],
+        "scan_exclude": ["scan", p["tree"], "--exclude", "media/*", "--exclude", "*.o"],
+        "report_table": ["report", p["new.snap"], *rules],
+        "report_json": ["--format", "json", "report", p["new.snap"], *rules],
+        "report_old_json": ["--format", "json", "report", p["old.snap"], *rules],
+        "report_unsorted": ["report", p["unsorted.snap"], *rules],
+        "diff_table": ["diff", p["old.snap"], p["new.snap"], *rules],
+        "diff_table_v": ["-v", "diff", p["old.snap"], p["new.snap"], *rules],
+        "diff_json": ["--format", "json", "diff", p["old.snap"], p["new.snap"], *rules],
+        "diff_self_json": ["--format", "json", "diff", p["new.snap"], p["new.snap"], *rules],
+        "plan_table": ["plan", p["new.snap"], *rules],
+        "plan_table_v": ["-v", "plan", p["new.snap"], *rules, "--masks", p["masks.json"]],
+        "plan_json": ["--format", "json", "plan", p["new.snap"], *rules],
+        "plan_json_masks_slc": [
+            "--format", "json", "plan", p["new.snap"], *rules, "--masks", p["masks.json"],
+            "--device", "SLC", "--endurance", "5000", "--erase-block", "4096",
+        ],
+        "plan_table_other": ["plan", p["new.snap"], *rules, "--device", "other", "--erase-block", "1000"],
+        "plan_no_yes": ["plan", p["exec-json.snap"], *rules, "--execute"],
+        "plan_execute_json": ["--format", "json", "plan", p["exec-json.snap"], *rules, "--execute", "--yes"],
+        "plan_execute_table": ["plan", p["exec-table.snap"], *rules, "--execute", "--yes"],
+        "landfill": landfill,
+        "landfill_log": [*landfill, "--log", p["ops.log"]],
+        "landfill_no_refresh": [*landfill, "--no-refresh-on-read"],
+        "penalty_table": penalty,
+        "penalty_table_v": ["-v", *penalty, "--weight", "clean=2", "--weight", "mixed=1/3"],
+        "penalty_json": ["--format", "json", *penalty, "--weight", "dirty=3/2"],
+        "penalty_alpha0_json": ["--format", "json", *penalty[:4], "0", *penalty[5:]],
+        "dedup_dir_table": ["dedup", p["tree"]],
+        "dedup_dir_json": ["--format", "json", "dedup", p["tree"]],
+        "dedup_snapshot_json": ["--format", "json", "dedup", p["new.snap"], "--target-chunk", "3000"],
+        "dedup_snapshot_table": ["dedup", p["new.snap"], "--min-chunk", "512", "--target-chunk", "1024",
+                                 "--max-chunk", "4096", "--window", "16"],
+        "recover": ["recover", p["new.snap"], *rules],
+        "recover_old": ["--format", "json", "recover", p["old.snap"], *rules],
+    }
+
+
+# The tree each `plan --execute --yes` case deletes from.
+_EXECUTED_TREE = {"plan_execute_json": "exec-json", "plan_execute_table": "exec-table"}
+
+
+def _listing(root: str) -> str:
+    out = []
+    for dirpath, dirnames, filenames in os.walk(root):
+        dirnames.sort()
+        for name in sorted(filenames):
+            out.append(os.path.relpath(os.path.join(dirpath, name), root) + "\n")
+    return "".join(out)
+
+
+def render_all(work: str) -> dict[str, str]:
+    """Build the inputs under `work`, run every case through `cli.run`,
+    and return the text of each expected file by case name."""
+    paths = build_inputs(work)
+    out = {}
+    # The CLI's `scan` runs at the fixed time, for `scan` and `dedup DIR`.
+    with mock.patch.object(cli, "scan", functools.partial(scan, now=T0)):
+        for name, argv in cases(paths).items():
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = cli.run(argv)
+            text = f"exit: {code}\n--- stdout\n{stdout.getvalue()}--- stderr\n{stderr.getvalue()}"
+            if name == "landfill_log":
+                with open(paths["ops.log"], encoding="utf-8") as fh:
+                    text += f"--- log\n{fh.read()}"
+            if name in _EXECUTED_TREE:
+                text += f"--- files left\n{_listing(paths[_EXECUTED_TREE[name]])}"
+            text = text.replace(work, "$WORK")
+            out[name] = _ALLOCATED.sub('"allocated_bytes":<blocks>', text)
+    return out
+
+
+def test_outputs_match_golden_files(tmp_path):
+    work = str(tmp_path)
+    got = render_all(work)
+    expected_names = sorted(name[:-4] for name in os.listdir(GOLDEN_DIR) if name.endswith(".txt"))
+    assert expected_names == sorted(got), "cases and expected files differ; see tests/golden/regen.py"
+    for name in expected_names:
+        with open(os.path.join(GOLDEN_DIR, name + ".txt"), encoding="utf-8", newline="") as fh:
+            assert got[name] == fh.read(), f"output of case {name} differs from tests/golden/{name}.txt"
