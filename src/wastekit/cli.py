@@ -362,11 +362,10 @@ def _cmd_penalty_sim(args) -> int:
         if pid in weights:
             raise _UsageError(f"wastekit penalty-sim: error: --weight given twice for {pid!r}")
         weights[pid] = w
-    rep = simulate(trace, config, base_weights=weights or None)
+    obj = simulate(trace, config, base_weights=weights or None).to_json_obj()
     if args.format == "json":
-        _print_json(rep.to_json_obj())
+        _print_json(obj)
         return 0
-    obj = rep.to_json_obj()
     print(f"ticks: {config.tick_count}  bandwidth/tick: {config.total_bandwidth}  alpha: {obj['alpha']}")
     print(f"{'producer':<12}{'requested':>12}{'delivered':>12}{'done@':>8}{'factor':>10}")
     for pid, r in obj["producers"].items():

@@ -37,7 +37,7 @@ from __future__ import annotations
 import hashlib
 import os
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -59,6 +59,10 @@ class ChunkingConfig:
     window: int = DEFAULT_WINDOW
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(value) is not int:
+                raise WastekitError(f"chunking config: {f.name} must be an integer, got {value!r}")
         if not 0 < self.min_chunk <= self.target_chunk <= self.max_chunk:
             raise WastekitError("chunking config requires 0 < min_chunk <= target_chunk <= max_chunk")
         if not 1 <= self.window <= self.min_chunk:
@@ -342,14 +346,12 @@ class ChunkIndex:
         return problems
 
     def stats(self) -> dict:
-        logical = self.logical_bytes()
-        physical = self.physical_bytes()
         return {
             "objects": len(self.objects),
             "chunks": len(self.index),
-            "logical_bytes": logical,
-            "physical_bytes": physical,
-            "dedup_ratio": (logical / physical) if physical else 1.0,
+            "logical_bytes": self.logical_bytes(),
+            "physical_bytes": self.physical_bytes(),
+            "dedup_ratio": self.dedup_ratio(),
         }
 
 

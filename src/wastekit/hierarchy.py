@@ -100,26 +100,26 @@ class CostModel:
 
     erase_block_bytes: int = 256 * 1024
     device_endurance_cycles: int = MLC_ENDURANCE_RANGE[0]
-    device_kind: str = "MLC"
-    delete_cost_per_byte: float = 1.0
     action_cost_weights: dict = field(default_factory=lambda: dict(DEFAULT_ACTION_WEIGHTS))
 
     def __post_init__(self):
-        if self.erase_block_bytes <= 0:
-            raise WastekitError("invalid cost model: erase_block_bytes must be > 0")
-        if self.device_endurance_cycles <= 0:
-            raise WastekitError("invalid cost model: device_endurance_cycles must be > 0")
+        for name in ("erase_block_bytes", "device_endurance_cycles"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise WastekitError(f"invalid cost model: {name} must be an integer, got {value!r}")
+            if value <= 0:
+                raise WastekitError(f"invalid cost model: {name} must be > 0")
 
     @classmethod
     def for_device(cls, kind: str, **kwargs) -> "CostModel":
+        """The model of an MLC, SLC or Other device; only SLC changes the
+        default endurance."""
         kind_norm = kind.upper()
-        if kind_norm == "MLC":
-            kwargs.setdefault("device_endurance_cycles", MLC_ENDURANCE_RANGE[0])
-        elif kind_norm == "SLC":
+        if kind_norm == "SLC":
             kwargs.setdefault("device_endurance_cycles", SLC_ENDURANCE)
-        elif kind_norm != "OTHER":
+        elif kind_norm not in ("MLC", "OTHER"):
             raise WastekitError(f"unknown device kind: {kind!r} (expected MLC, SLC, or Other)")
-        return cls(device_kind=kind_norm if kind_norm != "OTHER" else "Other", **kwargs)
+        return cls(**kwargs)
 
 
 class PlanEntry(NamedTuple):
@@ -184,7 +184,7 @@ class CostReport:
 
 def dump_plan(fh, root: str, action_plan: ActionPlan, cost: CostReport, executed: dict | None = None) -> None:
     """Write `plan`'s JSON object as one line: the bytes `json.dumps(obj,
-    sort_keys=True)` gives when sizes are ints, as `read_snapshot` ensures.
+    sort_keys=True)` gives, as sizes are the ints `FileRecord` ensures.
     Each entry is one f-string, keys sorted and the path quoted by the C
     function `json.dumps` uses; labels and category values are plain words."""
     quote, labels = encode_basestring_ascii, _ACTION_LABELS
@@ -207,14 +207,13 @@ def estimate_cost(action_plan: ActionPlan, model: CostModel) -> CostReport:
     """Price a plan: erase cycles burned by disposal plus abstract energy.
 
     Erase accounting ignores write amplification; energy is
-    bytes x delete_cost_per_byte x per-action weight.
+    bytes x per-action weight.
     """
     disposed = action_plan.totals.get(HierarchyAction.DISPOSE, (0, 0))[1]
     cycles = (disposed + model.erase_block_bytes - 1) // model.erase_block_bytes
     energy = 0.0
     for action, (_, nbytes) in action_plan.totals.items():
-        weight = model.action_cost_weights.get(action, 0.0)
-        energy += nbytes * model.delete_cost_per_byte * weight
+        energy += nbytes * model.action_cost_weights.get(action, 0.0)
     return CostReport(
         bytes_erased=disposed,
         erase_cycles_consumed=cycles,

@@ -41,7 +41,6 @@ class LandfillEntry:
     """A live entry. `value` is None for an entry stored by `replay`,
     which accounts a PUT's size without building its bytes."""
 
-    key: bytes
     value: Optional[bytes]
     last_access_epoch: int
     size_bytes: int
@@ -135,7 +134,7 @@ class DigitalLandfill:
             self._live_bytes -= existing.size_bytes
         while self._live_bytes + size > capacity and self._pop_oldest() is not None:
             self._evictions += 1
-        self._entries[key] = LandfillEntry(key, value, self._epoch, size)
+        self._entries[key] = LandfillEntry(value, self._epoch, size)
         self._live_bytes += size
         self._push(key)
         return PutOutcome.STORED

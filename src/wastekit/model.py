@@ -15,7 +15,7 @@ import json
 import os
 import re
 import stat
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Callable, NamedTuple, Optional
 
@@ -73,9 +73,11 @@ class FileRecord(_FileRecordFields):
     filesystem. atime < mtime is stored as-is (copy-preserved
     timestamps, noatime mounts); the f-lifetime computation clamps.
 
-    Sizes and timestamps are `int`s, not `bool`s. An immutable named
-    tuple, not a dataclass, because a snapshot read builds one per line
-    and that must stay cheap next to the parse (`read_snapshot` and
+    Sizes and timestamps are `int`s, not `bool`s; `path` is a `str`
+    that `is_relative` accepts, and `kind` a `FileKind`. So every record
+    writes a snapshot line that `read_snapshot` reads back. An immutable
+    named tuple, not a dataclass, because a snapshot read builds one per
+    line and that must stay cheap next to the parse (`read_snapshot` and
     `scan` check fields inline and skip `__new__`).
     """
 
@@ -93,8 +95,10 @@ class FileRecord(_FileRecordFields):
             raise ValueError(f"size_bytes must be >= 0, got {size_bytes}")
         if mtime < 0 or atime < 0:
             raise ValueError(f"timestamps must be >= 0, got mtime={mtime} atime={atime}")
-        if not path:
-            raise ValueError("path must be non-empty")
+        if type(path) is not str or not is_relative(path):
+            raise ValueError(f"record path {path!r} must be relative, with no empty, '.' or '..' component")
+        if type(kind) is not FileKind:
+            raise ValueError(f"kind must be a FileKind, got {kind!r}")
         return tuple.__new__(cls, (path, size_bytes, mtime, atime, kind, allocated_bytes))
 
     @classmethod
@@ -248,25 +252,19 @@ class RuleSet:
         object.__setattr__(self, "_degraded", tuple((GlobSet(g), d) for d, g in globs_by_digest.items()))
 
 
-_RULESET_KEYS = {"not_waste_globs", "unintentional_globs", "unwanted_globs", "degraded_checks", "used_threshold_secs"}
-
-
 def ruleset_from_json_obj(obj: dict) -> RuleSet:
+    """The `RuleSet` whose fields a rules file names; a missing key keeps its default."""
     if not isinstance(obj, dict):
         raise RuleSetError("rules config must be a JSON object")
-    unknown = set(obj) - _RULESET_KEYS
+    unknown = set(obj) - {f.name for f in fields(RuleSet)}
     if unknown:
         raise RuleSetError(f"unknown rules keys: {sorted(unknown)}")
-    checks = obj.get("degraded_checks", [])
-    if not isinstance(checks, list) or any(not isinstance(e, dict) or set(e) != {"glob", "sha256"} for e in checks):
-        raise RuleSetError(f"degraded_checks must be a list of {{glob, sha256}} objects, got {checks!r}")
-    return RuleSet(
-        not_waste_globs=obj.get("not_waste_globs", ()),
-        unintentional_globs=obj.get("unintentional_globs", ()),
-        unwanted_globs=obj.get("unwanted_globs", ()),
-        degraded_checks=tuple((e["glob"], e["sha256"]) for e in checks),
-        used_threshold_secs=obj.get("used_threshold_secs", DEFAULT_USED_THRESHOLD_SECS),
-    )
+    if "degraded_checks" in obj:
+        checks = obj["degraded_checks"]
+        if not isinstance(checks, list) or any(not isinstance(e, dict) or set(e) != {"glob", "sha256"} for e in checks):
+            raise RuleSetError(f"degraded_checks must be a list of {{glob, sha256}} objects, got {checks!r}")
+        obj = {**obj, "degraded_checks": tuple((e["glob"], e["sha256"]) for e in checks)}
+    return RuleSet(**obj)
 
 
 def load_json_file(path: str, what: str, error: type[WastekitError] = WastekitError):

@@ -97,7 +97,7 @@ class WorkloadTrace:
     @property
     def tick_span(self) -> int:
         """Number of ticks the trace covers (last event tick + 1)."""
-        return max((e.tick for e in self.events), default=0) + 1 if self.events else 0
+        return max((e.tick + 1 for e in self.events), default=0)
 
 
 def parse_workload(lines) -> WorkloadTrace:

@@ -57,13 +57,18 @@ class ScanOptions:
 
 @dataclass
 class Snapshot:
-    """A persisted scan: root, capture time, and sorted file records."""
+    """A persisted scan: root, capture time, and file records sorted by
+    path with no path twice, which is checked when one is made; call
+    `validate` again after changing `records`."""
 
     root: str
     taken_at: int
     records: list[FileRecord]
     atime_reliable: bool = True
     warnings: list[str] = field(default_factory=list)
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self) -> None:
         paths = list(map(_BY_PATH, self.records))
@@ -96,28 +101,24 @@ def dump_snapshot(snapshot: Snapshot, fh) -> None:
             }
         )
     )
-    # Each record line is one f-string: keys in `sort_keys` order and the
-    # path quoted by the C function `json.dumps` uses (a kind's value needs
-    # no quoting). A record with a field of another type goes through
-    # `_json_line`. Lines are written in batches, so no more than one batch
-    # is held at a time.
+    # Each record line is one f-string, the bytes `_json_line` gives for
+    # `rec.to_json_obj()`: keys in `sort_keys` order, the integers that
+    # `FileRecord` ensures, and the path quoted by the C function
+    # `json.dumps` uses (a kind's value needs no quoting). Lines are
+    # written in batches, so no more than one batch is held at a time.
     quote = encode_basestring_ascii
     records = snapshot.records
     for start in range(0, len(records), _WRITE_BATCH):
         lines = []
         append = lines.append
-        for rec in records[start : start + _WRITE_BATCH]:
-            path, size, mtime, atime, kind, allocated = rec
-            exact = type(path) is str and type(size) is int and type(mtime) is int and type(atime) is int
-            if exact and allocated is None:
+        for path, size, mtime, atime, kind, allocated in records[start : start + _WRITE_BATCH]:
+            if allocated is None:
                 append(f'{{"atime":{atime},"kind":"{kind._value_}","mtime":{mtime},"path":{quote(path)},"size_bytes":{size}}}\n')
-            elif exact and type(allocated) is int:
+            else:
                 append(
                     f'{{"allocated_bytes":{allocated},"atime":{atime},"kind":"{kind._value_}","mtime":{mtime},'
                     f'"path":{quote(path)},"size_bytes":{size}}}\n'
                 )
-            else:
-                append(_json_line(rec.to_json_obj()))
         fh.write("".join(lines))
 
 
@@ -130,17 +131,13 @@ def _checked_record(path: str, lineno: int, line: str) -> FileRecord | None:
     if not line.strip():
         return None
     try:
-        rec = FileRecord.from_json_obj(json.loads(line))
+        return FileRecord.from_json_obj(json.loads(line))
     except json.JSONDecodeError as exc:
         raise WastekitError(f"snapshot {path} line {lineno} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise WastekitError(f"snapshot {path} line {lineno} is nested too deeply to parse") from exc
     except WastekitError as exc:
         raise WastekitError(f"snapshot {path} line {lineno}: {exc}") from exc
-    if type(rec.path) is not str or not is_relative(rec.path):
-        raise WastekitError(f"snapshot {path} line {lineno}: record path {rec.path!r} must be relative, "
-                            "with no empty, '.' or '..' component")
-    return rec
 
 
 def read_snapshot(path: str) -> Snapshot:
@@ -197,15 +194,13 @@ def read_snapshot(path: str) -> Snapshot:
             rec = _checked_record(path, i, line)
             if rec is not None:
                 append(rec)
-    snap = Snapshot(
+    return Snapshot(
         root=root,
         taken_at=taken_at,
         records=records,
         atime_reliable=atime_reliable,
         warnings=list(warnings),
     )
-    snap.validate()
-    return snap
 
 
 # Listing a directory reads it, so it is opened with O_NOATIME where the
@@ -494,9 +489,8 @@ class ChurnReport:
 def diff(old: Snapshot, new: Snapshot, rules: RuleSet) -> ChurnReport:
     """Set-diff two snapshots and track NotWaste <-> waste transitions.
 
-    One merge pass over the two record lists, which must be sorted by
-    path and unique (else WastekitError names the path). Both snapshots
-    must share the same root. Each shared path is classified at each
+    One merge pass over the two record lists, sorted by path and unique
+    as each `Snapshot` is. Both snapshots must share the same root. Each shared path is classified at each
     snapshot's own capture time, but only the Used test depends on it:
     `rule_category` runs once when both records have the same kind. A
     degraded check reads the file as it is now under that root, and only
@@ -504,8 +498,6 @@ def diff(old: Snapshot, new: Snapshot, rules: RuleSet) -> ChurnReport:
     """
     if old.root != new.root:
         raise WastekitError(f"snapshots have different roots: {old.root!r} vs {new.root!r}")
-    old.validate()
-    new.validate()
     old_paths, new_paths = list(map(_BY_PATH, old.records)), list(map(_BY_PATH, new.records))
     churn = ChurnReport([], [], [], [])
     i = j = 0

@@ -1,10 +1,11 @@
 """Line-at-a-time reference for `read_snapshot`.
 
-Every record line goes through `json.loads`, `FileRecord.from_json_obj`
-and the path rule, one at a time, as the reader did before it checked
-the fields inline. This is the behavioral oracle the fast reader is
-compared against: for any file it must return an equal snapshot or
-raise a WastekitError with the identical message.
+Every record line goes through `json.loads` and `FileRecord.from_json_obj`
+(which holds the path rule), one at a time, as the reader did before it
+checked the fields inline, and `Snapshot` checks the order. This is the
+behavioral oracle the fast reader is compared against: for any file it
+must return an equal snapshot or raise a WastekitError with the
+identical message.
 """
 
 import json
@@ -48,17 +49,11 @@ def naive_read_snapshot(path):
             raise WastekitError(f"snapshot {path} line {i} is nested too deeply to parse") from exc
         except WastekitError as exc:
             raise WastekitError(f"snapshot {path} line {i}: {exc}") from exc
-        framed = f"/{rec.path}/"
-        if type(rec.path) is not str or "//" in framed or "/./" in framed or "/../" in framed:
-            raise WastekitError(f"snapshot {path} line {i}: record path {rec.path!r} must be relative, "
-                                "with no empty, '.' or '..' component")
         records.append(rec)
-    snap = Snapshot(
+    return Snapshot(
         root=root,
         taken_at=taken_at,
         records=records,
         atime_reliable=atime_reliable,
         warnings=list(warnings),
     )
-    snap.validate()
-    return snap

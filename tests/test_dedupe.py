@@ -47,6 +47,15 @@ class TestChunkingConfig:
         with pytest.raises(WastekitError):
             ChunkingConfig(min_chunk=16, target_chunk=32, max_chunk=64, window=32)
 
+    @pytest.mark.parametrize(
+        "fields",
+        [{"target_chunk": 8192.0}, {"min_chunk": 2048.5}, {"max_chunk": True}, {"window": "48"}, {"window": 48.0}],
+    )
+    def test_rejects_non_integer_sizes(self, fields):
+        (name,) = fields
+        with pytest.raises(WastekitError, match=f"^chunking config: {name} must be an integer, got "):
+            ChunkingConfig(**fields)
+
 
 class TestChunk:
     def test_empty_input(self):

@@ -21,7 +21,7 @@ from wastekit.hierarchy import (
     load_mask_rules,
     plan,
 )
-from wastekit.model import WasteCategory
+from wastekit.model import WasteCategory, is_relative
 
 from conftest import make_record
 
@@ -192,7 +192,9 @@ class TestPlanWriter:
         root=st.text(_TEXT_CHARS, max_size=8),
         entries=st.lists(
             st.tuples(
-                st.builds(make_record, path=st.text(_TEXT_CHARS, min_size=1, max_size=12), size=_BIG),
+                st.builds(
+                    make_record, path=st.text(_TEXT_CHARS, min_size=1, max_size=12).filter(is_relative), size=_BIG
+                ),
                 st.sampled_from(_WASTE_CATEGORIES),
                 _MASKS,
             ),
@@ -259,6 +261,16 @@ class TestCostModel:
 
     def test_dispose_priced_above_recover_per_byte(self):
         assert DEFAULT_ACTION_WEIGHTS[HierarchyAction.DISPOSE] > DEFAULT_ACTION_WEIGHTS[HierarchyAction.RECOVER]
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"erase_block_bytes": 1.5}, {"erase_block_bytes": True}, {"device_endurance_cycles": 1000.0},
+         {"device_endurance_cycles": "1000"}],
+    )
+    def test_non_integer_sizes_rejected(self, fields):
+        (name,) = fields
+        with pytest.raises(WastekitError, match=f"^invalid cost model: {name} must be an integer, got "):
+            CostModel(**fields)
 
     def test_zero_endurance_rejected(self):
         with pytest.raises(WastekitError, match="endurance"):

@@ -17,6 +17,7 @@ from wastekit.model import (
     WasteCategory,
     classify,
     f_lifetime,
+    is_relative,
     load_rules,
     ruleset_from_json_obj,
 )
@@ -113,7 +114,9 @@ class TestGlobEngineAgainstOracle:
         _groups, _groups, _groups,
         st.lists(st.tuples(_globs, st.sampled_from(_DIGESTS)), max_size=3),
         st.lists(
-            st.tuples(_paths, st.sampled_from(list(FileKind)), st.sampled_from(_DIGESTS + [None]), _TIMES),
+            st.tuples(
+                _paths.filter(is_relative), st.sampled_from(list(FileKind)), st.sampled_from(_DIGESTS + [None]), _TIMES
+            ),
             min_size=1,
         ),
     )
@@ -168,6 +171,9 @@ class TestRuleSet:
     def test_rejects_bad_digest(self):
         with pytest.raises(RuleSetError):
             RuleSet(degraded_checks=(("*.bin", "XYZ"),))
+
+    def test_empty_rules_file_is_the_default_ruleset(self):
+        assert ruleset_from_json_obj({}) == RuleSet()
 
     def test_rejects_unknown_keys(self):
         with pytest.raises(RuleSetError, match="unknown rules keys"):
@@ -317,3 +323,13 @@ class TestFileRecord:
     def test_malformed_json_object(self):
         with pytest.raises(WastekitError):
             FileRecord.from_json_obj({"path": "x"})
+
+    @pytest.mark.parametrize("path", ["/etc/passwd", "a/../b", "../x", "a/./b", "a//b", "a/", ".", "..", "", 5, None])
+    def test_rejects_path_that_is_not_relative(self, path):
+        with pytest.raises(ValueError, match="record path .* must be relative"):
+            make_record(path=path)
+
+    @pytest.mark.parametrize("kind", ["Regular", None, 1])
+    def test_rejects_kind_that_is_not_a_file_kind(self, kind):
+        with pytest.raises(ValueError, match="kind must be a FileKind"):
+            make_record(kind=kind)
