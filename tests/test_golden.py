@@ -134,6 +134,7 @@ def build_inputs(work: str) -> dict[str, str]:
             f'{{"glob": "data/good.chk", "sha256": "{good}"}}, {{"glob": "data/bad.chk", "sha256": "{bad}"}}], '
             f'"used_threshold_secs": {30 * DAY}}}\n'
         ),
+        "zero-threshold-rules.json": '{"used_threshold_secs": 0}\n',
         "masks.json": (
             '{"rules": [{"glob": "*.o", "reduce_ok": true}, {"glob": "old/*", "reuse_ok": true, "recover_ok": true}, '
             '{"glob": "*.aux", "recycle_ok": true}], "default": {"recover_ok": true}}\n'
@@ -198,6 +199,17 @@ def cases(p: dict[str, str]) -> dict[str, list[str]]:
                                  "--max-chunk", "4096", "--window", "16"],
         "recover": ["recover", p["new.snap"], *rules],
         "recover_old": ["--format", "json", "recover", p["old.snap"], *rules],
+        # A config number below 1, for each subcommand that takes one.
+        "scan_workers_0": ["scan", p["tree"], "--workers", "0"],
+        "landfill_capacity_0": [*landfill[:4], "0", *landfill[5:]],
+        "landfill_fade_0": [*landfill[:6], "0"],
+        "penalty_bandwidth_0": [*penalty[:6], "0", *penalty[7:]],
+        "penalty_ticks_0": [*penalty[:8], "0"],
+        "plan_erase_block_0": ["plan", p["new.snap"], *rules, "--erase-block", "0"],
+        "plan_endurance_0": ["plan", p["new.snap"], *rules, "--endurance", "0"],
+        "dedup_target_chunk_0": ["dedup", p["new.snap"], "--target-chunk", "0"],
+        "dedup_window_0": ["dedup", p["new.snap"], "--window", "0"],
+        "report_threshold_0": ["report", p["new.snap"], "--rules", p["zero-threshold-rules.json"]],
     }
 
 
