@@ -41,7 +41,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import ChunkCorruptionError, ObjectNotFoundError, WastekitError
+from .errors import ChunkCorruptionError, ObjectNotFoundError, WastekitError, require_int
 from .model import RuleSet
 from .scanner import Snapshot, classify_snapshot
 
@@ -60,12 +60,10 @@ class ChunkingConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if type(value) is not int:
-                raise WastekitError(f"chunking config: {f.name} must be an integer, got {value!r}")
-        if not 0 < self.min_chunk <= self.target_chunk <= self.max_chunk:
+            require_int(getattr(self, f.name), f"chunking config: {f.name}")
+        if not self.min_chunk <= self.target_chunk <= self.max_chunk:
             raise WastekitError("chunking config requires 0 < min_chunk <= target_chunk <= max_chunk")
-        if not 1 <= self.window <= self.min_chunk:
+        if not self.window <= self.min_chunk:
             raise WastekitError("chunking config requires 1 <= window <= min_chunk")
 
 

@@ -22,3 +22,12 @@ class ObjectNotFoundError(WastekitError):
 
 class ChunkCorruptionError(WastekitError):
     """A stored chunk is missing or fails digest verification."""
+
+
+def require_int(value, name: str, minimum: int = 1, error: type[WastekitError] = WastekitError) -> None:
+    """Raises `error`, naming the value as `name`, unless `value` is an
+    `int` (a `bool` is not) of at least `minimum`."""
+    if type(value) is not int:
+        raise error(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise error(f"{name} must be >= {minimum}, got {value!r}")

@@ -10,13 +10,14 @@ Cost is reporting only: it never influences which action is chosen.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from enum import IntEnum
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
-from .errors import WastekitError
+from .errors import WastekitError, require_int
 from .model import FileRecord, GlobSet, WasteCategory, _validate_globs, load_json_file
 
 
@@ -104,11 +105,11 @@ class CostModel:
 
     def __post_init__(self):
         for name in ("erase_block_bytes", "device_endurance_cycles"):
-            value = getattr(self, name)
-            if type(value) is not int:
-                raise WastekitError(f"invalid cost model: {name} must be an integer, got {value!r}")
-            if value <= 0:
-                raise WastekitError(f"invalid cost model: {name} must be > 0")
+            require_int(getattr(self, name), f"invalid cost model: {name}")
+        for action, weight in self.action_cost_weights.items():
+            if type(weight) not in (int, float) or not 0 <= weight < math.inf:
+                label = getattr(action, "label", action)
+                raise WastekitError(f"invalid cost model: weight of {label} must be a finite number >= 0, got {weight!r}")
 
     @classmethod
     def for_device(cls, kind: str, **kwargs) -> "CostModel":

@@ -16,7 +16,7 @@ from enum import Enum
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable, Iterator, NamedTuple, Optional, TextIO
 
-from .errors import TraceError, WastekitError
+from .errors import TraceError, WastekitError, require_int
 
 # Stale heap records tolerated beyond the live count before a rebuild,
 # so that a near-empty store does not rebuild on every operation.
@@ -30,10 +30,8 @@ class LandfillConfig:
     refresh_on_read: bool = True
 
     def __post_init__(self):
-        if type(self.capacity_bytes) is not int or self.capacity_bytes <= 0:
-            raise WastekitError(f"capacity_bytes must be an integer > 0, got {self.capacity_bytes!r}")
-        if type(self.fade_lifetime_epochs) is not int or self.fade_lifetime_epochs < 1:
-            raise WastekitError(f"fade_lifetime_epochs must be an integer >= 1, got {self.fade_lifetime_epochs!r}")
+        require_int(self.capacity_bytes, "capacity_bytes")
+        require_int(self.fade_lifetime_epochs, "fade_lifetime_epochs")
 
 
 @dataclass(slots=True)
@@ -165,8 +163,7 @@ class DigitalLandfill:
         return None if entry is None else entry.value
 
     def advance_epoch(self, n: int) -> FadeStats:
-        if n < 1:
-            raise WastekitError("advance_epoch requires n >= 1")
+        require_int(n, "n")
         if self._log is not None:
             self._log.write(f"ADV {n}\n")
         self._epoch += n

@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Callable, NamedTuple, Optional
 
-from .errors import RuleSetError, WastekitError
+from .errors import RuleSetError, WastekitError, require_int
 
 # Idle-time cutoff separating "accessed once, then abandoned" from merely
 # quiet data. No authoritative value exists; 30 days is a config default.
@@ -105,32 +105,6 @@ class FileRecord(_FileRecordFields):
     def _make(cls, iterable):
         # namedtuple's own `_make` (and so `_replace`) skips `__new__`.
         return cls(*iterable)
-
-    def to_json_obj(self) -> dict:
-        obj = {
-            "path": self.path,
-            "size_bytes": self.size_bytes,
-            "mtime": self.mtime,
-            "atime": self.atime,
-            "kind": self.kind.value,
-        }
-        if self.allocated_bytes is not None:
-            obj["allocated_bytes"] = self.allocated_bytes
-        return obj
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "FileRecord":
-        try:
-            return cls(
-                path=obj["path"],
-                size_bytes=obj["size_bytes"],
-                mtime=obj["mtime"],
-                atime=obj["atime"],
-                kind=FileKind(obj["kind"]),
-                allocated_bytes=obj.get("allocated_bytes"),
-            )
-        except (KeyError, ValueError, TypeError) as exc:
-            raise WastekitError(f"malformed file record: {exc}") from exc
 
 
 class GlobSet:
@@ -231,9 +205,7 @@ class RuleSet:
             checks.append((glob_pat, digest))
             globs_by_digest.setdefault(digest, []).append(glob_pat)
         object.__setattr__(self, "degraded_checks", tuple(checks))
-        threshold = self.used_threshold_secs
-        if type(threshold) is not int or threshold <= 0:
-            raise RuleSetError(f"used_threshold_secs must be a positive integer, got {threshold!r}")
+        require_int(self.used_threshold_secs, "used_threshold_secs", error=RuleSetError)
         # Compiled once here, since `classify` runs once per record. `_globs`
         # holds every group in precedence order, so the first pattern that
         # matches names the winning group: `_categories` maps its index to
@@ -267,18 +239,26 @@ def ruleset_from_json_obj(obj: dict) -> RuleSet:
     return RuleSet(**obj)
 
 
+def parse_json(text: str, what: str, error: type[WastekitError] = WastekitError):
+    """The JSON value in `text`; raises `error`, naming the text as `what`,
+    if it does not parse."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"{what} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise error(f"{what} is nested too deeply to parse") from exc
+
+
 def load_json_file(path: str, what: str, error: type[WastekitError] = WastekitError):
     """The JSON value in the config file at `path`; raises `error`, naming
     the file as `what`, if it cannot be read or parsed."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise error(f"cannot read {what} {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise error(f"{what} {path} is not valid JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise error(f"{what} {path} is nested too deeply to parse") from exc
+    return parse_json(text, f"{what} {path}", error)
 
 
 def load_rules(path: str) -> RuleSet:

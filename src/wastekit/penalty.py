@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import accumulate, compress
 from typing import NamedTuple, Optional, Union
 
-from .errors import TraceError, WastekitError
+from .errors import TraceError, WastekitError, require_int
 
 Rational = Union[int, float, str, Fraction]
 
@@ -49,12 +49,10 @@ class SchedulerConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", _as_fraction(self.alpha, "alpha"))
-        if type(self.total_bandwidth) is not int or self.total_bandwidth <= 0:
-            raise WastekitError(f"total_bandwidth must be an integer > 0, got {self.total_bandwidth!r}")
+        require_int(self.total_bandwidth, "total_bandwidth")
         if self.alpha < 0:
             raise WastekitError("alpha must be >= 0")
-        if type(self.tick_count) is not int or self.tick_count < 1:
-            raise WastekitError(f"tick_count must be an integer >= 1, got {self.tick_count!r}")
+        require_int(self.tick_count, "tick_count")
 
 
 def _apportion(total: int, weights: list) -> dict:

@@ -22,7 +22,7 @@ from os import stat_result
 from stat import S_ISDIR, S_ISLNK, S_ISREG
 
 from ._version import __version__
-from .errors import WastekitError
+from .errors import WastekitError, require_int
 from .model import (
     FileKind,
     FileRecord,
@@ -35,6 +35,7 @@ from .model import (
     is_idle,
     is_relative,
     open_noatime,
+    parse_json,
     rule_category,
     sha256_file,
 )
@@ -51,8 +52,7 @@ class ScanOptions:
     workers: int = 1  # checked, and has no effect: the walk runs on the calling thread
 
     def __post_init__(self):
-        if self.workers < 1:
-            raise WastekitError("workers must be >= 1")
+        require_int(self.workers, "workers")
 
 
 @dataclass
@@ -102,7 +102,8 @@ def dump_snapshot(snapshot: Snapshot, fh) -> None:
         )
     )
     # Each record line is one f-string, the bytes `_json_line` gives for
-    # `rec.to_json_obj()`: keys in `sort_keys` order, the integers that
+    # the record's fields (the kind by its value, `allocated_bytes` left
+    # out when None): keys in `sort_keys` order, the integers that
     # `FileRecord` ensures, and the path quoted by the C function
     # `json.dumps` uses (a kind's value needs no quoting). Lines are
     # written in batches, so no more than one batch is held at a time.
@@ -130,14 +131,14 @@ def _checked_record(path: str, lineno: int, line: str) -> FileRecord | None:
     a WastekitError naming the file and line if the line is malformed."""
     if not line.strip():
         return None
+    where = f"snapshot {path} line {lineno}"
+    obj = parse_json(line, where)
     try:
-        return FileRecord.from_json_obj(json.loads(line))
-    except json.JSONDecodeError as exc:
-        raise WastekitError(f"snapshot {path} line {lineno} is not valid JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise WastekitError(f"snapshot {path} line {lineno} is nested too deeply to parse") from exc
-    except WastekitError as exc:
-        raise WastekitError(f"snapshot {path} line {lineno}: {exc}") from exc
+        return FileRecord(
+            obj["path"], obj["size_bytes"], obj["mtime"], obj["atime"], FileKind(obj["kind"]), obj.get("allocated_bytes")
+        )
+    except (KeyError, ValueError, TypeError) as exc:
+        raise WastekitError(f"{where}: malformed file record: {exc}") from exc
 
 
 def read_snapshot(path: str) -> Snapshot:
@@ -148,19 +149,14 @@ def read_snapshot(path: str) -> Snapshot:
         raise WastekitError(f"cannot read snapshot {path}: {exc}") from exc
     if not lines:
         raise WastekitError(f"snapshot {path} is empty")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise WastekitError(f"snapshot {path} header is not valid JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise WastekitError(f"snapshot {path} header is nested too deeply to parse") from exc
+    header = parse_json(lines[0], f"snapshot {path} header")
     if not isinstance(header, dict) or header.get("format") != SNAPSHOT_FORMAT:
         raise WastekitError(f"{path} is not a {SNAPSHOT_FORMAT} file")
     root, taken_at = header.get("root"), header.get("taken_at")
     atime_reliable, warnings = header.get("atime_reliable", True), header.get("warnings", [])
-    if not (isinstance(root, str) and type(taken_at) is int and type(atime_reliable) is bool
+    if not (isinstance(root, str) and os.path.isabs(root) and type(taken_at) is int and type(atime_reliable) is bool
             and type(warnings) is list and all(type(w) is str for w in warnings)):
-        raise WastekitError(f"snapshot {path} header needs a string 'root', an integer 'taken_at', "
+        raise WastekitError(f"snapshot {path} header needs an absolute path 'root', an integer 'taken_at', "
                             "and optionally a boolean 'atime_reliable' and a 'warnings' list")
     # Each line is decoded and checked on its own, inline. A line that
     # fails any check goes through `_checked_record`, which skips a blank

@@ -425,7 +425,7 @@ class TestScan:
 
     def test_workers_below_one_is_one_line(self, capsys, small_tree):
         code, _, err = cli(capsys, "scan", str(small_tree), "--workers", "0")
-        assert (code, err) == (1, "wastekit: error: workers must be >= 1\n")
+        assert (code, err) == (1, "wastekit: error: workers must be >= 1, got 0\n")
 
     def test_scan_exclude(self, capsys, small_tree, tmp_path):
         dest = tmp_path / "t.snap"

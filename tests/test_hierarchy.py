@@ -273,8 +273,26 @@ class TestCostModel:
             CostModel(**fields)
 
     def test_zero_endurance_rejected(self):
-        with pytest.raises(WastekitError, match="endurance"):
+        with pytest.raises(WastekitError, match="^invalid cost model: device_endurance_cycles must be >= 1, got 0$"):
             CostModel(device_endurance_cycles=0)
+
+    @pytest.mark.parametrize("weight", ["x", float("nan"), -1.0, float("inf"), True, None])
+    def test_action_weight_must_be_a_finite_number_not_below_zero(self, weight):
+        # Once "x" failed inside `estimate_cost` with a TypeError, nan gave
+        # energy NaN (which `dump_plan` wrote as the non-JSON token NaN),
+        # and -1.0 gave negative energy.
+        weights = dict(DEFAULT_ACTION_WEIGHTS) | {HierarchyAction.DISPOSE: weight}
+        with pytest.raises(WastekitError) as info:
+            CostModel(action_cost_weights=weights)
+        assert str(info.value) == (
+            f"invalid cost model: weight of Dispose must be a finite number >= 0, got {weight!r}"
+        )
+
+    @pytest.mark.parametrize("weight", [0, 0.0, 2, 1e300])
+    def test_action_weight_accepts_finite_numbers_not_below_zero(self, weight):
+        entries = [(make_record(path="a", size=3), WasteCategory.USED, FeasibilityMask())]
+        model = CostModel(action_cost_weights={HierarchyAction.DISPOSE: weight})
+        assert estimate_cost(plan(entries), model).energy_units == 3 * weight
 
     def test_unknown_device_kind_rejected(self):
         with pytest.raises(WastekitError, match="device kind"):

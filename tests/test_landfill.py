@@ -132,8 +132,16 @@ class TestGet:
 
 class TestAdvance:
     def test_requires_positive_step(self):
-        with pytest.raises(WastekitError):
+        with pytest.raises(WastekitError, match="^n must be >= 1, got 0$"):
             store().advance_epoch(0)
+
+    @pytest.mark.parametrize("n", [1.5, True])
+    def test_step_must_be_an_int(self, n):
+        # 1.5 was once accepted, and the epoch became 1.5.
+        s = store()
+        with pytest.raises(WastekitError, match=r"^n must be an integer, got \S+$"):
+            s.advance_epoch(n)
+        assert s.stats().current_epoch == 0
 
     def test_empty_store(self):
         fs = store().advance_epoch(5)

@@ -33,7 +33,7 @@ from wastekit.scanner import (
 from conftest import make_record
 from naive_glob import naive_classify
 from naive_scan import naive_scan
-from naive_snapshot import naive_read_snapshot
+from naive_snapshot import naive_read_snapshot, record_obj
 
 
 def touch(path, content=b"", mtime=None, atime=None):
@@ -153,6 +153,12 @@ class TestScan:
         one = scan(str(tmp_path), ScanOptions(workers=1), now=12345)
         many = scan(str(tmp_path), ScanOptions(workers=8), now=12345)
         assert dumps(one) == dumps(many)
+
+    @pytest.mark.parametrize("workers", [1.5, True, "2"])
+    def test_workers_must_be_an_int(self, workers):
+        # 1.5 and True were once accepted, and "2" failed with a TypeError.
+        with pytest.raises(WastekitError, match=r"^workers must be an integer, got \S+$"):
+            ScanOptions(workers=workers)
 
 
 def build_odd_tree(root, now):
@@ -323,7 +329,7 @@ class TestSnapshotIO:
     def test_record_path_rule(self, tmp_path, path, ok):
         p = tmp_path / "s.snap"
         header = {"format": "wastekit-snapshot-v1", "root": "/r", "taken_at": 10}
-        record = make_record(path="placeholder").to_json_obj() | {"path": path}
+        record = record_obj(make_record(path="placeholder")) | {"path": path}
         p.write_text(json.dumps(header) + "\n" + json.dumps(record) + "\n")
         if ok:
             assert read_snapshot(str(p)).records[0].path == path
@@ -338,6 +344,22 @@ class TestSnapshotIO:
         p.write_text(json.dumps(header) + "\n")
         with pytest.raises(WastekitError, match="header needs .* a 'warnings' list"):
             read_snapshot(str(p))
+
+    @pytest.mark.parametrize("root", ["relroot", "", "./r", "r/"])
+    def test_rejects_relative_header_root(self, tmp_path, root):
+        # `scan` always writes an absolute root; a relative one would be
+        # resolved against the reader's working directory.
+        p = tmp_path / "s.snap"
+        header = {"format": "wastekit-snapshot-v1", "root": root, "taken_at": 10}
+        p.write_text(json.dumps(header) + "\n" + json.dumps(record_obj(make_record(path="a"))) + "\n")
+        want = (
+            f"snapshot {p} header needs an absolute path 'root', an integer 'taken_at', "
+            "and optionally a boolean 'atime_reliable' and a 'warnings' list"
+        )
+        for reader in (read_snapshot, naive_read_snapshot):
+            with pytest.raises(WastekitError) as info:
+                reader(str(p))
+            assert str(info.value) == want
 
     def test_rejects_unsorted_records(self):
         with pytest.raises(WastekitError, match="sorted"):
@@ -393,7 +415,7 @@ class TestSnapshotWriter:
             "format": "wastekit-snapshot-v1", "root": snap.root, "taken_at": 7, "tool_version": wastekit.__version__,
             "atime_reliable": False, "warnings": warnings,
         }
-        want = _json_line(header) + "".join(_json_line(rec.to_json_obj()) for rec in records)
+        want = _json_line(header) + "".join(_json_line(record_obj(rec)) for rec in records)
         saved = scanner_mod._WRITE_BATCH
         scanner_mod._WRITE_BATCH = batch
         try:
@@ -424,7 +446,7 @@ _SINGLE_FAULTS = (
     + [(key, _DROP) for key in ("path", "size_bytes", "mtime", "atime", "kind", "allocated_bytes")]
     + [("kind", value) for value in ("Weird", "regular", [], {}, None, 1)]
     + [("path", value) for value in _BAD_PATHS + ["...", "a\\b", ".hidden", "b"]]
-    + [(None, text) for text in _NOT_OBJECTS + [" " + json.dumps(make_record(path="b").to_json_obj()) + " "]]
+    + [(None, text) for text in _NOT_OBJECTS + [" " + json.dumps(record_obj(make_record(path="b"))) + " "]]
     + [("extra", 1)]
 )
 
@@ -520,7 +542,7 @@ class TestSnapshotReaderOracle:
 
     @pytest.mark.parametrize("fault", _SINGLE_FAULTS, ids=repr)
     def test_single_fault_matches_oracle(self, tmp_path, fault):
-        objs = [make_record(path=path, allocated_bytes=4096).to_json_obj() for path in ("a", "b", "c")]
+        objs = [record_obj(make_record(path=path, allocated_bytes=4096)) for path in ("a", "b", "c")]
         key, value = fault
         if key is None:
             objs[1] = value
@@ -532,7 +554,7 @@ class TestSnapshotReaderOracle:
         self.check(tmp_path, "\n".join([json.dumps(_HEADER), *lines]) + "\n")
 
     def test_split_record_and_joined_pair_are_rejected(self, tmp_path):
-        a, b, c = (json.dumps(make_record(path=path).to_json_obj()) for path in ("a", "b", "c"))
+        a, b, c = (json.dumps(record_obj(make_record(path=path))) for path in ("a", "b", "c"))
         cut = a.index(", ")
         lines = [a[:cut], a[cut + 2 :], b + ", " + c]
         # Parsed as one JSON array, these three lines are three valid records.
@@ -541,7 +563,7 @@ class TestSnapshotReaderOracle:
         assert got.startswith("error: ") and "line 2 is not valid JSON" in got
 
     def test_malformed_line_reported_before_unsorted_records(self, tmp_path):
-        lines = [json.dumps(make_record(path=path).to_json_obj()) for path in ("b", "a")] + ['{"path": "c"}']
+        lines = [json.dumps(record_obj(make_record(path=path))) for path in ("b", "a")] + ['{"path": "c"}']
         got = self.check(tmp_path, "\n".join([json.dumps(_HEADER), *lines]) + "\n")
         assert "line 4: malformed file record" in got
 
