@@ -125,6 +125,22 @@ def build_inputs(work: str) -> dict[str, str]:
         fh.write(b"grown")
     os.unlink(os.path.join(paths["exec-table"], "empty.tmp"))
     os.mkdir(os.path.join(paths["exec-table"], "empty.tmp"))
+    # Two trees of one checked file, scanned as the two trees above and
+    # deleted after both scans: its Used test is the same in both
+    # snapshots ("check-same"), or flips between them ("check-flip").
+    for name in ("check-same", "check-flip"):
+        checked = os.path.join(work, name, "data", "good.chk")
+        os.makedirs(os.path.dirname(checked))
+        with open(checked, "wb") as fh:
+            fh.write(b"good content\n")
+        os.utime(checked, (T0 - 40 * DAY, T0 - 40 * DAY))
+        paths[f"{name}-old.snap"] = os.path.join(work, f"{name}-old.snap")
+        write_snapshot(scan(os.path.join(work, name), now=T_OLD), paths[f"{name}-old.snap"])
+        if name == "check-flip":
+            os.utime(checked, (T0 - 35 * DAY, T0 - 40 * DAY))  # read since its write, idle at T0
+        paths[f"{name}-new.snap"] = os.path.join(work, f"{name}-new.snap")
+        write_snapshot(scan(os.path.join(work, name), now=T0), paths[f"{name}-new.snap"])
+        os.unlink(checked)
     good = hashlib.sha256(b"good content\n").hexdigest()
     bad = hashlib.sha256(b"not the content\n").hexdigest()
     files = {
@@ -174,6 +190,8 @@ def cases(p: dict[str, str]) -> dict[str, list[str]]:
         "diff_table_v": ["-v", "diff", p["old.snap"], p["new.snap"], *rules],
         "diff_json": ["--format", "json", "diff", p["old.snap"], p["new.snap"], *rules],
         "diff_self_json": ["--format", "json", "diff", p["new.snap"], p["new.snap"], *rules],
+        "diff_check_same_json": ["--format", "json", "diff", p["check-same-old.snap"], p["check-same-new.snap"], *rules],
+        "diff_check_flip_json": ["--format", "json", "diff", p["check-flip-old.snap"], p["check-flip-new.snap"], *rules],
         "plan_table": ["plan", p["new.snap"], *rules],
         "plan_table_v": ["-v", "plan", p["new.snap"], *rules, "--masks", p["masks.json"]],
         "plan_json": ["--format", "json", "plan", p["new.snap"], *rules],
