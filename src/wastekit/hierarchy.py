@@ -106,10 +106,14 @@ class CostModel:
     def __post_init__(self):
         for name in ("erase_block_bytes", "device_endurance_cycles"):
             require_int(getattr(self, name), f"invalid cost model: {name}")
-        for action, weight in self.action_cost_weights.items():
+        weights = self.action_cost_weights
+        if not isinstance(weights, dict):
+            raise WastekitError(f"invalid cost model: action_cost_weights must be a dict, got {type(weights).__name__}")
+        for action, weight in weights.items():
+            if not isinstance(action, HierarchyAction):
+                raise WastekitError(f"invalid cost model: weight key {action!r} is not a HierarchyAction")
             if type(weight) not in (int, float) or not 0 <= weight < math.inf:
-                label = getattr(action, "label", action)
-                raise WastekitError(f"invalid cost model: weight of {label} must be a finite number >= 0, got {weight!r}")
+                raise WastekitError(f"invalid cost model: weight of {action.label} must be a finite number >= 0, got {weight!r}")
 
     @classmethod
     def for_device(cls, kind: str, **kwargs) -> "CostModel":

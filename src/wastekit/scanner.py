@@ -57,9 +57,9 @@ class ScanOptions:
 
 @dataclass
 class Snapshot:
-    """A persisted scan: root, capture time, and file records sorted by
-    path with no path twice, which is checked when one is made; call
-    `validate` again after changing `records`."""
+    """A persisted scan: an absolute root, capture time, and file records
+    sorted by path with no path twice, which is checked when one is made;
+    call `validate` again after changing `records`."""
 
     root: str
     taken_at: int
@@ -68,6 +68,8 @@ class Snapshot:
     warnings: list[str] = field(default_factory=list)
 
     def __post_init__(self):
+        if not (isinstance(self.root, str) and os.path.isabs(self.root)):
+            raise WastekitError(f"snapshot root must be an absolute path, got {self.root!r}")
         self.validate()
 
     def validate(self) -> None:
@@ -486,11 +488,16 @@ def diff(old: Snapshot, new: Snapshot, rules: RuleSet) -> ChurnReport:
     """Set-diff two snapshots and track NotWaste <-> waste transitions.
 
     One merge pass over the two record lists, sorted by path and unique
-    as each `Snapshot` is. Both snapshots must share the same root. Each shared path is classified at each
-    snapshot's own capture time, but only the Used test depends on it:
-    `rule_category` runs once when both records have the same kind. A
-    degraded check reads the file as it is now under that root, and only
-    a Regular record is read, so each checked file is read once.
+    as each `Snapshot` is. Both snapshots must share the same root. Each
+    shared path is classified at each snapshot's own capture time, but
+    only the Used test depends on it. When both records have the same
+    kind, one category `c` serves both sides: a side is waste if its Used
+    test passes when `c` is None, else if `c.is_waste()`. So the path can
+    move only if `c` is None and the two Used tests differ, and
+    `rule_category` runs only when they differ. A degraded check reads
+    the file as it is now under that root, so a checked file is read, and
+    warned about, only when its kind or Used test differs between the
+    snapshots.
     """
     if old.root != new.root:
         raise WastekitError(f"snapshots have different roots: {old.root!r} vs {new.root!r}")
@@ -510,13 +517,16 @@ def diff(old: Snapshot, new: Snapshot, rules: RuleSet) -> ChurnReport:
                 old_rec, new_rec = old.records[i], new.records[j]
                 i += 1
                 j += 1
-                old_category = rule_category(old_rec, rules, provider)
+                was_waste = is_idle(old_rec, rules, old.taken_at)
+                is_waste = is_idle(new_rec, rules, new.taken_at)
                 if old_rec.kind is new_rec.kind:
-                    new_category = old_category
+                    if was_waste == is_waste or rule_category(old_rec, rules, provider) is not None:
+                        continue
                 else:
+                    old_category = rule_category(old_rec, rules, provider)
                     new_category = rule_category(new_rec, rules, provider)
-                was_waste = is_idle(old_rec, rules, old.taken_at) if old_category is None else old_category.is_waste()
-                is_waste = is_idle(new_rec, rules, new.taken_at) if new_category is None else new_category.is_waste()
+                    was_waste = was_waste if old_category is None else old_category.is_waste()
+                    is_waste = is_waste if new_category is None else new_category.is_waste()
                 if is_waste and not was_waste:
                     churn.became_waste.append(path)
                 elif was_waste and not is_waste:

@@ -1001,6 +1001,19 @@ class TestPenaltySim:
 # -- reads leave no trace ------------------------------------------------
 
 
+def refuse_noatime(monkeypatch):
+    """Make every open with O_NOATIME fail as it does on a file the caller
+    does not own."""
+    real_open = os.open
+
+    def fake_open(path, flags, *args, **kw):
+        if flags & os.O_NOATIME:
+            raise PermissionError(errno.EPERM, "Operation not permitted", path)
+        return real_open(path, flags, *args, **kw)
+
+    monkeypatch.setattr(os, "open", fake_open)
+
+
 class TestReadsLeaveNoTrace:
     """Scanning, digests and dedup reads open with O_NOATIME, so the
     atimes that the never-accessed measure rests on stay where they were,
@@ -1061,14 +1074,7 @@ class TestReadsLeaveNoTrace:
 
     def test_refused_noatime_gives_one_warning_per_command(self, capsys, tree, tmp_path, monkeypatch):
         root, rules = tree
-        real_open = os.open
-
-        def refuse_noatime(path, flags, *args, **kw):
-            if flags & os.O_NOATIME:
-                raise PermissionError(errno.EPERM, "Operation not permitted", path)
-            return real_open(path, flags, *args, **kw)
-
-        monkeypatch.setattr(os, "open", refuse_noatime)
+        refuse_noatime(monkeypatch)
         results = self.run_all(capsys, root, rules, tmp_path)
         dirs, checked, regular = len(self.DIRS), 2, len(self.FILES)
         (_, scan_obj, _), _, (_, report, _) = results[:3]
@@ -1076,11 +1082,28 @@ class TestReadsLeaveNoTrace:
         # The snapshot's own warning, then the report's for its digests.
         moved = [w for w in report["warnings"] if w.startswith("atime moved")]
         assert moved == [atime_moved_warning(dirs), atime_moved_warning(checked)]
-        # Elsewhere each pass's count goes to stderr, once. `diff` reads each
-        # checked file once for both snapshots; `dedup DIR` warns as its scan
-        # does, then about its own reads.
-        for (command, _, err), moved in zip(results[3:], [[checked], [checked], [checked], [dirs, regular], [regular]]):
+        # Elsewhere each pass's count goes to stderr, once. `diff` of two
+        # scans of an unchanged tree has no verdict that can change, so it
+        # reads nothing; `dedup DIR` warns as its scan does, then about its
+        # own reads.
+        for (command, _, err), moved in zip(results[3:], [[], [checked], [checked], [dirs, regular], [regular]]):
             assert err == "".join(f"warning: {atime_moved_warning(n)}\n" for n in moved), command
+
+    def test_refused_noatime_diff_warns_for_the_file_it_reads(self, capsys, tree, tmp_path, monkeypatch):
+        root, rules = tree
+        old, new = str(tmp_path / "old.snap"), str(tmp_path / "new.snap")
+        assert cli(capsys, "scan", str(root), "-o", old)[0] == 0
+        # sub/a.o was read long after its write, so its Used test flips,
+        # and `diff` reads it to see whether its check decides.
+        long_ago = int(time.time()) - 10**8
+        os.utime(root / "sub/a.o", (long_ago + 10**7, long_ago))
+        assert cli(capsys, "scan", str(root), "-o", new)[0] == 0
+        refuse_noatime(monkeypatch)
+        code, out, err = cli(capsys, "--format", "json", "diff", old, new, "--rules", rules)
+        assert code == 0, err
+        assert err == f"warning: {atime_moved_warning(1)}\n"
+        # Its check passes, so its Used test decides.
+        assert json.loads(out)["became_waste"] == ["sub/a.o"]
 
 
 # -- reads stay below the root ------------------------------------------

@@ -288,6 +288,21 @@ class TestCostModel:
             f"invalid cost model: weight of Dispose must be a finite number >= 0, got {weight!r}"
         )
 
+    @pytest.mark.parametrize("weights, kind", [([1], "list"), (None, "NoneType"), ("abc", "str")])
+    def test_action_weights_must_be_a_dict(self, weights, kind):
+        # Once each raised AttributeError: `list` object has no `items`.
+        with pytest.raises(WastekitError) as info:
+            CostModel(action_cost_weights=weights)
+        assert str(info.value) == f"invalid cost model: action_cost_weights must be a dict, got {kind}"
+
+    @pytest.mark.parametrize("key", ["dispose", 4, None])
+    def test_action_weight_keys_must_be_actions(self, key):
+        # Once {"dispose": 1.0} was accepted, and `estimate_cost` then
+        # priced Dispose at 0.
+        with pytest.raises(WastekitError) as info:
+            CostModel(action_cost_weights={HierarchyAction.REDUCE: 0.0, key: 1.0})
+        assert str(info.value) == f"invalid cost model: weight key {key!r} is not a HierarchyAction"
+
     @pytest.mark.parametrize("weight", [0, 0.0, 2, 1e300])
     def test_action_weight_accepts_finite_numbers_not_below_zero(self, weight):
         entries = [(make_record(path="a", size=3), WasteCategory.USED, FeasibilityMask())]

@@ -365,6 +365,14 @@ class TestSnapshotIO:
         with pytest.raises(WastekitError, match="sorted"):
             Snapshot(root="/r", taken_at=10, records=[make_record(path="b"), make_record(path="a")])
 
+    @pytest.mark.parametrize("root", ["rel", "", "./r", b"/r", None])
+    def test_root_must_be_absolute_when_made(self, tmp_path, root):
+        # Once `write_snapshot` wrote such a snapshot, and `read_snapshot`
+        # then refused the file.
+        with pytest.raises(WastekitError) as info:
+            Snapshot(root=root, taken_at=0, records=[])
+        assert str(info.value) == f"snapshot root must be an absolute path, got {root!r}"
+
 
 # Characters `json.dumps` escapes, or spells as \\u escapes or pairs:
 # quotes, backslashes, control characters, a line separator, non-ASCII,
@@ -643,6 +651,12 @@ def naive_diff(old, new, rules, provider):
     }
 
 
+def naive_used(record, rules, now):
+    """The Used test alone: `naive_classify` with no globs."""
+    alone = RuleSet(used_threshold_secs=rules.used_threshold_secs)
+    return naive_classify(record, alone, now, None) is WasteCategory.USED
+
+
 _DIFF_NOW = 10_000_000_000
 _DIFF_DIGESTS = [hashlib.sha256(bytes([i])).hexdigest() for i in range(2)]
 # Few paths, so the two sides share many of them.
@@ -699,19 +713,31 @@ class TestDiff:
         assert got.to_json_obj() == naive_diff(old, new, rules, digests.get)
         assert len(reads) == len(set(reads))
         assert got.warnings == [DIGEST_UNREADABLE + rel for rel in reads if digests.get(rel) is None]
+        # Only a shared path whose kind or Used test differs can change its
+        # verdict, so no other path is read.
+        old_by_path = {rec.path: rec for rec in old.records}
+        new_by_path = {rec.path: rec for rec in new.records}
+        for rel in reads:
+            old_rec, new_rec = old_by_path[rel], new_by_path[rel]
+            assert old_rec.kind is not new_rec.kind or (
+                naive_used(old_rec, rules, old.taken_at) != naive_used(new_rec, rules, new.taken_at)
+            )
 
-    def test_default_provider_reads_each_checked_file_once(self, tmp_path, monkeypatch):
+    def test_default_provider_reads_only_files_whose_verdict_can_change(self, tmp_path, monkeypatch):
         rules = RuleSet(degraded_checks=(("*.chk", hashlib.sha256(b"ok").hexdigest()),))
-        for name, content in (("a.chk", b"ok"), ("b.chk", b"bad"), ("e.chk", b"ok"), ("gone.chk", b"ok")):
-            touch(tmp_path / name, content)
+        long_ago = int(time.time()) - 10**8
+        for name, content in (("a.chk", b"ok"), ("b.chk", b"bad"), ("e.chk", b"ok"), ("f.chk", b"ok"), ("gone.chk", b"ok")):
+            touch(tmp_path / name, content, mtime=long_ago)
         (tmp_path / "d.chk").mkdir()
         old = scan(str(tmp_path))
-        # d.chk becomes a file and e.chk a directory; gone.chk is removed
-        # and new.chk added, so neither is read.
+        # d.chk becomes a file and e.chk a directory; f.chk is read, so its
+        # Used test flips; gone.chk is removed and new.chk added, so neither
+        # is read. a.chk and b.chk are unchanged, so neither is read.
         (tmp_path / "d.chk").rmdir()
         touch(tmp_path / "d.chk", b"ok")
         (tmp_path / "e.chk").unlink()
         (tmp_path / "e.chk").mkdir()
+        os.utime(tmp_path / "f.chk", (long_ago + 10**7, long_ago))
         (tmp_path / "gone.chk").unlink()
         touch(tmp_path / "new.chk", b"bad")
         new = scan(str(tmp_path))
@@ -724,12 +750,13 @@ class TestDiff:
 
         monkeypatch.setattr(TreeOpener, "digest", counting_digest)
         churn = diff(old, new, rules)
-        assert reads == ["a.chk", "b.chk", "d.chk", "e.chk"]
+        assert reads == ["d.chk", "e.chk", "f.chk"]
         # e.chk, a Regular file in the old snapshot, is a directory now, so
         # its digest cannot be read: Degraded then, a plain directory now.
         assert churn.warnings == [DIGEST_UNREADABLE + "e.chk"]
         assert churn.reactivated == ["e.chk"]
-        assert churn.became_waste == []
+        # f.chk is intact, so its Used test decides.
+        assert churn.became_waste == ["f.chk"]
 
     @pytest.mark.parametrize("paths", [["b", "a"], ["a", "a"]])
     def test_unsorted_snapshot_rejected(self, paths):
