@@ -366,7 +366,7 @@ class TestSnapshotIO:
             Snapshot(root="/r", taken_at=10, records=[make_record(path="b"), make_record(path="a")])
 
     @pytest.mark.parametrize("root", ["rel", "", "./r", b"/r", None])
-    def test_root_must_be_absolute_when_made(self, tmp_path, root):
+    def test_root_must_be_absolute_when_made(self, root):
         # Once `write_snapshot` wrote such a snapshot, and `read_snapshot`
         # then refused the file.
         with pytest.raises(WastekitError) as info:
