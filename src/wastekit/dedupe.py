@@ -27,6 +27,20 @@ chunk is hashed from the read buffer in place. `ChunkIndex` keeps only
 digests, sizes and refcounts; `ChunkStore` adds the chunk bytes, for
 `restore`.
 
+Duplicate chunks come in runs, so `ChunkIndex` also remembers, for each
+distinct chunk, the (digest, size) of the chunk that last followed it
+and ended at a cut. After a chunk with such a successor, ingest hashes
+the next `size` bytes with sha256 and, on a match, takes them as that
+chunk without the rolling hash. This is exact: window <= min_chunk, so
+every window the cut rule reads for that cut lies inside the chunk,
+and the same bytes from a chunk start give the same cut; a matching
+sha256 is trusted as equal bytes, as the index already does. On a miss,
+or when the input ends first, the rolling hash restarts at that chunk
+start with the bytes already read, and runs until a block of window
+starts ends in a chunk with a successor. The cost in memory is one map
+entry per distinct chunk, plus at most max_chunk bytes carried for a
+missed guess that ran over a read edge.
+
 Recover: anonymized structural histograms over the waste portion of a
 snapshot — extensions, size buckets, age buckets — with no paths or
 names in the output.
@@ -168,6 +182,46 @@ class _CutFinder:
         return np.flatnonzero(hit) + first_end
 
 
+def _cuts_by_block(reads, config: ChunkingConfig, finder: _CutFinder):
+    """The cuts of `cut_points`, as each block of window starts settles
+    them: yields (read as a memoryview, cuts in the block as offsets in
+    the read, whether it is the read's last block), at least once per
+    read."""
+    w, lo, hi = config.window, config.min_chunk, config.max_chunk
+    tail = b""  # the last window-1 bytes before the current read
+    pending = np.empty(0, dtype=np.intp)  # candidates not yet passed over
+    start = base = 0  # where the open chunk starts; where the current read starts
+    for read in reads:
+        view = memoryview(read).cast("B")
+        n = len(view)
+        data = np.frombuffer(view, dtype=np.uint8)
+        blocks = [(data[s : s + _BLOCK + w - 1], base + s) for s in range(0, n - w + 1, _BLOCK)]
+        if tail:
+            blocks.insert(0, (np.frombuffer(tail + view[: w - 1], dtype=np.uint8), base - len(tail)))
+        for k, (block, pos) in enumerate(blocks, 1):
+            cuts = []
+            known = pos + len(block)  # every candidate before this is in `found`
+            # Only a window that ends where a cut can be taken is hashed.
+            if len(block) >= w and known > start + lo - 1:
+                found = np.concatenate((pending, finder.candidates(block, pos)))
+                while True:
+                    i = int(np.searchsorted(found, start + lo - 1))
+                    end = start + hi
+                    if i < len(found) and found[i] < end:
+                        end = int(found[i]) + 1
+                    if end >= known:
+                        break
+                    cuts.append(end - base)
+                    start = end
+                pending = found[i:]
+            yield view, cuts, k == len(blocks)
+        if not blocks:
+            yield view, [], True
+        if w > 1:
+            tail = (tail + view[max(0, n - w + 1) :])[-(w - 1) :]
+        base += n
+
+
 def cut_points(reads, config: ChunkingConfig = ChunkingConfig()):
     """Content-defined cuts over a stream of reads (bytes-like objects).
 
@@ -182,38 +236,12 @@ def cut_points(reads, config: ChunkingConfig = ChunkingConfig()):
     non-final chunk lands in [min_chunk, max_chunk]: candidates closer
     than min_chunk are skipped, and max_chunk forces a cut.
     """
-    w, lo, hi = config.window, config.min_chunk, config.max_chunk
-    finder = _CutFinder(w, config.target_chunk)
-    tail = b""  # the last window-1 bytes before the current read
-    pending = np.empty(0, dtype=np.intp)  # candidates not yet passed over
-    start = base = 0  # where the open chunk starts; where the current read starts
-    for read in reads:
-        view = memoryview(read).cast("B")
-        n = len(view)
-        data = np.frombuffer(view, dtype=np.uint8)
-        blocks = [(data[s : s + _BLOCK + w - 1], base + s) for s in range(0, n - w + 1, _BLOCK)]
-        if tail:
-            blocks.insert(0, (np.frombuffer(tail + view[: w - 1], dtype=np.uint8), base - len(tail)))
-        cuts = []
-        for block, pos in blocks:
-            known = pos + len(block)  # every candidate before this is in `found`
-            if len(block) < w or known <= start + lo - 1:
-                continue  # no window here ends where a cut can be taken
-            found = np.concatenate((pending, finder.candidates(block, pos)))
-            while True:
-                i = int(np.searchsorted(found, start + lo - 1))
-                end = start + hi
-                if i < len(found) and found[i] < end:
-                    end = int(found[i]) + 1
-                if end >= known:
-                    break
-                cuts.append(end - base)
-                start = end
-            pending = found[i:]
-        if w > 1:
-            tail = (tail + view[max(0, n - w + 1) :])[-(w - 1) :]
-        base += n
-        yield view, cuts
+    cuts = []
+    for view, block_cuts, last in _cuts_by_block(reads, config, _CutFinder(config.window, config.target_chunk)):
+        cuts += block_cuts
+        if last:
+            yield view, cuts
+            cuts = []
 
 
 def chunk(data: bytes, config: ChunkingConfig = ChunkingConfig()) -> list[bytes]:
@@ -240,19 +268,78 @@ def _reads(fh):
             buf = bytearray(min(2 * len(buf), _READ_BLOCKS * _BLOCK))
 
 
-def _chunk_digests(reads, config: ChunkingConfig):
-    """(sha256 hex, size) of each chunk, hashed from the reads in place."""
-    h, size = hashlib.sha256(), 0
-    for view, cuts in cut_points(reads, config):
-        pos = 0
-        for end in cuts:
-            h.update(view[pos:end])
-            yield h.hexdigest(), size + end - pos
-            h, size, pos = hashlib.sha256(), 0, end
-        h.update(view[pos:])
-        size += len(view) - pos
-    if size:
-        yield h.hexdigest(), size
+def _chunk_digests(reads, config: ChunkingConfig, finder: _CutFinder | None = None, hints=None, learned=None):
+    """(sha256 hex, size) of each chunk, hashed from the reads in place.
+
+    `hints` maps a chunk's digest to the (digest, size) of a chunk that
+    once followed it and ended at a cut. After a chunk with such a
+    successor, the next `size` bytes are hashed: on a match they are that
+    chunk, with no rolling hash, for the cut rule reads only windows
+    inside a chunk (window <= min_chunk). On a miss, or at the end of the
+    input, the rolling hash restarts at that chunk start with the bytes
+    already read and runs until a block of window starts ends in a chunk
+    with a successor. Each chunk that ends at a cut is put in `learned`
+    (a dict the caller keeps; it is consulted before `hints`) as the
+    successor of the chunk before it.
+    """
+    finder = finder or _CutFinder(config.window, config.target_chunk)
+    hints = {} if hints is None else hints
+    learned = {} if learned is None else learned
+    reads = iter(reads)
+    ahead = []  # bytes to see again, from a chunk start on, before the next read
+
+    def pull():
+        if ahead:
+            return ahead.pop(0)
+        for read in reads:
+            return memoryview(read).cast("B")
+        return None
+
+    def successor(digest):
+        return learned.get(digest) or hints.get(digest)
+
+    prev = None  # the last chunk's digest
+    while True:
+        h, size, pos = hashlib.sha256(), 0, 0
+        for view, cuts, last in _cuts_by_block(iter(pull, None), config, finder):
+            for end in cuts:
+                h.update(view[pos:end])
+                piece = h.hexdigest(), size + end - pos
+                if prev is not None:
+                    learned[prev] = piece
+                prev = piece[0]
+                yield piece
+                h, size, pos = hashlib.sha256(), 0, end
+            if cuts and successor(prev):
+                rest = view[pos:]
+                break
+            if last:
+                h.update(view[pos:])
+                size += len(view) - pos
+                pos = 0
+        else:
+            if size:
+                yield h.hexdigest(), size
+            return
+        while guess := successor(prev):
+            h, need, taken = hashlib.sha256(), guess[1], []
+            while rest is not None and len(rest) < need:  # the chunk runs over a read edge
+                h.update(rest)
+                taken.append(bytes(rest))  # the view's buffer is refilled by the next read
+                need -= len(rest)
+                rest = pull()
+            if rest is None:
+                ahead[:0] = taken
+                break
+            h.update(rest[:need])
+            if h.hexdigest() != guess[0]:
+                ahead[:0] = taken + [rest]
+                break
+            prev = guess[0]
+            yield guess
+            rest = rest[need:]
+        else:
+            ahead.insert(0, rest)
 
 
 @dataclass(frozen=True)
@@ -274,11 +361,19 @@ class ChunkIndex:
     matching digest is trusted without a byte compare. The index only
     grows — there is no object deletion, because its job is measuring
     how much reuse a corpus contains, not running a backup lifecycle.
+    It also keeps each chunk's last successor and one cut finder for all
+    its objects (see `_chunk_digests`).
     """
 
     config: ChunkingConfig = field(default_factory=ChunkingConfig)
     index: dict = field(default_factory=dict)  # digest hex -> [size, refcount]
     objects: dict = field(default_factory=dict)  # object id -> list of digest hex
+    # digest hex -> (digest hex, size) of the chunk that last followed it and ended at a cut
+    _next: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # One finder for every object, so its scratch arrays are faulted in once.
+        self._finder = _CutFinder(self.config.window, self.config.target_chunk)
 
     def ingest(self, object_id: str, data) -> IngestResult:
         """Index a bytes-like object."""
@@ -294,7 +389,8 @@ class ChunkIndex:
             raise WastekitError(f"object id already ingested: {object_id!r}")
         # All chunks are hashed before the index changes, so a failed read
         # leaves it as it was.
-        chunks = list(_chunk_digests(reads, self.config))
+        learned = {}
+        chunks = list(_chunk_digests(reads, self.config, self._finder, self._next, learned))
         new_bytes = new_chunks = logical = 0
         for digest, size in chunks:
             logical += size
@@ -306,6 +402,7 @@ class ChunkIndex:
             else:
                 slot[1] += 1
         self.objects[object_id] = [digest for digest, _ in chunks]
+        self._next.update(learned)
         return IngestResult(
             object_id=object_id,
             logical_bytes=logical,

@@ -241,6 +241,29 @@ class TestStreamedChunking:
         assert peak < 4 << 20
         assert index.stats()["physical_bytes"] == len(data)
 
+    def test_memory_of_a_second_copy_is_bounded_by_the_read_too(self):
+        data = random.Random(30).randbytes(8 << 20)
+        index = ChunkIndex()
+        tracemalloc.start()
+        try:
+            index.ingest_file("big", io.BytesIO(data))
+            result = index.ingest_file("big-again", io.BytesIO(data))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.logical_bytes == len(data) and result.physical_new_bytes == 0
+        assert peak < 4 << 20
+        assert index.stats()["physical_bytes"] == len(data)
+
+    def test_one_cut_finder_serves_every_object_of_an_index(self):
+        rng = random.Random(32)
+        with mock.patch.object(dedupe, "_CutFinder", wraps=dedupe._CutFinder) as built:
+            index = ChunkIndex(config=SMALL)
+            for i in range(30):
+                index.ingest_file(f"f{i}", io.BytesIO(rng.randbytes(rng.randrange(0, 40_000))))
+                index.ingest(f"b{i}", rng.randbytes(rng.randrange(0, 3000)))
+        assert built.call_count == 1
+
     def test_failed_read_leaves_the_index_unchanged(self):
         class Failing(io.BytesIO):
             def readinto(self, buf):
@@ -252,6 +275,172 @@ class TestStreamedChunking:
         with pytest.raises(OSError):
             index.ingest_file("f", Failing(random.Random(31).randbytes(4 * dedupe._BLOCK)))
         assert (index.index, index.objects) == ({}, {})
+
+
+@st.composite
+def related_objects(draw):
+    """(name, bytes) of objects made from one base, in a drawn order: the
+    base, exact copies, copies with inserts and deletes, a prefix, the
+    base with bytes appended, and a run of one piece repeated."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    base = draw(chunk_inputs())
+
+    def edited(data):
+        b = bytearray(data)
+        for _ in range(rng.randint(1, 3)):
+            pos = rng.randint(0, len(b))
+            if rng.random() < 0.5:
+                b[pos:pos] = rng.randbytes(rng.randint(1, 300))
+            else:
+                del b[pos : pos + rng.randint(1, 300)]
+        return bytes(b)
+
+    v1 = edited(base)
+    objects = {
+        "base": base,
+        "copy": base,
+        "copy-2": base,
+        "v1": v1,
+        "v2": edited(v1),
+        "prefix": base[: rng.randint(0, len(base))],
+        "appended": base + rng.randbytes(rng.randint(1, 2000)),
+        "runs": base[: rng.randint(1, 600)] * rng.randint(2, 12),
+    }
+    return [(name, objects[name]) for name in draw(st.permutations(sorted(objects)))]
+
+
+def ingest_streamed(index, object_id, data):
+    return index.ingest_file(object_id, io.BytesIO(data))
+
+
+def windows_hashed(index):
+    """A list that gains the number of windows in each block the index's
+    cut finder hashes from here on."""
+    seen = []
+    candidates = index._finder.candidates
+
+    def counted(block, pos):
+        seen.append(len(block) - index.config.window + 1)
+        return candidates(block, pos)
+
+    index._finder.candidates = counted
+    return seen
+
+
+def assert_index_is_recount(index, objects):
+    """Every recipe is the oracle's chunking, and the index holds each
+    distinct chunk once with its size and reference count."""
+    sizes, counted = {}, {}
+    for name, data in objects:
+        want = naive_digests(data, index.config)
+        assert index.objects[name] == [digest for digest, _ in want], name
+        for digest, size in want:
+            sizes[digest] = size
+            counted[digest] = counted.get(digest, 0) + 1
+    assert index.index == {digest: [sizes[digest], counted[digest]] for digest in sizes}
+
+
+class TestSuccessorHints:
+    """A chunk that repeats a remembered successor is taken by its sha256
+    alone, and the recipes are those of the rolling hash over every byte."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(chunking_configs() | power_of_two_configs(), related_objects(), st.sampled_from((1, 7, 64)),
+           st.integers(1, 4), st.lists(st.booleans(), min_size=8, max_size=8))
+    def test_related_objects_match_the_oracle(self, config, objects, block, read_blocks, streamed):
+        with mock.patch.object(dedupe, "_BLOCK", block), mock.patch.object(dedupe, "_READ_BLOCKS", read_blocks):
+            index = ChunkIndex(config=config)
+            for (name, data), stream in zip(objects, streamed):
+                result = (ingest_streamed if stream else ChunkIndex.ingest)(index, name, data)
+                assert result.logical_bytes == len(data)
+        assert_index_is_recount(index, objects)
+        assert index.check_consistency() == []
+
+    def test_a_copy_is_hashed_only_up_to_its_first_chunk(self):
+        # Reads of 64 bytes and chunks of 64 to 1024: nearly every hinted
+        # chunk runs over a read edge.
+        data = random.Random(40).randbytes(30_000)
+        with mock.patch.object(dedupe, "_BLOCK", 64), mock.patch.object(dedupe, "_READ_BLOCKS", 1):
+            index = ChunkIndex(config=SMALL)
+            ingest_streamed(index, "a", data)
+            hashed = windows_hashed(index)
+            ingest_streamed(index, "b", data)
+            streamed = sum(hashed)
+            index.ingest("c", data)
+        # Each copy is hashed until its first chunk is settled: up to two
+        # blocks past its end.
+        first = naive_digests(data, SMALL)[0][1]
+        assert 0 < streamed <= first + 2 * 64
+        assert 0 < sum(hashed) - streamed <= first + 2 * 64
+        assert_index_is_recount(index, [("a", data), ("b", data), ("c", data)])
+
+    @pytest.mark.parametrize("streamed", [False, True])
+    def test_input_that_ends_inside_or_at_the_end_of_a_hinted_chunk(self, streamed):
+        data = random.Random(41).randbytes(20_000)
+        ends = np.cumsum([size for _, size in naive_digests(data, SMALL)])
+        assert len(ends) > 8
+        ingest = ingest_streamed if streamed else ChunkIndex.ingest
+        objects = [("base", data), ("inside", data[: ends[5] + 17]), ("at-end", data[: ends[6]]),
+                   ("one-byte-short", data[: ends[7] - 1])]
+        with mock.patch.object(dedupe, "_BLOCK", 64), mock.patch.object(dedupe, "_READ_BLOCKS", 2):
+            index = ChunkIndex(config=SMALL)
+            for name, obj in objects:
+                ingest(index, name, obj)
+        assert_index_is_recount(index, objects)
+
+    def test_one_digest_followed_by_different_chunks(self):
+        rng = random.Random(42)
+        common = rng.randbytes(5000)
+        x, y = common + rng.randbytes(5000), common + rng.randbytes(5000)
+        objects = [("x", x), ("y", y), ("x-again", x), ("y-again", y), ("x-third", x)]
+        index = ChunkIndex(config=SMALL)
+        for name, obj in objects:
+            index.ingest(name, obj)
+        assert_index_is_recount(index, objects)
+        # The last chunk wholly in `common` is followed by different chunks.
+        x_chunks, y_chunks = index.objects["x"], index.objects["y"]
+        shared = next(i for i, (a, b) in enumerate(zip(x_chunks, y_chunks)) if a != b)
+        assert shared > 0 and x_chunks[shared] != y_chunks[shared]
+
+    def test_an_edit_in_the_first_or_last_chunk(self):
+        rng = random.Random(43)
+        data = rng.randbytes(20_000)
+        objects = [
+            ("base", data),
+            ("first-byte", bytes([data[0] ^ 1]) + data[1:]),
+            ("inserted-at-start", b"x" + data),
+            ("last-byte", data[:-1] + bytes([data[-1] ^ 1])),
+            ("deleted-at-end", data[:-5]),
+            ("base-again", data),
+        ]
+        with mock.patch.object(dedupe, "_BLOCK", 64), mock.patch.object(dedupe, "_READ_BLOCKS", 3):
+            index = ChunkIndex(config=SMALL)
+            for name, obj in objects:
+                ingest_streamed(index, name, obj)
+        assert_index_is_recount(index, objects)
+
+    def test_failed_read_inside_a_hinted_chunk_leaves_the_index_unchanged(self):
+        data = random.Random(44).randbytes(20_000)
+        ends = np.cumsum([size for _, size in naive_digests(data, SMALL)])
+        fail_at = int(ends[6]) + 10  # inside the eighth chunk, well past the first block
+
+        class Failing(io.BytesIO):
+            def readinto(self, buf):
+                if self.tell() >= fail_at:
+                    raise OSError("read failed")
+                return super().readinto(memoryview(buf)[: fail_at - self.tell()])
+
+        with mock.patch.object(dedupe, "_BLOCK", 64), mock.patch.object(dedupe, "_READ_BLOCKS", 1):
+            index = ChunkIndex(config=SMALL)
+            ingest_streamed(index, "base", data)
+            before = (json.dumps(index.index), dict(index.objects), dict(index._next))
+            hashed = windows_hashed(index)
+            with pytest.raises(OSError):
+                index.ingest_file("copy", Failing(data))
+            assert sum(hashed) < ends[6] / 2  # the failure came in the hinted run
+            assert (json.dumps(index.index), dict(index.objects), dict(index._next)) == before
+            ingest_streamed(index, "copy", data)
+        assert_index_is_recount(index, [("base", data), ("copy", data)])
 
 
 class TestChunkStore:
