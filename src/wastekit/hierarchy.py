@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import IntEnum
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import WastekitError, require_int
@@ -97,23 +99,26 @@ SLC_ENDURANCE = 100000
 
 @dataclass(frozen=True)
 class CostModel:
-    """Flash-endurance and energy parameters for pricing a plan."""
+    """Flash-endurance and energy parameters for pricing a plan. The
+    weights are kept as a read-only copy of the mapping given, so they
+    stay as checked."""
 
     erase_block_bytes: int = 256 * 1024
     device_endurance_cycles: int = MLC_ENDURANCE_RANGE[0]
-    action_cost_weights: dict = field(default_factory=lambda: dict(DEFAULT_ACTION_WEIGHTS))
+    action_cost_weights: Mapping = field(default_factory=lambda: DEFAULT_ACTION_WEIGHTS)
 
     def __post_init__(self):
         for name in ("erase_block_bytes", "device_endurance_cycles"):
             require_int(getattr(self, name), f"invalid cost model: {name}")
         weights = self.action_cost_weights
-        if not isinstance(weights, dict):
+        if not isinstance(weights, (dict, MappingProxyType)):
             raise WastekitError(f"invalid cost model: action_cost_weights must be a dict, got {type(weights).__name__}")
         for action, weight in weights.items():
             if not isinstance(action, HierarchyAction):
                 raise WastekitError(f"invalid cost model: weight key {action!r} is not a HierarchyAction")
             if type(weight) not in (int, float) or not 0 <= weight < math.inf:
                 raise WastekitError(f"invalid cost model: weight of {action.label} must be a finite number >= 0, got {weight!r}")
+        object.__setattr__(self, "action_cost_weights", MappingProxyType(dict(weights)))
 
     @classmethod
     def for_device(cls, kind: str, **kwargs) -> "CostModel":

@@ -1,5 +1,6 @@
 """Action ladder selection and the flash cost model."""
 
+import dataclasses
 import itertools
 import json
 import random
@@ -294,6 +295,27 @@ class TestCostModel:
         with pytest.raises(WastekitError) as info:
             CostModel(action_cost_weights=weights)
         assert str(info.value) == f"invalid cost model: action_cost_weights must be a dict, got {kind}"
+
+    def test_action_weights_cannot_change_after_the_checks(self):
+        # Once `m.action_cost_weights[DISPOSE] = nan` was accepted, as was a
+        # change to the caller's dict, and `estimate_cost` gave energy nan.
+        entries = [(make_record(path="a", size=3), WasteCategory.USED, FeasibilityMask())]
+        weights = dict(DEFAULT_ACTION_WEIGHTS)
+        model = CostModel(action_cost_weights=weights)
+        weights[HierarchyAction.DISPOSE] = float("nan")
+        with pytest.raises(TypeError):
+            model.action_cost_weights[HierarchyAction.DISPOSE] = float("nan")
+        with pytest.raises(TypeError):
+            CostModel().action_cost_weights[HierarchyAction.DISPOSE] = float("nan")
+        assert model.action_cost_weights == DEFAULT_ACTION_WEIGHTS
+        assert estimate_cost(plan(entries), model).energy_units == 3.0
+        assert CostModel().action_cost_weights == DEFAULT_ACTION_WEIGHTS
+
+    def test_replace_keeps_the_weights(self):
+        model = CostModel(action_cost_weights={HierarchyAction.DISPOSE: 2.0})
+        assert dataclasses.replace(model) == model
+        bigger = dataclasses.replace(model, erase_block_bytes=1 << 20)
+        assert (bigger.erase_block_bytes, dict(bigger.action_cost_weights)) == (1 << 20, {HierarchyAction.DISPOSE: 2.0})
 
     @pytest.mark.parametrize("key", ["dispose", 4, None])
     def test_action_weight_keys_must_be_actions(self, key):
