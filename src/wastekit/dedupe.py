@@ -271,16 +271,11 @@ def _reads(fh):
 def _chunk_digests(reads, config: ChunkingConfig, finder: _CutFinder | None = None, hints=None, learned=None):
     """(sha256 hex, size) of each chunk, hashed from the reads in place.
 
-    `hints` maps a chunk's digest to the (digest, size) of a chunk that
-    once followed it and ended at a cut. After a chunk with such a
-    successor, the next `size` bytes are hashed: on a match they are that
-    chunk, with no rolling hash, for the cut rule reads only windows
-    inside a chunk (window <= min_chunk). On a miss, or at the end of the
-    input, the rolling hash restarts at that chunk start with the bytes
-    already read and runs until a block of window starts ends in a chunk
-    with a successor. Each chunk that ends at a cut is put in `learned`
-    (a dict the caller keeps; it is consulted before `hints`) as the
-    successor of the chunk before it.
+    `hints` maps a digest to the (digest, size) of a chunk that followed
+    it and ended at a cut; such a successor is checked by its sha256
+    before the rolling hash runs (see the module docstring). Each chunk
+    that ends at a cut goes into `learned`, a dict the caller keeps and
+    one consulted before `hints`, as the successor of the chunk before it.
     """
     finder = finder or _CutFinder(config.window, config.target_chunk)
     hints = {} if hints is None else hints
