@@ -229,29 +229,18 @@ class TestStreamedChunking:
         assert {d: size for d, (size, _) in index.index.items()} == dict(want)
 
     def test_memory_is_bounded_by_the_read_not_the_input(self):
+        # The second ingest, a copy, is taken from remembered successors.
         data = random.Random(30).randbytes(8 << 20)
         index = ChunkIndex()
         tracemalloc.start()
         try:
             result = index.ingest_file("big", io.BytesIO(data))
+            again = index.ingest_file("big-again", io.BytesIO(data))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert result.logical_bytes == len(data)
-        assert peak < 4 << 20
-        assert index.stats()["physical_bytes"] == len(data)
-
-    def test_memory_of_a_second_copy_is_bounded_by_the_read_too(self):
-        data = random.Random(30).randbytes(8 << 20)
-        index = ChunkIndex()
-        tracemalloc.start()
-        try:
-            index.ingest_file("big", io.BytesIO(data))
-            result = index.ingest_file("big-again", io.BytesIO(data))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert result.logical_bytes == len(data) and result.physical_new_bytes == 0
+        assert result.logical_bytes == again.logical_bytes == len(data)
+        assert again.physical_new_bytes == 0
         assert peak < 4 << 20
         assert index.stats()["physical_bytes"] == len(data)
 
