@@ -51,6 +51,8 @@ _EXPORTS = {
         "read_snapshot",
         "write_snapshot",
         "snapshot_digest_provider",
+        "RecoverSummary",
+        "recover_summary",
     ),
     "hierarchy": (
         "HierarchyAction",
@@ -88,9 +90,7 @@ _EXPORTS = {
         "ChunkingConfig",
         "ChunkStore",
         "IngestResult",
-        "RecoverSummary",
         "chunk",
-        "recover_summary",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

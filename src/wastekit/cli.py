@@ -23,7 +23,7 @@ import stat
 import sys
 
 from ._version import __version__
-from .dedupe import ChunkIndex, ChunkingConfig, recover_summary
+from .dedupe import ChunkIndex, ChunkingConfig
 from .dedupe import ChunkStore  # unused here; perfbench's tracer looks the name up in this module
 from .errors import WastekitError
 from .hierarchy import (
@@ -51,6 +51,7 @@ from .scanner import (
     diff,
     dump_snapshot,
     read_snapshot,
+    recover_summary,
     report,
     scan,
     write_snapshot,

@@ -1,6 +1,4 @@
-"""Reuse and Recover mechanisms.
-
-Reuse: content-defined chunking plus a digest index, so identical byte
+"""Reuse: content-defined chunking plus a digest index, so identical byte
 runs count once and the dedup ratio measures how much of the logical
 data was reusable. Boundaries come from a rolling hash of a small
 window, which is what makes them survive insertions — a byte prepended
@@ -40,24 +38,17 @@ start with the bytes already read, and runs until a block of window
 starts ends in a chunk with a successor. The cost in memory is one map
 entry per distinct chunk, plus at most max_chunk bytes carried for a
 missed guess that ran over a read edge.
-
-Recover: anonymized structural histograms over the waste portion of a
-snapshot — extensions, size buckets, age buckets — with no paths or
-names in the output.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import random
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import ChunkCorruptionError, ObjectNotFoundError, WastekitError, require_int
-from .model import RuleSet
-from .scanner import Snapshot, classify_snapshot
 
 DEFAULT_MIN_CHUNK = 2 * 1024
 DEFAULT_TARGET_CHUNK = 8 * 1024
@@ -183,10 +174,10 @@ class _CutFinder:
 
 
 def _cuts_by_block(reads, config: ChunkingConfig, finder: _CutFinder):
-    """The cuts of `cut_points`, as each block of window starts settles
-    them: yields (read as a memoryview, cuts in the block as offsets in
-    the read, whether it is the read's last block), at least once per
-    read."""
+    """Content-defined cuts over a stream of reads, as each block of
+    window starts settles them: yields (read as a memoryview, cuts in
+    the block as offsets in the read, whether it is the read's last
+    block), at least once per read. The input's end is not yielded."""
     w, lo, hi = config.window, config.min_chunk, config.max_chunk
     tail = b""  # the last window-1 bytes before the current read
     pending = np.empty(0, dtype=np.intp)  # candidates not yet passed over
@@ -222,33 +213,17 @@ def _cuts_by_block(reads, config: ChunkingConfig, finder: _CutFinder):
         base += n
 
 
-def cut_points(reads, config: ChunkingConfig = ChunkingConfig()):
-    """Content-defined cuts over a stream of reads (bytes-like objects).
-
-    Yields each read as a memoryview, with the offsets in it at which a
-    chunk ends, in order. The last chunk ends at the end of the input
-    and is not yielded. A read is hashed in blocks of _BLOCK window
-    starts, windows over a read edge from a window-1 byte tail, and a
-    cut is taken as soon as no later byte can change it.
+def chunk(data: bytes, config: ChunkingConfig = ChunkingConfig()) -> list[bytes]:
+    """Split data at content-determined boundaries.
 
     A cut falls after position i when the window ending at i leaves the
     cut residue. Candidates do not depend on previous cuts, so every
     non-final chunk lands in [min_chunk, max_chunk]: candidates closer
     than min_chunk are skipped, and max_chunk forces a cut.
     """
-    cuts = []
-    for view, block_cuts, last in _cuts_by_block(reads, config, _CutFinder(config.window, config.target_chunk)):
-        cuts += block_cuts
-        if last:
-            yield view, cuts
-            cuts = []
-
-
-def chunk(data: bytes, config: ChunkingConfig = ChunkingConfig()) -> list[bytes]:
-    """Split data at content-determined boundaries (see `cut_points`)."""
     pieces = []
     start = 0
-    for _, cuts in cut_points((data,), config):
+    for _, cuts, _ in _cuts_by_block((data,), config, _CutFinder(config.window, config.target_chunk)):
         for end in cuts:
             pieces.append(data[start:end])
             start = end
@@ -268,7 +243,7 @@ def _reads(fh):
             buf = bytearray(min(2 * len(buf), _READ_BLOCKS * _BLOCK))
 
 
-def _chunk_digests(reads, config: ChunkingConfig, finder: _CutFinder | None = None, hints=None, learned=None):
+def _chunk_digests(reads, config: ChunkingConfig, finder: _CutFinder, hints, learned):
     """(sha256 hex, size) of each chunk, hashed from the reads in place.
 
     `hints` maps a digest to the (digest, size) of a chunk that followed
@@ -277,9 +252,6 @@ def _chunk_digests(reads, config: ChunkingConfig, finder: _CutFinder | None = No
     that ends at a cut goes into `learned`, a dict the caller keeps and
     one consulted before `hints`, as the successor of the chunk before it.
     """
-    finder = finder or _CutFinder(config.window, config.target_chunk)
-    hints = {} if hints is None else hints
-    learned = {} if learned is None else learned
     reads = iter(reads)
     ahead = []  # bytes to see again, from a chunk start on, before the next read
 
@@ -454,11 +426,11 @@ class ChunkStore(ChunkIndex):
 
     def ingest(self, object_id: str, data) -> IngestResult:
         result = super().ingest(object_id, data)
-        offset = 0
+        view, offset = memoryview(data).cast("B"), 0
         for digest in self.objects[object_id]:
             size = self.index[digest][0]
             if digest not in self.chunks:
-                self.chunks[digest] = bytes(data[offset : offset + size])
+                self.chunks[digest] = bytes(view[offset : offset + size])
             offset += size
         return result
 
@@ -490,91 +462,3 @@ class ChunkStore(ChunkIndex):
             elif len(piece) != size:
                 problems.append(f"chunk {digest}: {len(piece)} bytes but indexed as {size}")
         return problems
-
-
-# -- Recover: anonymized waste summaries --------------------------------
-
-AGE_BUCKET_EDGES_DAYS = (0, 1, 7, 30, 90, 365)
-AGE_BUCKET_LABELS = ("0-1d", "1-7d", "7-30d", "30-90d", "90-365d", "365d+")
-
-
-def size_bucket_label(size: int) -> str:
-    """Power-of-two bucket, labeled by its inclusive upper bound."""
-    if size <= 0:
-        return "0"
-    return str(1 << (size - 1).bit_length())
-
-
-def age_bucket_label(age_secs: int) -> str:
-    days = max(0, age_secs) // 86400
-    for edge, label in zip(AGE_BUCKET_EDGES_DAYS[1:], AGE_BUCKET_LABELS):
-        if days < edge:
-            return label
-    return AGE_BUCKET_LABELS[-1]
-
-
-def extension_token(path: str) -> str:
-    """Final extension of the basename, lowercased; '' when absent.
-    This is the only fragment of the original name that may appear in
-    a summary."""
-    ext = os.path.splitext(os.path.basename(path))[1]
-    return ext[1:].lower() if ext.startswith(".") else ""
-
-
-@dataclass
-class RecoverSummary:
-    """Structural view of a snapshot's waste: what kinds, sizes and ages
-    of files pile up, with all identifying detail stripped so the
-    summary can be shared. `warnings` holds the warnings about the files
-    it read (see `snapshot_digest_provider`); they name paths, so they
-    are not in the JSON."""
-
-    extension_histogram: dict
-    size_histogram: dict
-    age_histogram: dict
-    waste_files: int
-    waste_bytes: int
-    warnings: list[str] = field(default_factory=list)
-
-    def to_json_obj(self) -> dict:
-        def hist(d: dict) -> dict:
-            return {k: {"files": c, "bytes": b} for k, (c, b) in sorted(d.items())}
-
-        return {
-            "extension_histogram": hist(self.extension_histogram),
-            "size_histogram": hist(self.size_histogram),
-            "age_histogram": hist(self.age_histogram),
-            "waste_files": self.waste_files,
-            "waste_bytes": self.waste_bytes,
-        }
-
-
-def recover_summary(snapshot: Snapshot, rules: RuleSet) -> RecoverSummary:
-    categories, warnings = classify_snapshot(snapshot, rules)
-    ext_hist: dict[str, list] = {}
-    size_hist: dict[str, list] = {}
-    age_hist: dict[str, list] = {}
-    files = 0
-    total = 0
-    for record, category in zip(snapshot.records, categories):
-        if not category.is_waste():
-            continue
-        files += 1
-        total += record.size_bytes
-        keys = (
-            (ext_hist, extension_token(record.path)),
-            (size_hist, size_bucket_label(record.size_bytes)),
-            (age_hist, age_bucket_label(snapshot.taken_at - record.mtime)),
-        )
-        for hist, key in keys:
-            slot = hist.setdefault(key, [0, 0])
-            slot[0] += 1
-            slot[1] += record.size_bytes
-    return RecoverSummary(
-        extension_histogram={k: tuple(v) for k, v in ext_hist.items()},
-        size_histogram={k: tuple(v) for k, v in size_hist.items()},
-        age_histogram={k: tuple(v) for k, v in age_hist.items()},
-        waste_files=files,
-        waste_bytes=total,
-        warnings=warnings,
-    )

@@ -1,4 +1,5 @@
-"""Filesystem scanning, snapshot persistence, waste reports, and diffs.
+"""Filesystem scanning, snapshot persistence, waste reports, anonymized
+waste summaries (Recover), and diffs.
 
 The scanner is strictly read-only: it stats and lists, never modifies,
 and it lists directories with O_NOATIME wherever the caller owns them,
@@ -459,6 +460,92 @@ def report(snapshot: Snapshot, rules: RuleSet) -> WasteReport:
         never_accessed_files_pct=(100.0 * never_files / reg_files) if reg_files else 0.0,
         never_accessed_space_pct=(100.0 * never_bytes / reg_bytes) if reg_bytes else 0.0,
         per_category=per_category,
+        warnings=warnings,
+    )
+
+
+AGE_BUCKET_EDGES_DAYS = (0, 1, 7, 30, 90, 365)
+AGE_BUCKET_LABELS = ("0-1d", "1-7d", "7-30d", "30-90d", "90-365d", "365d+")
+
+
+def size_bucket_label(size: int) -> str:
+    """Power-of-two bucket, labeled by its inclusive upper bound."""
+    if size <= 0:
+        return "0"
+    return str(1 << (size - 1).bit_length())
+
+
+def age_bucket_label(age_secs: int) -> str:
+    days = max(0, age_secs) // 86400
+    for edge, label in zip(AGE_BUCKET_EDGES_DAYS[1:], AGE_BUCKET_LABELS):
+        if days < edge:
+            return label
+    return AGE_BUCKET_LABELS[-1]
+
+
+def extension_token(path: str) -> str:
+    """Final extension of the basename, lowercased; '' when absent.
+    This is the only fragment of the original name that may appear in
+    a summary."""
+    ext = os.path.splitext(os.path.basename(path))[1]
+    return ext[1:].lower() if ext.startswith(".") else ""
+
+
+@dataclass
+class RecoverSummary:
+    """Structural view of a snapshot's waste: what kinds, sizes and ages
+    of files pile up, with all identifying detail stripped so the
+    summary can be shared. `warnings` holds the warnings about the files
+    it read (see `snapshot_digest_provider`); they name paths, so they
+    are not in the JSON."""
+
+    extension_histogram: dict
+    size_histogram: dict
+    age_histogram: dict
+    waste_files: int
+    waste_bytes: int
+    warnings: list[str] = field(default_factory=list)
+
+    def to_json_obj(self) -> dict:
+        def hist(d: dict) -> dict:
+            return {k: {"files": c, "bytes": b} for k, (c, b) in sorted(d.items())}
+
+        return {
+            "extension_histogram": hist(self.extension_histogram),
+            "size_histogram": hist(self.size_histogram),
+            "age_histogram": hist(self.age_histogram),
+            "waste_files": self.waste_files,
+            "waste_bytes": self.waste_bytes,
+        }
+
+
+def recover_summary(snapshot: Snapshot, rules: RuleSet) -> RecoverSummary:
+    categories, warnings = classify_snapshot(snapshot, rules)
+    ext_hist: dict[str, list] = {}
+    size_hist: dict[str, list] = {}
+    age_hist: dict[str, list] = {}
+    files = 0
+    total = 0
+    for record, category in zip(snapshot.records, categories):
+        if not category.is_waste():
+            continue
+        files += 1
+        total += record.size_bytes
+        keys = (
+            (ext_hist, extension_token(record.path)),
+            (size_hist, size_bucket_label(record.size_bytes)),
+            (age_hist, age_bucket_label(snapshot.taken_at - record.mtime)),
+        )
+        for hist, key in keys:
+            slot = hist.setdefault(key, [0, 0])
+            slot[0] += 1
+            slot[1] += record.size_bytes
+    return RecoverSummary(
+        extension_histogram={k: tuple(v) for k, v in ext_hist.items()},
+        size_histogram={k: tuple(v) for k, v in size_hist.items()},
+        age_histogram={k: tuple(v) for k, v in age_hist.items()},
+        waste_files=files,
+        waste_bytes=total,
         warnings=warnings,
     )
 

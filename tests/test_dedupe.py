@@ -1,5 +1,6 @@
 """Content-defined chunking, the chunk store, and recover summaries."""
 
+import array
 import hashlib
 import io
 import json
@@ -16,15 +17,17 @@ from wastekit.dedupe import (
     ChunkIndex,
     ChunkingConfig,
     ChunkStore,
-    age_bucket_label,
     chunk,
+)
+from wastekit.errors import ChunkCorruptionError, ObjectNotFoundError, WastekitError
+from wastekit.model import FileKind, RuleSet
+from wastekit.scanner import (
+    Snapshot,
+    age_bucket_label,
     extension_token,
     recover_summary,
     size_bucket_label,
 )
-from wastekit.errors import ChunkCorruptionError, ObjectNotFoundError, WastekitError
-from wastekit.model import FileKind, RuleSet
-from wastekit.scanner import Snapshot
 
 from conftest import make_record
 from naive_chunk import _rolling_hashes as naive_hashes, naive_chunk
@@ -206,15 +209,12 @@ class TestStreamedChunking:
         block = 256
         data = random.Random(config.target_chunk).randbytes(6 * block + 77)
         want = naive_digests(data, config)
-        ends = list(np.cumsum([size for _, size in want])[:-1])
         with mock.patch.object(dedupe, "_BLOCK", block):
             for edge in (block, 2 * block, 5 * block):
                 for split in range(edge - config.window, edge + config.window + 1):
                     reads = (data[:split], data[split:])
-                    cuts = [read_start + c for (_, cs), read_start in
-                            zip(dedupe.cut_points(reads, config), (0, split)) for c in cs]
-                    assert cuts == ends, split
-                    assert list(dedupe._chunk_digests(reads, config)) == want, split
+                    finder = dedupe._CutFinder(config.window, config.target_chunk)
+                    assert list(dedupe._chunk_digests(reads, config, finder, {}, {})) == want, split
 
     @settings(max_examples=100, deadline=None)
     @given(chunking_configs() | power_of_two_configs(), chunk_inputs(), st.sampled_from((1, 7, 64)),
@@ -464,6 +464,13 @@ class TestChunkStore:
             store.ingest(oid, data)
         for oid, data in blobs.items():
             assert store.restore(oid) == data
+
+    def test_wide_item_buffer_is_stored_by_bytes(self):
+        data = array.array("I", random.Random(1).randbytes(40_000))
+        store = ChunkStore(config=SMALL)
+        assert store.ingest("a", data).logical_bytes == 40_000
+        assert store.check_consistency() == []
+        assert store.restore("a") == data.tobytes()
 
     def test_restore_unknown_id(self):
         with pytest.raises(ObjectNotFoundError):

@@ -15,13 +15,13 @@ PUBLIC_NAMES = {
     "FileKind", "FileRecord", "RuleSet", "WasteCategory", "classify", "f_lifetime", "load_rules",
     "ruleset_from_json_obj", "sha256_file",
     "ScanOptions", "Snapshot", "WasteReport", "ChurnReport", "scan", "classify_snapshot", "report", "diff",
-    "read_snapshot", "write_snapshot", "snapshot_digest_provider",
+    "read_snapshot", "write_snapshot", "snapshot_digest_provider", "RecoverSummary", "recover_summary",
     "HierarchyAction", "FeasibilityMask", "MaskRules", "ActionPlan", "PlanEntry", "CostModel", "CostReport",
     "plan", "estimate_cost", "load_mask_rules",
     "DigitalLandfill", "LandfillConfig", "LandfillEntry", "LandfillStats", "FadeStats", "PutOutcome",
     "parse_trace", "load_trace", "replay",
     "SchedulerConfig", "WorkloadTrace", "SimulationReport", "simulate", "parse_workload", "load_workload",
-    "ChunkIndex", "ChunkingConfig", "ChunkStore", "IngestResult", "RecoverSummary", "chunk", "recover_summary",
+    "ChunkIndex", "ChunkingConfig", "ChunkStore", "IngestResult", "chunk",
 }
 
 
@@ -41,6 +41,14 @@ def test_submodule_resolves_after_bare_import():
         "import sys, types, wastekit\n"
         "assert 'wastekit.model' not in sys.modules\n"
         "assert isinstance(wastekit.model, types.ModuleType) and wastekit.model.classify is wastekit.classify\n"
+    )
+
+
+def test_dedupe_imports_no_other_wastekit_module():
+    run_fresh(
+        "import sys, wastekit.dedupe\n"
+        "loaded = {name for name in sys.modules if name.startswith('wastekit.')}\n"
+        "assert loaded == {'wastekit._version', 'wastekit.errors', 'wastekit.dedupe'}, sorted(loaded)\n"
     )
 
 
