@@ -160,6 +160,24 @@ def build_inputs(work: str) -> dict[str, str]:
             '{"atime":1,"kind":"Regular","mtime":1,"path":"b","size_bytes":1}\n'
             '{"atime":1,"kind":"Regular","mtime":1,"path":"a","size_bytes":1}\n'
         ),
+        # Lines in the writer's exact form, mixed with valid lines in other
+        # forms: hand-spaced, keys reordered, a path the writer escapes, and
+        # a blank line.
+        "mixed-lines.snap": (
+            f'{{"format": "wastekit-snapshot-v1", "root": "/r", "taken_at": {T0}}}\n'
+            f'{{"allocated_bytes":4096,"atime":{T0 - 50 * DAY},"kind":"Regular","mtime":{T0 - 50 * DAY},'
+            '"path":"a.aux","size_bytes":700}\n'
+            f'{{"atime": {T0 - 70 * DAY}, "kind": "Regular", "mtime": {T0 - 70 * DAY}, "path": "b.spam", '
+            '"size_bytes": 300}\n'
+            f'{{"atime":{T0 - 9 * DAY},"kind":"Regular","mtime":{T0 - 10 * DAY},"path":"caf\\u00e9.tmp",'
+            '"size_bytes":1500}\n'
+            "\n"
+            f'{{"path":"d/e.o","size_bytes":2500,"kind":"Regular","mtime":{T0 - 80 * DAY},"atime":{T0 - 80 * DAY}}}\n'
+            f'{{"atime":{T0 - 6 * DAY},"kind":"Directory","mtime":{T0 - 7 * DAY},"path":"keep","size_bytes":0}}\n'
+            f'{{"allocated_bytes":4096,"atime":{T0 - 90 * DAY},"kind":"Regular","mtime":{T0 - 90 * DAY},'
+            '"path":"keep/notes.txt","size_bytes":5}\n'
+            f'{{"atime":{T0 - DAY},"kind":"Regular","mtime":{T0 - 3 * DAY},"path":"z.dat","size_bytes":120}}\n'
+        ),
         "workload.trace": _workload(random.Random(SEED)),
         "ops.trace": _landfill_trace(random.Random(SEED)),
     }
@@ -186,6 +204,7 @@ def cases(p: dict[str, str]) -> dict[str, list[str]]:
         "report_json": ["--format", "json", "report", p["new.snap"], *rules],
         "report_old_json": ["--format", "json", "report", p["old.snap"], *rules],
         "report_unsorted": ["report", p["unsorted.snap"], *rules],
+        "report_mixed_lines_json": ["--format", "json", "report", p["mixed-lines.snap"], *rules],
         "diff_table": ["diff", p["old.snap"], p["new.snap"], *rules],
         "diff_table_v": ["-v", "diff", p["old.snap"], p["new.snap"], *rules],
         "diff_json": ["--format", "json", "diff", p["old.snap"], p["new.snap"], *rules],
