@@ -246,6 +246,8 @@ def parse_json(text: str, what: str, error: type[WastekitError] = WastekitError)
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise error(f"{what} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # an integer past Python's digit limit for str-to-int
+        raise error(f"{what} holds a number too long to read") from exc
     except RecursionError as exc:
         raise error(f"{what} is nested too deeply to parse") from exc
 

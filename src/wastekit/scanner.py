@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import operator
 import os
+import re
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -127,6 +128,16 @@ def dump_snapshot(snapshot: Snapshot, fh) -> None:
 
 
 _KIND_BY_VALUE = {kind.value: kind for kind in FileKind}
+# A record line exactly as `dump_snapshot` writes it, for a path of
+# printable ASCII that needs no escape and integers of at most 19 digits,
+# or else any other line as the last group. In multiline mode `findall`
+# gives one item per `\n`-line, in order.
+_NUMBER = "(0|[1-9][0-9]{0,18})"
+_RECORD_LINES = re.compile(
+    rf'^(?:\{{(?:"allocated_bytes":{_NUMBER},)?"atime":{_NUMBER},"kind":"({"|".join(_KIND_BY_VALUE)})",'
+    rf'"mtime":{_NUMBER},"path":"([ !#-\[\]-~]*)","size_bytes":{_NUMBER}\}}|(.*))$',
+    re.MULTILINE,
+)
 
 
 def _checked_record(path: str, lineno: int, line: str) -> FileRecord | None:
@@ -147,12 +158,17 @@ def _checked_record(path: str, lineno: int, line: str) -> FileRecord | None:
 def read_snapshot(path: str) -> Snapshot:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+            first, newline, rest = fh.read().partition("\n")
     except (OSError, UnicodeDecodeError) as exc:
         raise WastekitError(f"cannot read snapshot {path}: {exc}") from exc
-    if not lines:
+    if not (first or newline):
         raise WastekitError(f"snapshot {path} is empty")
-    header = parse_json(lines[0], f"snapshot {path} header")
+    # Lines are numbered as `str.splitlines` cuts the text, which also ends
+    # a line at characters such as U+2028 and U+0085. A writer's record
+    # line holds none of them; any other `\n`-line, the header's too, is
+    # cut the same way by splitting it with its `\n` put back.
+    header_line, *lines = (first + "\n").splitlines()
+    header = parse_json(header_line, f"snapshot {path} header")
     if not isinstance(header, dict) or header.get("format") != SNAPSHOT_FORMAT:
         raise WastekitError(f"{path} is not a {SNAPSHOT_FORMAT} file")
     root, taken_at = header.get("root"), header.get("taken_at")
@@ -161,38 +177,30 @@ def read_snapshot(path: str) -> Snapshot:
             and type(warnings) is list and all(type(w) is str for w in warnings)):
         raise WastekitError(f"snapshot {path} header needs an absolute path 'root', an integer 'taken_at', "
                             "and optionally a boolean 'atime_reliable' and a 'warnings' list")
-    # Each line is decoded and checked on its own, inline. A line that
-    # fails any check goes through `_checked_record`, which skips a blank
-    # line or raises the error that names it.
+    # A line in the writer's form is read from its groups. Any other line,
+    # or one whose path `is_relative` refuses, goes through
+    # `_checked_record`, which skips a blank line or raises the error that
+    # names it. The lines that the header's `\n`-line holds after it come
+    # first, and no item is taken after the final `\n`.
+    body = "\n".join([*lines, rest])
     records = []
     append = records.append
-    decode = json.JSONDecoder().raw_decode
     kinds = _KIND_BY_VALUE
     new_tuple = tuple.__new__
-    for i, line in enumerate(lines[1:], start=2):
-        try:
-            obj, end = decode(line)
-            rel, size, mtime, atime = obj["path"], obj["size_bytes"], obj["mtime"], obj["atime"]
-            kind, allocated = kinds[obj["kind"]], obj.get("allocated_bytes")
-        except (ValueError, KeyError, TypeError, RecursionError):
-            end = -1
-        if (
-            end == len(line)
-            and type(size) is int
-            and type(mtime) is int
-            and type(atime) is int
-            and (allocated is None or type(allocated) is int)
-            and size >= 0
-            and mtime >= 0
-            and atime >= 0
-            and type(rel) is str
-            and is_relative(rel)
-        ):
-            append(new_tuple(FileRecord, (rel, size, mtime, atime, kind, allocated)))
-        else:
-            rec = _checked_record(path, i, line)
+    shift = 2  # the line number of item i is i + shift
+    for i, (allocated, atime, kind, mtime, rel, size, other) in enumerate(
+        _RECORD_LINES.findall(body, 0, len(body) - body.endswith("\n"))
+    ):
+        if kind and is_relative(rel):
+            append(new_tuple(FileRecord, (rel, int(size), int(mtime), int(atime), kinds[kind],
+                                          int(allocated) if allocated else None)))
+            continue
+        lines = [body.split("\n")[i]] if kind else (other + "\n").splitlines()
+        for lineno, line in enumerate(lines, i + shift):
+            rec = _checked_record(path, lineno, line)
             if rec is not None:
                 append(rec)
+        shift += len(lines) - 1
     return Snapshot(
         root=root,
         taken_at=taken_at,

@@ -2,11 +2,12 @@
 
 Every record line goes through `json.loads` and `record_from_obj`
 (whose `FileRecord` holds the path rule), one at a time, as the reader
-did before it checked the fields inline, and `Snapshot` checks the
-order. `record_obj` is the object a record line encodes. This is the
-behavioral oracle the fast reader is compared against: for any file it
-must return an equal snapshot or raise a WastekitError with the
-identical message.
+did before it read the writer's own lines in one pass, and `Snapshot`
+checks the order. An integer too long for Python to convert is reported
+in one line, not with Python's own message. `record_obj` is the object
+a record line encodes. This is the behavioral oracle the fast reader is
+compared against: for any file it must return an equal snapshot or
+raise a WastekitError with the identical message.
 """
 
 import json
@@ -56,6 +57,8 @@ def naive_read_snapshot(path):
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
         raise WastekitError(f"snapshot {path} header is not valid JSON: {exc}") from exc
+    except ValueError as exc:
+        raise WastekitError(f"snapshot {path} header holds a number too long to read") from exc
     except RecursionError as exc:
         raise WastekitError(f"snapshot {path} header is nested too deeply to parse") from exc
     if not isinstance(header, dict) or header.get("format") != SNAPSHOT_FORMAT:
@@ -74,6 +77,8 @@ def naive_read_snapshot(path):
             rec = record_from_obj(json.loads(line))
         except json.JSONDecodeError as exc:
             raise WastekitError(f"snapshot {path} line {i} is not valid JSON: {exc}") from exc
+        except ValueError as exc:
+            raise WastekitError(f"snapshot {path} line {i} holds a number too long to read") from exc
         except RecursionError as exc:
             raise WastekitError(f"snapshot {path} line {i} is nested too deeply to parse") from exc
         except WastekitError as exc:

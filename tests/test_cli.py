@@ -293,6 +293,9 @@ def _snapshot_with_record(**fields) -> bytes:
     return (json.dumps(header) + "\n" + json.dumps(record) + "\n").encode()
 
 
+_LONG = b"9" * 5000
+
+
 class TestExitCodes:
     def test_no_command_is_usage_error(self, capsys):
         code, _, err = cli(capsys)
@@ -365,6 +368,14 @@ class TestExitCodes:
             (b"[" * 100_000 + b"\n", ["report", "{bad}", "--rules", "{rules}"]),
             (b"[" * 100_000, ["report", "{snap}", "--rules", "{bad}"]),
             (b'{"rules": ' + b"[" * 100_000, ["plan", "{snap}", "--rules", "{rules}", "--masks", "{bad}"]),
+            # Integers past Python's 4,300-digit limit for str-to-int.
+            (_snapshot_with_record().replace(b'"size_bytes": 5', b'"size_bytes": ' + _LONG),
+             ["report", "{bad}", "--rules", "{rules}"]),
+            (b'{"format": "wastekit-snapshot-v1", "root": "/r", "taken_at": ' + _LONG + b"}\n",
+             ["report", "{bad}", "--rules", "{rules}"]),
+            (b'{"used_threshold_secs": ' + _LONG + b"}", ["report", "{snap}", "--rules", "{bad}"]),
+            (b'{"rules": [{"glob": "*.o", "reduce_ok": ' + _LONG + b"}]}",
+             ["plan", "{snap}", "--rules", "{rules}", "--masks", "{bad}"]),
         ],
         ids=[
             "header-no-root", "header-no-taken-at", "header-root-number", "header-taken-at-string", "header-warnings-number",
@@ -373,6 +384,7 @@ class TestExitCodes:
             "record-size-float", "record-mtime-bool", "record-atime-string", "record-size-null",
             "record-allocated-float", "record-allocated-bool",
             "record-deep", "header-deep", "rules-deep", "masks-deep",
+            "record-long-number", "header-long-number", "rules-long-number", "masks-long-number",
         ],
     )
     def test_bad_input_file_is_named_in_one_line(self, capsys, small_tree, tmp_path, rules_file, content, argv):
@@ -383,7 +395,7 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("wastekit: error: ") and len(err.splitlines()) == 1
         assert str(bad) in err
-        assert str(bad) in err
+        assert "set_int_max_str_digits" not in err
 
     @pytest.mark.parametrize("allocated", [{}, {"allocated_bytes": None}, {"allocated_bytes": 4096}])
     def test_integer_record_fields_are_read(self, capsys, tmp_path, rules_file, allocated):

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import random
+import re
 import time
 from unittest import mock
 
@@ -15,7 +16,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from wastekit.errors import WastekitError
 import wastekit
 import wastekit.scanner as scanner_mod
-from wastekit.model import FileKind, FileRecord, RuleSet, TreeOpener, WasteCategory, atime_moved_warning, classify
+from wastekit.model import (
+    FileKind, FileRecord, RuleSet, TreeOpener, WasteCategory, atime_moved_warning, classify, is_relative,
+)
 from wastekit.scanner import (
     DIGEST_UNREADABLE,
     ChurnReport,
@@ -33,7 +36,7 @@ from wastekit.scanner import (
 from conftest import make_record
 from naive_glob import naive_classify
 from naive_scan import naive_scan
-from naive_snapshot import naive_read_snapshot, record_obj
+from naive_snapshot import naive_read_snapshot, record_from_obj, record_obj
 
 
 def touch(path, content=b"", mtime=None, atime=None):
@@ -337,6 +340,15 @@ class TestSnapshotIO:
             with pytest.raises(WastekitError, match="line 2: malformed file record: record path .* must be relative"):
                 read_snapshot(str(p))
 
+    def test_number_too_long_to_read_names_file_and_line(self, tmp_path):
+        p = tmp_path / "s.snap"
+        header = {"format": "wastekit-snapshot-v1", "root": "/r", "taken_at": 10}
+        record = _json_line(record_obj(make_record(path="a", size=7))).replace('"size_bytes":7', '"size_bytes":' + "9" * 5000)
+        p.write_text(json.dumps(header) + "\n" + record)
+        with pytest.raises(WastekitError) as info:
+            read_snapshot(str(p))
+        assert str(info.value) == f"snapshot {p} line 2 holds a number too long to read"
+
     @pytest.mark.parametrize("warnings", [[5, {"a": 1}], ["ok", None]])
     def test_rejects_header_warnings_that_are_not_strings(self, tmp_path, warnings):
         p = tmp_path / "s.snap"
@@ -512,6 +524,36 @@ def _mutate_lines(lines, i, data):
         lines.insert(i, data.draw(st.sampled_from(["", "  "])))
 
 
+# Faults put into a line in the writer's form: paths, integers at and past
+# the 19 digits read in one pass (and past Python's 4,300-digit limit for
+# str-to-int), and a null allocated_bytes.
+_WRITER_LINE_PATHS = ["a//b", "..", "/abs", "a\\b", "caf\u00e9", "a\u2028b"]
+_WRITER_LINE_NUMBERS = ["9" * 19, "1" + "0" * 19, "9" * 5000]
+
+
+def _mutate_writer_line(lines, i, data):
+    """One fault, or one harmless change, in line i as the writer wrote it."""
+    what = data.draw(st.sampled_from(["record", "path", "number", "null"]))
+    line = lines[i]
+    if what == "record":
+        try:
+            objs = [json.loads(line)]
+        except ValueError:  # not JSON, or an integer too long to convert
+            return
+        if isinstance(objs[0], dict):
+            _mutate_record(objs, 0, data)
+            lines[i : i + 1] = [obj if isinstance(obj, str) else _json_line(obj)[:-1] for obj in objs]
+    elif what == "path":
+        quoted = json.dumps(data.draw(st.sampled_from(_WRITER_LINE_PATHS)), ensure_ascii=data.draw(st.booleans()))
+        lines[i] = re.sub(r'"path":"(?:[^"\\]|\\.)*"', lambda m: '"path":' + quoted, line, count=1)
+    elif what == "number":
+        key = data.draw(st.sampled_from(["allocated_bytes", "atime", "mtime", "size_bytes"]))
+        number = data.draw(st.sampled_from(_WRITER_LINE_NUMBERS))
+        lines[i] = re.sub(rf'"{key}":[0-9]+', lambda m: f'"{key}":{number}', line, count=1)
+    else:
+        lines[i] = re.sub(r'^\{(?:"allocated_bytes":[0-9]+,)?', '{"allocated_bytes":null,', line, count=1)
+
+
 def _outcome(reader, path):
     try:
         return reader(path)
@@ -520,8 +562,8 @@ def _outcome(reader, path):
 
 
 class TestSnapshotReaderOracle:
-    """The reader checks each line's fields inline and falls back to the
-    line-at-a-time code for any line that fails; its result must equal
+    """The reader reads the writer's own record lines in one pass and any
+    other line with the line-at-a-time code; its result must equal
     `naive_read_snapshot`'s, down to the error message."""
 
     def check(self, tmp_path, text):
@@ -547,6 +589,37 @@ class TestSnapshotReaderOracle:
                 _mutate_lines(lines, data.draw(st.integers(0, len(lines) - 1)), data)
         newline = data.draw(st.sampled_from(["\n", "\r\n"]))
         self.check(tmp_path, newline.join([json.dumps(_HEADER), *lines]) + data.draw(st.sampled_from(["", newline])))
+
+    @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_writer_lines_match_oracle(self, tmp_path, data):
+        # The lines `json.dumps` writes above are spaced, so none is in the
+        # writer's form; these start from `dump_snapshot`'s own lines.
+        records = [record_from_obj(_record_obj(path, data)) for path in data.draw(_PATHS) if is_relative(path)]
+        warnings = data.draw(st.lists(st.sampled_from(["w", "a\u2028b", "x\x85y"]), max_size=2))
+        header, *lines = dumps(Snapshot(root="/r", taken_at=10, records=records)).split("\n")[:-1]
+        if warnings:  # raw, where the writer escapes them
+            header = json.dumps(_HEADER | {"warnings": warnings}, ensure_ascii=False)
+        for _ in range(data.draw(st.integers(0, 3))):
+            if lines:
+                _mutate_writer_line(lines, data.draw(st.integers(0, len(lines) - 1)), data)
+        for _ in range(data.draw(st.integers(0, 2))):
+            if lines:
+                _mutate_lines(lines, data.draw(st.integers(0, len(lines) - 1)), data)
+        # Line ends, some of which `str.splitlines` sees and a `\n` split does not.
+        newline = data.draw(st.sampled_from(["\n", "\r\n"]))
+        ends = data.draw(st.lists(st.sampled_from([newline, newline, "\u2028", "\x85" + newline]),
+                                  min_size=len(lines) + 1, max_size=len(lines) + 1))
+        ends[-1] = data.draw(st.sampled_from(["", newline]))
+        self.check(tmp_path, header + "".join(map(str.__add__, ["", *lines], ends)))
+
+    def test_writer_lines_are_read_in_one_pass(self, tmp_path):
+        records = [make_record(path=f"d/f{i:04d}", allocated_bytes=4096 if i % 2 else None) for i in range(1000)]
+        p = tmp_path / "s.snap"
+        write_snapshot(Snapshot(root="/r", taken_at=10, records=records), str(p))
+        with mock.patch.object(scanner_mod, "_checked_record", wraps=scanner_mod._checked_record) as checked:
+            assert read_snapshot(str(p)).records == records
+        assert checked.call_count == 0
 
     @pytest.mark.parametrize("fault", _SINGLE_FAULTS, ids=repr)
     def test_single_fault_matches_oracle(self, tmp_path, fault):
