@@ -606,12 +606,14 @@ class TestSnapshotReaderOracle:
         for _ in range(data.draw(st.integers(0, 2))):
             if lines:
                 _mutate_lines(lines, data.draw(st.integers(0, len(lines) - 1)), data)
-        # Line ends, some of which `str.splitlines` sees and a `\n` split does not.
+        # The end of the header and of each line; `str.splitlines` sees a
+        # U+2028 or U+0085 end, which a `\n` split does not.
         newline = data.draw(st.sampled_from(["\n", "\r\n"]))
         ends = data.draw(st.lists(st.sampled_from([newline, newline, "\u2028", "\x85" + newline]),
                                   min_size=len(lines) + 1, max_size=len(lines) + 1))
         ends[-1] = data.draw(st.sampled_from(["", newline]))
-        self.check(tmp_path, header + "".join(map(str.__add__, ["", *lines], ends)))
+        text = header + ends[0] + "".join(line + end for line, end in zip(lines, ends[1:]))
+        self.check(tmp_path, text)
 
     def test_writer_lines_are_read_in_one_pass(self, tmp_path):
         records = [make_record(path=f"d/f{i:04d}", allocated_bytes=4096 if i % 2 else None) for i in range(1000)]
