@@ -128,46 +128,49 @@ def dump_snapshot(snapshot: Snapshot, fh) -> None:
 
 
 _KIND_BY_VALUE = {kind.value: kind for kind in FileKind}
-# A record line exactly as `dump_snapshot` writes it, for a path of
-# printable ASCII that needs no escape and integers of at most 19 digits,
-# or else any other line as the last group. In multiline mode `findall`
-# gives one item per `\n`-line, in order.
+# A record line as `dump_snapshot` writes it (integers of at most 19 digits,
+# a path of printable ASCII and JSON escapes), or else any other line: in
+# multiline mode each `\n`-line is one match, in order.
 _NUMBER = "(0|[1-9][0-9]{0,18})"
+_PLAIN = r"[ !#-\[\]-~]*"
 _RECORD_LINES = re.compile(
     rf'^(?:\{{(?:"allocated_bytes":{_NUMBER},)?"atime":{_NUMBER},"kind":"({"|".join(_KIND_BY_VALUE)})",'
-    rf'"mtime":{_NUMBER},"path":"([ !#-\[\]-~]*)","size_bytes":{_NUMBER}\}}|(.*))$',
+    rf'"mtime":{_NUMBER},"path":"({_PLAIN}(?:\\(?:["\\/bfnrt]|u[0-9a-fA-F]{{4}}){_PLAIN})*)",'
+    rf'"size_bytes":{_NUMBER}\}}|.*)$',
     re.MULTILINE,
 )
 
 
-def _checked_record(path: str, lineno: int, line: str) -> FileRecord | None:
-    """The record on one snapshot line, or None for a blank line; raises
-    a WastekitError naming the file and line if the line is malformed."""
-    if not line.strip():
-        return None
-    where = f"snapshot {path} line {lineno}"
-    obj = parse_json(line, where)
-    try:
-        return FileRecord(
-            obj["path"], obj["size_bytes"], obj["mtime"], obj["atime"], FileKind(obj["kind"]), obj.get("allocated_bytes")
-        )
-    except (KeyError, ValueError, TypeError) as exc:
-        raise WastekitError(f"{where}: malformed file record: {exc}") from exc
+def _checked_records(path: str, lineno: int, lines: list[str]) -> list[FileRecord]:
+    """The records on snapshot lines numbered from `lineno`, blank ones skipped;
+    raises a WastekitError naming the file and line of a malformed one."""
+    records = []
+    for lineno, line in enumerate(lines, lineno):
+        if not line.strip():
+            continue
+        where = f"snapshot {path} line {lineno}"
+        obj = parse_json(line, where)
+        try:
+            records.append(FileRecord(obj["path"], obj["size_bytes"], obj["mtime"], obj["atime"], FileKind(obj["kind"]),
+                                      obj.get("allocated_bytes")))
+        except (KeyError, ValueError, TypeError) as exc:
+            raise WastekitError(f"{where}: malformed file record: {exc}") from exc
+    return records
 
 
 def read_snapshot(path: str) -> Snapshot:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            first, newline, rest = fh.read().partition("\n")
+            text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise WastekitError(f"cannot read snapshot {path}: {exc}") from exc
-    if not (first or newline):
+    if not text:
         raise WastekitError(f"snapshot {path} is empty")
-    # Lines are numbered as `str.splitlines` cuts the text, which also ends
-    # a line at characters such as U+2028 and U+0085. A writer's record
-    # line holds none of them; any other `\n`-line, the header's too, is
-    # cut the same way by splitting it with its `\n` put back.
-    header_line, *lines = (first + "\n").splitlines()
+    # Lines are numbered as `str.splitlines` cuts the text, also at U+2028,
+    # U+0085 and the like. A writer's record line holds none of them; any other
+    # `\n`-line, the header's too, is cut by splitting it with its `\n` put back.
+    first_end = text.find("\n") if "\n" in text else len(text)
+    header_line, *extra = (text[:first_end] + "\n").splitlines()
     header = parse_json(header_line, f"snapshot {path} header")
     if not isinstance(header, dict) or header.get("format") != SNAPSHOT_FORMAT:
         raise WastekitError(f"{path} is not a {SNAPSHOT_FORMAT} file")
@@ -177,29 +180,25 @@ def read_snapshot(path: str) -> Snapshot:
             and type(warnings) is list and all(type(w) is str for w in warnings)):
         raise WastekitError(f"snapshot {path} header needs an absolute path 'root', an integer 'taken_at', "
                             "and optionally a boolean 'atime_reliable' and a 'warnings' list")
-    # A line in the writer's form is read from its groups. Any other line,
-    # or one whose path `is_relative` refuses, goes through
-    # `_checked_record`, which skips a blank line or raises the error that
-    # names it. The lines that the header's `\n`-line holds after it come
-    # first, and no item is taken after the final `\n`.
-    body = "\n".join([*lines, rest])
-    records = []
+    # A line in the writer's form is read from its groups, its path unescaped
+    # if need be. Any other line, or one whose path `is_relative` refuses,
+    # goes through `_checked_records`. One match is held at a time.
+    records = _checked_records(path, 2, extra)
     append = records.append
     kinds = _KIND_BY_VALUE
     new_tuple = tuple.__new__
-    shift = 2  # the line number of item i is i + shift
-    for i, (allocated, atime, kind, mtime, rel, size, other) in enumerate(
-        _RECORD_LINES.findall(body, 0, len(body) - body.endswith("\n"))
-    ):
-        if kind and is_relative(rel):
-            append(new_tuple(FileRecord, (rel, int(size), int(mtime), int(atime), kinds[kind],
-                                          int(allocated) if allocated else None)))
-            continue
-        lines = [body.split("\n")[i]] if kind else (other + "\n").splitlines()
-        for lineno, line in enumerate(lines, i + shift):
-            rec = _checked_record(path, lineno, line)
-            if rec is not None:
-                append(rec)
+    shift = 2 + len(extra)  # the line number of match i is i + shift
+    for i, match in enumerate(_RECORD_LINES.finditer(text, first_end + 1, len(text) - text.endswith("\n"))):
+        allocated, atime, kind, mtime, rel, size = match.groups()
+        if kind:
+            if "\\" in rel:
+                rel = json.decoder.scanstring(rel + '"', 0)[0]
+            if is_relative(rel):
+                append(new_tuple(FileRecord, (rel, int(size), int(mtime), int(atime), kinds[kind],
+                                              int(allocated) if allocated else None)))
+                continue
+        lines = (match[0] + "\n").splitlines()
+        records += _checked_records(path, i + shift, lines)
         shift += len(lines) - 1
     return Snapshot(
         root=root,

@@ -8,6 +8,7 @@ import os
 import random
 import re
 import time
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -526,8 +527,11 @@ def _mutate_lines(lines, i, data):
 
 # Faults put into a line in the writer's form: paths, integers at and past
 # the 19 digits read in one pass (and past Python's 4,300-digit limit for
-# str-to-int), and a null allocated_bytes.
-_WRITER_LINE_PATHS = ["a//b", "..", "/abs", "a\\b", "caf\u00e9", "a\u2028b"]
+# str-to-int), and a null allocated_bytes. Paths are quoted by `json.dumps`,
+# or else written as the quoted forms below, escapes that the writer never
+# writes, a lone surrogate and a bad escape among them.
+_WRITER_LINE_PATHS = ["a//b", "..", "/abs", "a\\b", "caf\u00e9", "a\u2028b", 'a"b', "t\tb", "\U0001f600"]
+_WRITER_LINE_QUOTED = ['"a\\/b"', '"\\u00E9"', '"a\\u002f\\u002fb"', '"\\ud800"', '"\\u0000"', '"a\\x"', '"a\\u12"']
 _WRITER_LINE_NUMBERS = ["9" * 19, "1" + "0" * 19, "9" * 5000]
 
 
@@ -544,7 +548,8 @@ def _mutate_writer_line(lines, i, data):
             _mutate_record(objs, 0, data)
             lines[i : i + 1] = [obj if isinstance(obj, str) else _json_line(obj)[:-1] for obj in objs]
     elif what == "path":
-        quoted = json.dumps(data.draw(st.sampled_from(_WRITER_LINE_PATHS)), ensure_ascii=data.draw(st.booleans()))
+        quoted = data.draw(st.sampled_from(_WRITER_LINE_QUOTED)) if data.draw(st.booleans()) else json.dumps(
+            data.draw(st.sampled_from(_WRITER_LINE_PATHS)), ensure_ascii=data.draw(st.booleans()))
         lines[i] = re.sub(r'"path":"(?:[^"\\]|\\.)*"', lambda m: '"path":' + quoted, line, count=1)
     elif what == "number":
         key = data.draw(st.sampled_from(["allocated_bytes", "atime", "mtime", "size_bytes"]))
@@ -615,13 +620,35 @@ class TestSnapshotReaderOracle:
         text = header + ends[0] + "".join(line + end for line, end in zip(lines, ends[1:]))
         self.check(tmp_path, text)
 
-    def test_writer_lines_are_read_in_one_pass(self, tmp_path):
-        records = [make_record(path=f"d/f{i:04d}", allocated_bytes=4096 if i % 2 else None) for i in range(1000)]
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["LF", "CRLF"])
+    @pytest.mark.parametrize("name", ["f", "caf\u00e9", 'q"', "b\\", "t\t", "\u2028", "\U0001f600"])
+    def test_writer_lines_are_read_in_one_pass(self, tmp_path, name, newline):
+        # Names the writer escapes are read in the one pass too, and so are
+        # CRLF line ends, which the text-mode read turns into `\n`.
+        records = [make_record(path=f"d/{name}{i:04d}", allocated_bytes=4096 if i % 2 else None) for i in range(1000)]
+        p = tmp_path / "s.snap"
+        p.write_text(dumps(Snapshot(root="/r", taken_at=10, records=records)).replace("\n", newline), newline="")
+        with mock.patch.object(scanner_mod, "_checked_records", wraps=scanner_mod._checked_records) as checked:
+            assert read_snapshot(str(p)).records == records
+        assert [call.args[2] for call in checked.call_args_list] == [[]]  # only the header's `\n`-line, with no record
+
+    def test_read_holds_one_line_at_a_time(self, tmp_path):
+        # Beyond the records it returns, a read holds the file's text, one
+        # line's match and the lists that check the order (1.25 times the
+        # file's size here), not a list of every line (1.8) or of every
+        # line's fields (4.6).
+        records = [make_record(path=f"d/f{i:05d}", allocated_bytes=4096) for i in range(20_000)]
         p = tmp_path / "s.snap"
         write_snapshot(Snapshot(root="/r", taken_at=10, records=records), str(p))
-        with mock.patch.object(scanner_mod, "_checked_record", wraps=scanner_mod._checked_record) as checked:
-            assert read_snapshot(str(p)).records == records
-        assert checked.call_count == 0
+        size = p.stat().st_size
+        tracemalloc.start()
+        try:
+            snap = read_snapshot(str(p))
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(snap.records) == 20_000
+        assert peak - kept < 1.5 * size
 
     @pytest.mark.parametrize("fault", _SINGLE_FAULTS, ids=repr)
     def test_single_fault_matches_oracle(self, tmp_path, fault):
