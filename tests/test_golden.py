@@ -103,6 +103,26 @@ def _landfill_trace(rng: random.Random) -> str:
     return "\n".join(lines) + "\n"
 
 
+# One wrong line in each malformed trace, after a comment, a blank line
+# and a valid line, so that its error names line 4.
+_LONG = "9" * 5000  # past Python's digit limit for str-to-int
+_BAD_OPS = {
+    "unknown_op": "DEL a",
+    "put_no_size": "PUT a",
+    "put_size_x": "PUT a x",
+    "put_size_negative": "PUT a -1",
+    "adv_0": "ADV 0",
+    "put_size_long": f"PUT a {_LONG}",
+}
+_BAD_WORKLOAD = {
+    "three_fields": "1 a 5",
+    "tick_x": "x a 5 0",
+    "requested_negative": "1 a -5 0",
+    "fraction_1_5": "1 a 5 1.5",
+    "tick_long": f"{_LONG} a 5 0",
+}
+
+
 def build_inputs(work: str) -> dict[str, str]:
     """Build every input under `work`; returns the paths by name."""
     paths = {name: os.path.join(work, name) for name in ("tree", "exec-json", "exec-table")}
@@ -180,6 +200,8 @@ def build_inputs(work: str) -> dict[str, str]:
         ),
         "workload.trace": _workload(random.Random(SEED)),
         "ops.trace": _landfill_trace(random.Random(SEED)),
+        **{f"bad-{name}.trace": f"# malformed\n\nPUT a 1\n{line}\n" for name, line in _BAD_OPS.items()},
+        **{f"bad-{name}.workload": f"# malformed\n\n0 a 5 0\n{line}\n" for name, line in _BAD_WORKLOAD.items()},
     }
     for name, text in files.items():
         paths[name] = os.path.join(work, name)
@@ -247,6 +269,9 @@ def cases(p: dict[str, str]) -> dict[str, list[str]]:
         "dedup_target_chunk_0": ["dedup", p["new.snap"], "--target-chunk", "0"],
         "dedup_window_0": ["dedup", p["new.snap"], "--window", "0"],
         "report_threshold_0": ["report", p["new.snap"], "--rules", p["zero-threshold-rules.json"]],
+        # A malformed trace of each format.
+        **{f"landfill_trace_{name}": [*landfill[:2], p[f"bad-{name}.trace"], *landfill[3:]] for name in _BAD_OPS},
+        **{f"penalty_trace_{name}": [*penalty[:2], p[f"bad-{name}.workload"], *penalty[3:]] for name in _BAD_WORKLOAD},
     }
 
 
