@@ -1,4 +1,8 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the input readers
+that raise them."""
+
+import re
+from contextlib import contextmanager
 
 
 class WastekitError(Exception):
@@ -31,3 +35,46 @@ def require_int(value, name: str, minimum: int = 1, error: type[WastekitError] =
         raise error(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise error(f"{name} must be >= {minimum}, got {value!r}")
+
+
+@contextmanager
+def open_input(path: str, what: str, error: type[WastekitError] = WastekitError):
+    """The UTF-8 text file at `path`, open for reading; raises `error`,
+    naming the file as `what`, if it cannot be opened or decoded."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield fh
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+
+
+def parse_lines(lines, what: str, parse) -> list:
+    """`parse` of each line's whitespace-separated fields, skipping blank
+    lines and those whose first field starts with `#`. A WastekitError or
+    ValueError from `parse` is raised as a TraceError `{what} line N: …`."""
+    out = []
+    append = out.append
+    for lineno, line in enumerate(lines, 1):
+        fields = line.split()
+        if fields and fields[0][0] != "#":
+            try:
+                append(parse(fields))
+            except (WastekitError, ValueError) as exc:
+                raise TraceError(f"{what} line {lineno}: {exc}") from exc
+    return out
+
+
+# An integer as `int` spells it: a sign, digits of any script, single `_`s.
+_INTEGER = re.compile(r"[+-]?\d+(?:_\d+)*")
+
+
+def read_int(field: str, name: str, minimum: int) -> int:
+    """The integer that a trace field spells, checked as `require_int` checks it."""
+    try:
+        value = int(field)
+    except ValueError:
+        if _INTEGER.fullmatch(field):  # past Python's digit limit for str-to-int
+            raise TraceError(f"{name} holds a number too long to read") from None
+        value = field
+    require_int(value, name, minimum, TraceError)
+    return value

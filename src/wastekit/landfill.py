@@ -16,7 +16,7 @@ from enum import Enum
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable, Iterator, NamedTuple, Optional, TextIO
 
-from .errors import TraceError, WastekitError, require_int
+from .errors import TraceError, open_input, parse_lines, read_int, require_int
 
 # Stale heap records tolerated beyond the live count before a rebuild,
 # so that a near-empty store does not rebuild on every operation.
@@ -195,58 +195,35 @@ class DigitalLandfill:
 
 # -- trace replay ------------------------------------------------------
 #
-# Trace grammar, one operation per line (the op log uses the same):
-#   PUT <key> <size>
-#   GET <key>
-#   ADV <n>
-# Keys are whitespace-free tokens; blank lines and #-comments ignored.
-# PUT carries a size, not content: replay accounts that many bytes
-# without building them, so its memory is bounded by the live entries,
-# not by the sizes a trace names. A replayed entry has value None.
+# A trace is a line trace (see `parse_lines`) in the grammar of `_SYNTAX`,
+# as is the op log. PUT carries a size, not content: replay accounts that
+# many bytes without building them, so its memory is bounded by the live
+# entries, not by the sizes a trace names. A replayed entry has value None.
 
 TraceOp = tuple  # ("PUT", key, size) | ("GET", key) | ("ADV", n)
+_SYNTAX = {"PUT": "PUT <key> <size>", "GET": "GET <key>", "ADV": "ADV <n>"}
+
+
+def _trace_op(fields: list[str]) -> TraceOp:
+    verb, count = fields[0].upper(), len(fields)
+    if verb == "PUT" and count == 3:
+        return ("PUT", fields[1].encode("utf-8"), read_int(fields[2], "size", 0))
+    if verb == "GET" and count == 2:
+        return ("GET", fields[1].encode("utf-8"))
+    if verb == "ADV" and count == 2:
+        return ("ADV", read_int(fields[1], "n", 1))
+    if verb in _SYNTAX:
+        raise TraceError(f"expected: {_SYNTAX[verb]}")
+    raise TraceError(f"unknown operation {fields[0]!r}")
 
 
 def parse_trace(lines: Iterable[str]) -> list[TraceOp]:
-    ops: list[TraceOp] = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        verb = parts[0].upper()
-        try:
-            if verb == "PUT":
-                if len(parts) != 3:
-                    raise ValueError("expected: PUT <key> <size>")
-                size = int(parts[2])
-                if size < 0:
-                    raise ValueError("size must be >= 0")
-                ops.append(("PUT", parts[1].encode("utf-8"), size))
-            elif verb == "GET":
-                if len(parts) != 2:
-                    raise ValueError("expected: GET <key>")
-                ops.append(("GET", parts[1].encode("utf-8")))
-            elif verb == "ADV":
-                if len(parts) != 2:
-                    raise ValueError("expected: ADV <n>")
-                n = int(parts[1])
-                if n < 1:
-                    raise ValueError("n must be >= 1")
-                ops.append(("ADV", n))
-            else:
-                raise ValueError(f"unknown operation {parts[0]!r}")
-        except ValueError as exc:
-            raise TraceError(f"trace line {lineno}: {exc}") from exc
-    return ops
+    return parse_lines(lines, "trace", _trace_op)
 
 
 def load_trace(path: str) -> list[TraceOp]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_trace(fh)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise WastekitError(f"cannot read trace file {path}: {exc}") from exc
+    with open_input(path, "trace file") as fh:
+        return parse_trace(fh)
 
 
 def replay(store: DigitalLandfill, ops: Iterable[TraceOp]) -> Iterator[str]:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Callable, NamedTuple, Optional
 
-from .errors import RuleSetError, WastekitError, require_int
+from .errors import RuleSetError, WastekitError, open_input, require_int
 
 # Idle-time cutoff separating "accessed once, then abandoned" from merely
 # quiet data. No authoritative value exists; 30 days is a config default.
@@ -191,7 +191,6 @@ class RuleSet:
         for group in ("not_waste_globs", "unintentional_globs", "unwanted_globs"):
             object.__setattr__(self, group, _validate_globs(getattr(self, group), group))
         checks = []
-        globs_by_digest: dict[str, list[str]] = {}
         for item in self.degraded_checks:
             glob_pat, digest = item
             _validate_globs([glob_pat], "degraded_checks")
@@ -203,7 +202,6 @@ class RuleSet:
             ):
                 raise RuleSetError(f"degraded_checks: expected {DIGEST_HEX_LEN}-char lowercase hex digest, got {digest!r}")
             checks.append((glob_pat, digest))
-            globs_by_digest.setdefault(digest, []).append(glob_pat)
         object.__setattr__(self, "degraded_checks", tuple(checks))
         require_int(self.used_threshold_secs, "used_threshold_secs", error=RuleSetError)
         # Compiled once here, since `classify` runs once per record. `_globs`
@@ -221,7 +219,7 @@ class RuleSet:
         object.__setattr__(self, "_categories", tuple(cat for patterns, cat in groups for _ in patterns))
         object.__setattr__(self, "_unintentional", GlobSet(self.unintentional_globs))
         object.__setattr__(self, "_unwanted", GlobSet(self.unwanted_globs))
-        object.__setattr__(self, "_degraded", tuple((GlobSet(g), d) for d, g in globs_by_digest.items()))
+        object.__setattr__(self, "_degraded", tuple((GlobSet([g]), d) for g, d in checks))
 
 
 def ruleset_from_json_obj(obj: dict) -> RuleSet:
@@ -255,12 +253,8 @@ def parse_json(text: str, what: str, error: type[WastekitError] = WastekitError)
 def load_json_file(path: str, what: str, error: type[WastekitError] = WastekitError):
     """The JSON value in the config file at `path`; raises `error`, naming
     the file as `what`, if it cannot be read or parsed."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise error(f"cannot read {what} {path}: {exc}") from exc
-    return parse_json(text, f"{what} {path}", error)
+    with open_input(path, what, error) as fh:
+        return parse_json(fh.read(), f"{what} {path}", error)
 
 
 def load_rules(path: str) -> RuleSet:

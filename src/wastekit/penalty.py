@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import accumulate, compress
 from typing import NamedTuple, Optional, Union
 
-from .errors import TraceError, WastekitError, require_int
+from .errors import TraceError, WastekitError, open_input, parse_lines, read_int, require_int
 
 Rational = Union[int, float, str, Fraction]
 
@@ -71,10 +71,9 @@ def _apportion(total: int, weights: list) -> dict:
 
 # -- workload traces ---------------------------------------------------
 #
-# Line format (whitespace separated, # comments and blank lines ok):
+# A workload is a line trace (see `parse_lines`), one event per line:
 #   <tick> <producer> <requested_bytes> <waste_fraction>
-# waste_fraction is a decimal or a ratio in [0, 1], without an exponent,
-# and is parsed exactly.
+# waste_fraction, a decimal or ratio in [0, 1] without an exponent, is exact.
 
 
 class TraceEvent(NamedTuple):
@@ -99,44 +98,28 @@ class WorkloadTrace:
 
 
 def parse_workload(lines) -> WorkloadTrace:
-    events = []
     new_event = tuple.__new__  # TraceEvent's own __new__ is Python code
     fractions: dict[str, Fraction] = {}  # each distinct spelling is parsed once
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 4:
-            raise TraceError(f"workload line {lineno}: expected '<tick> <producer> <requested> <waste_fraction>'")
-        try:
-            tick = int(parts[0])
-            requested = int(parts[2])
-        except ValueError as exc:
-            raise TraceError(f"workload line {lineno}: {exc}") from exc
-        if tick < 0:
-            raise TraceError(f"workload line {lineno}: tick must be >= 0")
-        if requested < 0:
-            raise TraceError(f"workload line {lineno}: requested_bytes must be >= 0")
-        fraction = fractions.get(parts[3])
+
+    def event(fields: list[str]) -> TraceEvent:
+        if len(fields) != 4:
+            raise TraceError("expected '<tick> <producer> <requested> <waste_fraction>'")
+        tick, producer, requested, spelling = fields
+        tick, requested = read_int(tick, "tick", 0), read_int(requested, "requested_bytes", 0)
+        fraction = fractions.get(spelling)
         if fraction is None:
-            try:
-                fraction = _as_fraction(parts[3], "waste_fraction")
-            except WastekitError as exc:
-                raise TraceError(f"workload line {lineno}: {exc}") from exc
+            fraction = _as_fraction(spelling, "waste_fraction")
             if not 0 <= fraction <= 1:
-                raise TraceError(f"workload line {lineno}: waste_fraction must be in [0, 1]")
-            fractions[parts[3]] = fraction
-        events.append(new_event(TraceEvent, (tick, parts[1], requested, fraction)))
-    return WorkloadTrace(events=tuple(events))
+                raise TraceError("waste_fraction must be in [0, 1]")
+            fractions[spelling] = fraction
+        return new_event(TraceEvent, (tick, producer, requested, fraction))
+
+    return WorkloadTrace(events=tuple(parse_lines(lines, "workload", event)))
 
 
 def load_workload(path: str) -> WorkloadTrace:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_workload(fh)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise WastekitError(f"cannot read workload file {path}: {exc}") from exc
+    with open_input(path, "workload file") as fh:
+        return parse_workload(fh)
 
 
 # -- simulation --------------------------------------------------------

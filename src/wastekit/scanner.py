@@ -24,7 +24,7 @@ from os import stat_result
 from stat import S_ISDIR, S_ISLNK, S_ISREG
 
 from ._version import __version__
-from .errors import WastekitError, require_int
+from .errors import WastekitError, open_input, require_int
 from .model import (
     FileKind,
     FileRecord,
@@ -159,11 +159,8 @@ def _checked_records(path: str, lineno: int, lines: list[str]) -> list[FileRecor
 
 
 def read_snapshot(path: str) -> Snapshot:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise WastekitError(f"cannot read snapshot {path}: {exc}") from exc
+    with open_input(path, "snapshot") as fh:
+        text = fh.read()
     if not text:
         raise WastekitError(f"snapshot {path} is empty")
     # Lines are numbered as `str.splitlines` cuts the text, also at U+2028,

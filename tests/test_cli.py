@@ -397,6 +397,24 @@ class TestExitCodes:
         assert str(bad) in err
         assert "set_int_max_str_digits" not in err
 
+    @pytest.mark.parametrize(
+        "line, argv, message",
+        [
+            (b"PUT a " + _LONG, ["landfill", "--capacity", "10", "--fade", "1"], "trace line 2: size"),
+            (b"ADV " + _LONG, ["landfill", "--capacity", "10", "--fade", "1"], "trace line 2: n"),
+            (_LONG + b" a 1 0", ["penalty-sim", "--alpha", "0", "--bandwidth", "10", "--ticks", "1"], "workload line 2: tick"),
+            (b"0 a " + _LONG + b" 0", ["penalty-sim", "--alpha", "0", "--bandwidth", "10", "--ticks", "1"],
+             "workload line 2: requested_bytes"),
+        ],
+        ids=["put-size", "adv-n", "tick", "requested-bytes"],
+    )
+    def test_long_integer_in_a_trace_field_is_named_in_one_line(self, capsys, tmp_path, line, argv, message):
+        trace = tmp_path / "long.trace"
+        trace.write_bytes(b"# first\n" + line + b"\n")
+        code, _, err = cli(capsys, *argv[:1], "--trace", str(trace), *argv[1:])
+        assert code == 1
+        assert err == f"wastekit: error: {message} holds a number too long to read\n"
+
     @pytest.mark.parametrize("allocated", [{}, {"allocated_bytes": None}, {"allocated_bytes": 4096}])
     def test_integer_record_fields_are_read(self, capsys, tmp_path, rules_file, allocated):
         snap = tmp_path / "ok.snap"

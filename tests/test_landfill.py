@@ -23,6 +23,8 @@ from wastekit.landfill import (
 
 from naive_landfill import NaiveLandfill, assert_equivalent, naive_replay_events, random_ops
 
+LONG = "9" * 5000  # past Python's digit limit for str-to-int
+
 
 def store(capacity=100, fade=3, refresh=True):
     return DigitalLandfill(LandfillConfig(capacity, fade, refresh_on_read=refresh))
@@ -345,11 +347,21 @@ class TestTrace:
 
     @pytest.mark.parametrize(
         "line",
-        ["FROB x", "PUT a", "PUT a ten", "PUT a -1", "GET", "ADV 0", "ADV x", "PUT a 1 2"],
+        [
+            "FROB x", "PUT a", "PUT a ten", "PUT a -1", "GET", "ADV 0", "ADV x", "PUT a 1 2",
+            pytest.param(f"PUT a {LONG}", id="PUT a 5000-digit size"),
+            pytest.param(f"ADV -{LONG}", id="ADV 5000-digit n"),
+            pytest.param("GET \ud800", id="GET unencodable key"),
+        ],
     )
     def test_parse_rejects(self, line):
-        with pytest.raises(TraceError):
-            parse_trace([line])
+        with pytest.raises(TraceError) as info:
+            parse_trace(["# first", line])
+        message = str(info.value)
+        assert message.startswith("trace line 2: ")
+        assert "set_int_max_str_digits" not in message
+        if LONG in line:
+            assert message.endswith(" holds a number too long to read")
 
     def test_load_missing_file(self):
         with pytest.raises(WastekitError):

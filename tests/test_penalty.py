@@ -28,6 +28,8 @@ from naive_penalty import (
     penalty_factor,
 )
 
+LONG = "9" * 5000  # past Python's digit limit for str-to-int
+
 
 def report_json(rep) -> str:
     """The report's JSON in one canonical spelling, for exact comparison."""
@@ -215,11 +217,20 @@ class TestWorkloadParsing:
 
     @pytest.mark.parametrize(
         "line",
-        ["x alice 1 0", "0 alice -5 0", "0 alice 1 1.5", "0 alice 1 -0.1", "0 alice 1", "-1 a 1 0"],
+        [
+            "x alice 1 0", "0 alice -5 0", "0 alice 1 1.5", "0 alice 1 -0.1", "0 alice 1", "-1 a 1 0",
+            pytest.param(f"{LONG} alice 1 0", id="5000-digit tick"),
+            pytest.param(f"0 alice {LONG} 0", id="5000-digit requested_bytes"),
+        ],
     )
     def test_rejects_malformed(self, line):
-        with pytest.raises(TraceError):
-            parse_workload([line])
+        with pytest.raises(TraceError) as info:
+            parse_workload(["", line])
+        message = str(info.value)
+        assert message.startswith("workload line 2: ")
+        assert "set_int_max_str_digits" not in message
+        if LONG in line:
+            assert message.endswith(" holds a number too long to read")
 
     def test_load_missing(self):
         with pytest.raises(WastekitError):
