@@ -76,5 +76,6 @@ def read_int(field: str, name: str, minimum: int) -> int:
         if _INTEGER.fullmatch(field):  # past Python's digit limit for str-to-int
             raise TraceError(f"{name} holds a number too long to read") from None
         value = field
-    require_int(value, name, minimum, TraceError)
+    if type(value) is not int or value < minimum:  # tested here to save a call per valid field
+        require_int(value, name, minimum, TraceError)
     return value
