@@ -103,6 +103,45 @@ def _landfill_trace(rng: random.Random) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Hand-written edge cases for the event lines: PUTs past and at the
+# capacity of 100 (one on a live key), a same-size overwrite, runs of
+# GETs (of faded and never-stored keys too), an ADV that fades every
+# entry, a PUT of size 0, and keys that JSON escapes: a quote, a
+# backslash, a non-ASCII and an astral character.
+_EDGE_TRACE = """\
+# edges
+PUT big 101
+PUT full 100
+GET full
+GET full
+GET big
+PUT q"uote 30
+PUT back\\slash 30
+PUT caf\u00e9 20
+PUT \U0001f600 20
+PUT q"uote 30
+GET q"uote
+GET back\\slash
+GET caf\u00e9
+GET \U0001f600
+PUT caf\u00e9 101
+ADV 1
+GET caf\u00e9
+GET caf\u00e9
+ADV 2
+GET q"uote
+GET caf\u00e9
+GET caf\u00e9
+ADV 5
+GET caf\u00e9
+GET \U0001f600
+GET full
+PUT caf\u00e9 0
+GET caf\u00e9
+GET caf\u00e9
+"""
+
+
 # One wrong line in each malformed trace, after a comment, a blank line
 # and a valid line, so that its error names line 4.
 _LONG = "9" * 5000  # past Python's digit limit for str-to-int
@@ -200,6 +239,7 @@ def build_inputs(work: str) -> dict[str, str]:
         ),
         "workload.trace": _workload(random.Random(SEED)),
         "ops.trace": _landfill_trace(random.Random(SEED)),
+        "edge.trace": _EDGE_TRACE,
         **{f"bad-{name}.trace": f"# malformed\n\nPUT a 1\n{line}\n" for name, line in _BAD_OPS.items()},
         **{f"bad-{name}.workload": f"# malformed\n\n0 a 5 0\n{line}\n" for name, line in _BAD_WORKLOAD.items()},
     }
@@ -217,6 +257,7 @@ def cases(p: dict[str, str]) -> dict[str, list[str]]:
     rules = ["--rules", p["rules.json"]]
     penalty = ["penalty-sim", "--trace", p["workload.trace"], "--alpha", "1/2", "--bandwidth", "350", "--ticks", "16"]
     landfill = ["landfill", "--trace", p["ops.trace"], "--capacity", "1500", "--fade", "2"]
+    edges = ["landfill", "--trace", p["edge.trace"], "--capacity", "100", "--fade", "2"]
     return {
         "scan_stdout": ["scan", p["tree"]],
         "scan_table": ["scan", p["tree"], "-o", p["scan-table.snap"]],
@@ -247,6 +288,8 @@ def cases(p: dict[str, str]) -> dict[str, list[str]]:
         "landfill": landfill,
         "landfill_log": [*landfill, "--log", p["ops.log"]],
         "landfill_no_refresh": [*landfill, "--no-refresh-on-read"],
+        "landfill_edges": edges,
+        "landfill_edges_no_refresh": [*edges, "--no-refresh-on-read"],
         "penalty_table": penalty,
         "penalty_table_v": ["-v", *penalty, "--weight", "clean=2", "--weight", "mixed=1/3"],
         "penalty_json": ["--format", "json", *penalty, "--weight", "dirty=3/2"],
