@@ -16,11 +16,28 @@ from enum import Enum
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable, Iterator, NamedTuple, Optional, TextIO
 
-from .errors import TraceError, open_input, parse_lines, read_int, require_int
+from .errors import TraceError, WastekitError, open_input, parse_lines, read_int, require_int
 
 # Stale heap records tolerated beyond the live count before a rebuild,
 # so that a near-empty store does not rebuild on every operation.
 _HEAP_SLACK = 64
+
+
+def _require_bytes(key) -> None:
+    # Keys are ordered against each other in the heap, so one of another
+    # type would fail there, after its entry was stored.
+    if not isinstance(key, bytes):
+        raise WastekitError(f"key must be bytes, got {type(key).__name__}")
+
+
+def _log_key(key: bytes) -> str:
+    """The text the log writes for `key`: its UTF-8, other bytes as
+    `\\xNN` escapes. A trace splits its lines at whitespace, so a key
+    whose text is empty or holds any would replay as other ops."""
+    text = key.decode("utf-8", "backslashreplace")
+    if text.split() != [text]:
+        raise WastekitError(f"a logged key must be text without whitespace, got {text!r}")
+    return text
 
 
 @dataclass(frozen=True)
@@ -89,6 +106,9 @@ class DigitalLandfill:
         self._epoch = 0
         self._evictions = 0
         self._fades = 0
+        # Moves whenever a counter of `stats` does, so that `replay` can
+        # reuse its stats text until then.
+        self._changes = 0
         self._log = log
 
     # -- helpers -------------------------------------------------------
@@ -122,7 +142,7 @@ class DigitalLandfill:
         """The one PUT path: log the op, reject a PUT larger than the
         capacity, evict strict-LRU until the entry fits, store it."""
         if self._log is not None:
-            self._log.write(f"PUT {key.decode('utf-8', 'backslashreplace')} {size}\n")
+            self._log.write(f"PUT {_log_key(key)} {size}\n")
         capacity = self.config.capacity_bytes
         if size > capacity:
             return PutOutcome.REJECTED_TOO_LARGE
@@ -134,6 +154,7 @@ class DigitalLandfill:
             self._evictions += 1
         self._entries[key] = LandfillEntry(value, self._epoch, size)
         self._live_bytes += size
+        self._changes += 1
         self._push(key)
         return PutOutcome.STORED
 
@@ -143,7 +164,7 @@ class DigitalLandfill:
         stored. Fading is applied eagerly at epoch advances, so presence
         in the table means the entry is live."""
         if self._log is not None:
-            self._log.write(f"GET {key.decode('utf-8', 'backslashreplace')}\n")
+            self._log.write(f"GET {_log_key(key)}\n")
         entry = self._entries.get(key)
         if entry is not None and self.config.refresh_on_read and entry.last_access_epoch != self._epoch:
             entry.last_access_epoch = self._epoch
@@ -153,12 +174,14 @@ class DigitalLandfill:
     # -- operations ----------------------------------------------------
 
     def put(self, key: bytes, value: bytes) -> PutOutcome:
+        _require_bytes(key)
         return self._put(key, value, len(value))
 
     def get(self, key: bytes) -> Optional[bytes]:
         """Return the value, or None once the entry has faded or was
         never stored. An entry stored by `replay` has no value, so it
         reads as None here too; replay itself asks `_lookup`."""
+        _require_bytes(key)
         entry = self._lookup(key)
         return None if entry is None else entry.value
 
@@ -167,6 +190,7 @@ class DigitalLandfill:
         if self._log is not None:
             self._log.write(f"ADV {n}\n")
         self._epoch += n
+        self._changes += 1
         threshold = self._epoch - self.config.fade_lifetime_epochs
         faded = 0
         reclaimed = 0
@@ -229,19 +253,23 @@ def load_trace(path: str) -> list[TraceOp]:
 def replay(store: DigitalLandfill, ops: Iterable[TraceOp]) -> Iterator[str]:
     """Apply ops in order, yielding one event line per op, newline
     included: the op echoed back, its outcome, and the store's stats
-    afterwards. Each line is the JSON text that
-    `json.dumps(event, sort_keys=True)` gives for the event object:
-    keys in sorted order, `", "` and `": "` separators, non-ASCII key
-    characters as `\\u` escapes. The line is built from the store's
-    counters directly, with no event object in between."""
-    stats_head = f'"stats": {{"capacity_bytes": {store.config.capacity_bytes}, "current_epoch": '
+    after that op, whatever the caller does to the store between lines.
+    Each line is the JSON text that `json.dumps(event, sort_keys=True)`
+    gives for the event object: keys in sorted order, `", "` and `": "`
+    separators, non-ASCII key characters as `\\u` escapes. The line is
+    built from the store's counters directly, with no event object in
+    between; the stats text is rebuilt only once `store._changes` has
+    moved, and its part up to `live_bytes` only once the epoch,
+    evictions or fades have."""
+    config_head = f'"stats": {{"capacity_bytes": {store.config.capacity_bytes}, "current_epoch": '
+    changes = epoch = evictions = fades = None  # as of `stats`
     for index, op in enumerate(ops):
         if op[0] == "PUT":
             _, key, size = op
             outcome = store._put(key, None, size)
             head = (
                 f'{{"index": {index}, "key": {_quote(key.decode("utf-8"))}, "op": "PUT", '
-                f'"outcome": "{outcome.value}", "size": {size}, '
+                f'"outcome": "{outcome._value_}", "size": {size}, '
             )
         elif op[0] == "GET":
             _, key = op
@@ -254,8 +282,13 @@ def replay(store: DigitalLandfill, ops: Iterable[TraceOp]) -> Iterator[str]:
                 f'{{"bytes_reclaimed": {fade.bytes_reclaimed}, "entries_faded": {fade.entries_faded}, '
                 f'"index": {index}, "n": {n}, "op": "ADV", '
             )
-        yield (
-            f'{head}{stats_head}{store._epoch}, "lifetime_evictions": {store._evictions}, '
-            f'"lifetime_fades": {store._fades}, "live_bytes": {store._live_bytes}, '
-            f'"live_entries": {len(store._entries)}}}}}\n'
-        )
+        if store._changes != changes:
+            changes = store._changes
+            if store._epoch != epoch or store._evictions != evictions or store._fades != fades:
+                epoch, evictions, fades = store._epoch, store._evictions, store._fades
+                stats_head = (
+                    f'{config_head}{epoch}, "lifetime_evictions": {evictions}, '
+                    f'"lifetime_fades": {fades}, "live_bytes": '
+                )
+            stats = f'{stats_head}{store._live_bytes}, "live_entries": {len(store._entries)}}}}}\n'
+        yield head + stats

@@ -132,6 +132,59 @@ class TestGet:
         assert s.get(b"k") is None
 
 
+class TestKeys:
+    """A key must be `bytes`; with a log attached, its log text must also
+    be one trace field: not empty, no whitespace. A refused key raises a
+    one-line WastekitError and leaves the store and its log as they were."""
+
+    @staticmethod
+    def filled(log=None):
+        s = DigitalLandfill(LandfillConfig(100, 2), log=log)
+        s.put(b"a", b"xyz")
+        s.advance_epoch(1)
+        return s
+
+    @pytest.mark.parametrize("key", ["b", 7, bytearray(b"b"), None])
+    @pytest.mark.parametrize("call", ["put", "get"])
+    def test_refuses_a_key_that_is_not_bytes(self, call, key):
+        # Once a str key was stored and then failed in the heap, ordered
+        # against a bytes key, with a TypeError traceback.
+        s = self.filled()
+        before = (s.stats(), s.live_keys())
+        args = (key, b"v") if call == "put" else (key,)
+        with pytest.raises(WastekitError) as info:
+            getattr(s, call)(*args)
+        assert str(info.value) == f"key must be bytes, got {type(key).__name__}"
+        assert (s.stats(), s.live_keys()) == before
+
+    @pytest.mark.parametrize(
+        "key", [b"", b"x\nADV 9", b"a b", b"tab\t", b"cr\r", b"\x1c", "nl\u2028".encode(), "nb\u0085".encode()]
+    )
+    @pytest.mark.parametrize("call", ["put", "get"])
+    def test_logged_key_must_read_back_as_one_field(self, call, key):
+        # Once get(b"x\nADV 9") logged `GET x` and `ADV 9`, and the log
+        # replayed to a store at epoch 10 with its entry faded.
+        log = io.StringIO()
+        s = self.filled(log)
+        before = (s.stats(), s.live_keys(), log.getvalue())
+        args = (key, b"v") if call == "put" else (key,)
+        with pytest.raises(WastekitError, match="^a logged key must be text without whitespace, got ") as info:
+            getattr(s, call)(*args)
+        assert "\n" not in str(info.value)
+        assert (s.stats(), s.live_keys(), log.getvalue()) == before
+        again = DigitalLandfill(LandfillConfig(100, 2))
+        for _ in replay(again, parse_trace(log.getvalue().splitlines())):
+            pass
+        assert again.stats() == s.stats()
+
+    def test_whitespace_keys_are_kept_without_a_log(self):
+        s = store()
+        assert s.put(b"a b", b"xy") is PutOutcome.STORED
+        assert s.get(b"a b") == b"xy"
+        assert s.put(b"", b"z") is PutOutcome.STORED
+        assert s.get(b"") == b"z"
+
+
 class TestAdvance:
     def test_requires_positive_step(self):
         with pytest.raises(WastekitError, match="^n must be >= 1, got 0$"):
@@ -324,6 +377,39 @@ class TestReplay:
                        "live_bytes": 0, "live_entries": 0}},
         ]
         assert list(replay(store, ops)) == [json.dumps(event, sort_keys=True) + "\n" for event in expected]
+
+    @staticmethod
+    def checked_lines(store, ops, between=lambda index: None):
+        """Replay `ops`, asserting that each line's stats are the store's
+        when it is yielded; `between(index)` runs after line `index`."""
+        for index, line in enumerate(replay(store, ops)):
+            assert json.loads(line)["stats"] == store.stats()._asdict(), f"line {index}"
+            between(index)
+        return index + 1
+
+    def test_stats_follow_changes_made_between_lines(self):
+        # A consumer that writes to the store between lines: the GET lines
+        # after each change must show it, so the stats text cannot be
+        # reused on the strength of the op kind alone.
+        s = DigitalLandfill(LandfillConfig(100, 2))
+        ops = [("PUT", b"a", 10), ("GET", b"a"), ("GET", b"a"), ("GET", b"b"), ("GET", b"a"), ("GET", b"a")]
+        changes = {
+            0: lambda: s.put(b"b", b"12345"),  # live bytes and entries
+            1: lambda: s.advance_epoch(1),  # the epoch
+            2: lambda: s.put(b"c", b"x" * 90),  # evictions
+            3: lambda: s.advance_epoch(3),  # fades
+        }
+        assert self.checked_lines(s, ops, lambda index: changes.get(index, lambda: None)()) == len(ops)
+        assert s.stats() == (0, 0, 100, 4, 1, 2)
+
+    def test_stats_of_a_store_filled_beforehand(self):
+        s = DigitalLandfill(LandfillConfig(100, 2))
+        s.put(b"x", b"x" * 60)
+        s.put(b"y", b"y" * 50)
+        s.advance_epoch(2)
+        s.put(b"z", b"z" * 10)
+        assert self.checked_lines(s, [("GET", b"y"), ("GET", b"x"), ("ADV", 1), ("GET", b"z")]) == 4
+        assert s.stats() == (2, 60, 100, 3, 1, 0)
 
     def test_memory_is_bounded_by_entries_not_sizes(self):
         ops = parse_trace(["PUT k 50000000", "GET k"])
