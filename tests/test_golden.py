@@ -15,6 +15,7 @@ import contextlib
 import functools
 import hashlib
 import io
+import json
 import os
 import random
 import re
@@ -142,6 +143,40 @@ GET caf\u00e9
 """
 
 
+# Edge cases for `recover`'s buckets, every record waste under
+# `unwanted_globs: ["*"]`: names whose dots lead, trail or repeat, a
+# dotted directory, upper-case and non-ASCII extensions (`İ` lowers to
+# two characters); sizes 0 to 3, around powers of two and past 2**64;
+# ages in the future and a second either side of each day edge. Half
+# the names sit in a dotted directory, so that each is seen with and
+# without a `/` before it.
+_EDGE_NAMES = (
+    ".bashrc", "a.", "...", "..a.b", "noext", ".hidden.TXT", "a.tar.GZ", "x.\u0130", "caf\u00e9.\u00c9T\u00c9",
+    "a...", ".a.", "a..b", "UPPER.C", "trail..", "d.d", "dot.d.x.y", "x.y z", "\u00e9",
+)
+_EDGE_SIZES = (0, 1, 2, 3, 4, 5, 7, 8, 9, 1023, 1024, 1025, 2**32 - 1, 2**32 + 1, 2**63, 2**64 - 1, 2**64 + 1, 3 * 2**70)
+_EDGE_AGES = (
+    -DAY, -1, 0,
+    *(edge * DAY + delta for edge in (1, 7, 30, 90, 365) for delta in (-1, 0, 1)),
+)
+
+
+def _recover_edges_snapshot() -> str:
+    records = []
+    for i in range(max(len(_EDGE_NAMES), len(_EDGE_SIZES), len(_EDGE_AGES))):
+        name = _EDGE_NAMES[i % len(_EDGE_NAMES)]
+        path = name if i % 2 == 0 else f"d{i:02d}.d/{name}"
+        mtime = T0 - _EDGE_AGES[i % len(_EDGE_AGES)]
+        size = _EDGE_SIZES[i % len(_EDGE_SIZES)]
+        records.append((path, mtime, size))
+    lines = [f'{{"format": "wastekit-snapshot-v1", "root": "/r", "taken_at": {T0}}}\n']
+    for path, mtime, size in sorted(records):
+        lines.append(
+            f'{{"atime":{mtime},"kind":"Regular","mtime":{mtime},"path":{json.dumps(path)},"size_bytes":{size}}}\n'
+        )
+    return "".join(lines)
+
+
 # One wrong line in each malformed trace, after a comment, a blank line
 # and a valid line, so that its error names line 4.
 _LONG = "9" * 5000  # past Python's digit limit for str-to-int
@@ -237,6 +272,8 @@ def build_inputs(work: str) -> dict[str, str]:
             '"path":"keep/notes.txt","size_bytes":5}\n'
             f'{{"atime":{T0 - DAY},"kind":"Regular","mtime":{T0 - 3 * DAY},"path":"z.dat","size_bytes":120}}\n'
         ),
+        "recover-edges.snap": _recover_edges_snapshot(),
+        "all-unwanted-rules.json": '{"unwanted_globs": ["*"]}\n',
         "workload.trace": _workload(random.Random(SEED)),
         "ops.trace": _landfill_trace(random.Random(SEED)),
         "edge.trace": _EDGE_TRACE,
@@ -301,6 +338,7 @@ def cases(p: dict[str, str]) -> dict[str, list[str]]:
                                  "--max-chunk", "4096", "--window", "16"],
         "recover": ["recover", p["new.snap"], *rules],
         "recover_old": ["--format", "json", "recover", p["old.snap"], *rules],
+        "recover_edges": ["--format", "json", "recover", p["recover-edges.snap"], "--rules", p["all-unwanted-rules.json"]],
         # A config number below 1, for each subcommand that takes one.
         "scan_workers_0": ["scan", p["tree"], "--workers", "0"],
         "landfill_capacity_0": [*landfill[:4], "0", *landfill[5:]],
