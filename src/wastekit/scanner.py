@@ -16,6 +16,7 @@ import operator
 import os
 import re
 import time
+from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import compress, repeat
@@ -468,8 +469,9 @@ def report(snapshot: Snapshot, rules: RuleSet) -> WasteReport:
     )
 
 
-AGE_BUCKET_EDGES_DAYS = (0, 1, 7, 30, 90, 365)
 AGE_BUCKET_LABELS = ("0-1d", "1-7d", "7-30d", "30-90d", "90-365d", "365d+")
+# Upper edges in seconds: whole days below an edge are the seconds below it.
+_AGE_BUCKET_EDGES_SECS = tuple(days * 86400 for days in (1, 7, 30, 90, 365))
 
 
 def size_bucket_label(size: int) -> str:
@@ -480,19 +482,18 @@ def size_bucket_label(size: int) -> str:
 
 
 def age_bucket_label(age_secs: int) -> str:
-    days = max(0, age_secs) // 86400
-    for edge, label in zip(AGE_BUCKET_EDGES_DAYS[1:], AGE_BUCKET_LABELS):
-        if days < edge:
-            return label
-    return AGE_BUCKET_LABELS[-1]
+    """A negative age (an mtime after the snapshot) is in `0-1d`."""
+    return AGE_BUCKET_LABELS[bisect_right(_AGE_BUCKET_EDGES_SECS, age_secs)]
 
 
 def extension_token(path: str) -> str:
-    """Final extension of the basename, lowercased; '' when absent.
+    """Final extension of the basename, lowercased; '' when absent, as
+    `os.path.splitext` gives it: dots that lead the name start none.
     This is the only fragment of the original name that may appear in
     a summary."""
-    ext = os.path.splitext(os.path.basename(path))[1]
-    return ext[1:].lower() if ext.startswith(".") else ""
+    name = path[path.rfind("/") + 1 :].lstrip(".")
+    dot = name.rfind(".")
+    return name[dot + 1 :].lower() if dot >= 0 else ""
 
 
 @dataclass
@@ -525,31 +526,36 @@ class RecoverSummary:
 
 def recover_summary(snapshot: Snapshot, rules: RuleSet) -> RecoverSummary:
     categories, warnings = classify_snapshot(snapshot, rules)
+    not_waste = WasteCategory.NOT_WASTE
+    taken_at = snapshot.taken_at
     ext_hist: dict[str, list] = {}
     size_hist: dict[str, list] = {}
     age_hist: dict[str, list] = {}
-    files = 0
-    total = 0
+    # Size labels by the bit length of size - 1, their exponent; size 0
+    # has the key -1, as its bit length is size 2's.
+    size_labels: dict[int, str] = {}
     for record, category in zip(snapshot.records, categories):
-        if not category.is_waste():
+        if category is not_waste:
             continue
-        files += 1
-        total += record.size_bytes
-        keys = (
+        size = record.size_bytes
+        bits = (size - 1).bit_length() if size else -1
+        if (size_label := size_labels.get(bits)) is None:
+            size_label = size_labels[bits] = size_bucket_label(size)
+        for hist, key in (
             (ext_hist, extension_token(record.path)),
-            (size_hist, size_bucket_label(record.size_bytes)),
-            (age_hist, age_bucket_label(snapshot.taken_at - record.mtime)),
-        )
-        for hist, key in keys:
-            slot = hist.setdefault(key, [0, 0])
+            (size_hist, size_label),
+            (age_hist, age_bucket_label(taken_at - record.mtime)),
+        ):
+            if (slot := hist.get(key)) is None:
+                hist[key] = slot = [0, 0]
             slot[0] += 1
-            slot[1] += record.size_bytes
+            slot[1] += size
     return RecoverSummary(
         extension_histogram={k: tuple(v) for k, v in ext_hist.items()},
         size_histogram={k: tuple(v) for k, v in size_hist.items()},
         age_histogram={k: tuple(v) for k, v in age_hist.items()},
-        waste_files=files,
-        waste_bytes=total,
+        waste_files=sum(files for files, _ in size_hist.values()),
+        waste_bytes=sum(size for _, size in size_hist.values()),
         warnings=warnings,
     )
 

@@ -10,7 +10,7 @@ from unittest import mock
 
 import pytest
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wastekit import dedupe
 from wastekit.dedupe import (
@@ -29,6 +29,7 @@ from wastekit.scanner import (
     size_bucket_label,
 )
 
+import naive_recover
 from conftest import make_record
 from naive_chunk import _rolling_hashes as naive_hashes, naive_chunk
 
@@ -666,3 +667,45 @@ class TestRecoverSummary:
         ]
         s = recover_summary(snap(recs), rules)
         assert s.waste_files == 2
+
+
+# Names whose dots lead, trail or repeat, upper-case and non-ASCII
+# extensions (`İ` lowers to two characters), and any name of those
+# characters; each may sit in a dotted directory, or under `keep/`,
+# which the rules below keep out of the waste.
+EDGE_NAMES = (".bashrc", "a.", "...", "..a.b", ".a.", "a..b", "noext", "X.TXT", "x.İ", "café.ÉTÉ")
+names = st.sampled_from(EDGE_NAMES) | st.text(".aXİé ", min_size=1, max_size=6).filter(
+    lambda name: name not in (".", "..")
+)
+paths = st.builds(lambda d, name: d + name, st.sampled_from(("", "d.d/", "a/b.c/", "keep/")), names)
+sizes = (
+    st.sampled_from((0, 1, 2, 3))
+    | st.builds(lambda k, d: max(0, (1 << k) + d), st.integers(0, 70), st.sampled_from((-1, 0, 1)))
+    | st.integers(1 << 64, 1 << 80)
+)
+ages = (
+    st.integers(-10 * 86400, -1)
+    | st.builds(lambda days, d: days * 86400 + d, st.sampled_from((0, 1, 7, 30, 90, 365)), st.sampled_from((-1, 0, 1)))
+    | st.integers(0, 1000 * 86400)
+)
+
+
+class TestRecoverOracle:
+    """`recover_summary` and its bucket helpers against the reference
+    in `naive_recover`."""
+
+    RULES = RuleSet(not_waste_globs=("keep/*",), unwanted_globs=("*",))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(paths, sizes, ages), max_size=30, unique_by=lambda t: t[0]))
+    @example([("e", 0, 0), ("t", 2, 0)])  # size 0 and size 2 share the bit length 1
+    def test_matches_reference(self, drawn):
+        recs = [make_record(path=p, size=size, mtime=NOW - age, atime=NOW - age) for p, size, age in drawn]
+        for p, size, age in drawn:
+            assert extension_token(p) == naive_recover.extension_token(p)
+            assert size_bucket_label(size) == naive_recover.size_bucket_label(size)
+            assert age_bucket_label(age) == naive_recover.age_bucket_label(age)
+        got = recover_summary(snap(recs), self.RULES)
+        want = naive_recover.recover_summary(snap(recs), self.RULES)
+        assert got == want
+        assert json.dumps(got.to_json_obj()) == json.dumps(want.to_json_obj())
