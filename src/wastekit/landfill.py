@@ -23,18 +23,22 @@ from .errors import TraceError, WastekitError, open_input, parse_lines, read_int
 _HEAP_SLACK = 64
 
 
-def _require_bytes(key) -> None:
+def _require_bytes(obj, what: str) -> None:
     # Keys are ordered against each other in the heap, so one of another
-    # type would fail there, after its entry was stored.
-    if not isinstance(key, bytes):
-        raise WastekitError(f"key must be bytes, got {type(key).__name__}")
+    # type would fail there, after its entry was stored; a value of
+    # another type would be stored with a length that is not its size.
+    if not isinstance(obj, bytes):
+        raise WastekitError(f"{what} must be bytes, got {type(obj).__name__}")
 
 
 def _log_key(key: bytes) -> str:
-    """The text the log writes for `key`: its UTF-8, other bytes as
-    `\\xNN` escapes. A trace splits its lines at whitespace, so a key
-    whose text is empty or holds any would replay as other ops."""
-    text = key.decode("utf-8", "backslashreplace")
+    """The text the log writes for `key`: its UTF-8, as a trace reads it
+    back. A trace splits its lines at whitespace, so a key whose text is
+    empty or holds any would replay as other ops."""
+    try:
+        text = key.decode("utf-8")
+    except UnicodeDecodeError:
+        raise WastekitError(f"a logged key must be UTF-8, got {key!r}") from None
     if text.split() != [text]:
         raise WastekitError(f"a logged key must be text without whitespace, got {text!r}")
     return text
@@ -174,14 +178,15 @@ class DigitalLandfill:
     # -- operations ----------------------------------------------------
 
     def put(self, key: bytes, value: bytes) -> PutOutcome:
-        _require_bytes(key)
+        _require_bytes(key, "key")
+        _require_bytes(value, "value")
         return self._put(key, value, len(value))
 
     def get(self, key: bytes) -> Optional[bytes]:
         """Return the value, or None once the entry has faded or was
         never stored. An entry stored by `replay` has no value, so it
         reads as None here too; replay itself asks `_lookup`."""
-        _require_bytes(key)
+        _require_bytes(key, "key")
         entry = self._lookup(key)
         return None if entry is None else entry.value
 

@@ -133,9 +133,10 @@ class TestGet:
 
 
 class TestKeys:
-    """A key must be `bytes`; with a log attached, its log text must also
-    be one trace field: not empty, no whitespace. A refused key raises a
-    one-line WastekitError and leaves the store and its log as they were."""
+    """A key and a value must be `bytes`; with a log attached, a key's
+    log text must also be one trace field: UTF-8, not empty, no
+    whitespace. A refused call raises a one-line WastekitError and leaves
+    the store and its log as they were."""
 
     @staticmethod
     def filled(log=None):
@@ -177,12 +178,46 @@ class TestKeys:
             pass
         assert again.stats() == s.stats()
 
+    @pytest.mark.parametrize("key", [b"\xff", b"a\xffb"])
+    @pytest.mark.parametrize("call", ["put", "get"])
+    def test_logged_key_must_be_utf8(self, call, key):
+        # Once such a key was logged with `\xNN` escapes, the text of
+        # another key (see test_operation_log_refuses_non_utf8_keys).
+        log = io.StringIO()
+        s = self.filled(log)
+        before = (s.stats(), s.live_keys(), log.getvalue())
+        args = (key, b"v") if call == "put" else (key,)
+        with pytest.raises(WastekitError) as info:
+            getattr(s, call)(*args)
+        assert str(info.value) == f"a logged key must be UTF-8, got {key!r}"
+        assert (s.stats(), s.live_keys(), log.getvalue()) == before
+
+    @pytest.mark.parametrize("value", ["\u00e9" * 10, None, bytearray(b"v"), memoryview(b"v"), 7])
+    @pytest.mark.parametrize("logged", [False, True])
+    def test_refuses_a_value_that_is_not_bytes(self, logged, value):
+        # Once put(b"k", "\u00e9" * 10) stored the str as 10 bytes (its
+        # UTF-8 is 20), and put(b"k", None) raised a TypeError from len.
+        log = io.StringIO() if logged else None
+        s = self.filled(log)
+        before = (s.stats(), s.live_keys(), log and log.getvalue())
+        with pytest.raises(WastekitError) as info:
+            s.put(b"k", value)
+        assert str(info.value) == f"value must be bytes, got {type(value).__name__}"
+        assert (s.stats(), s.live_keys(), log and log.getvalue()) == before
+        assert s.get(b"k") is None
+
     def test_whitespace_keys_are_kept_without_a_log(self):
         s = store()
         assert s.put(b"a b", b"xy") is PutOutcome.STORED
         assert s.get(b"a b") == b"xy"
         assert s.put(b"", b"z") is PutOutcome.STORED
         assert s.get(b"") == b"z"
+
+    def test_non_utf8_keys_are_kept_without_a_log(self):
+        s = store()
+        assert s.put(b"\xff", b"w") is PutOutcome.STORED
+        assert s.put(b"\\xff", b"xy") is PutOutcome.STORED
+        assert (s.get(b"\xff"), s.get(b"\\xff")) == (b"w", b"xy")
 
 
 class TestAdvance:
@@ -476,13 +511,21 @@ class TestTrace:
         assert first.stats() == second.stats()
         assert first.live_keys() == second.live_keys()
 
-    def test_operation_log_renders_non_utf8_keys(self):
+    def test_operation_log_refuses_non_utf8_keys(self):
+        # Once b"\xff" was logged as `PUT \xff 3`, which is also the log
+        # text of the key b"\\xff": the store held 2 entries and 8 bytes,
+        # and its log replayed to 1 entry and 5 bytes.
         log = io.StringIO()
         s = DigitalLandfill(LandfillConfig(100, 2), log=log)
-        s.put(b"\xff\xfek", b"abc")
-        s.get(b"\xff\xfek")
-        s.advance_epoch(3)
-        assert log.getvalue() == "PUT \\xff\\xfek 3\nGET \\xff\\xfek\nADV 3\n"
+        with pytest.raises(WastekitError, match=r"^a logged key must be UTF-8, got b'\\xff'$"):
+            s.put(b"\xff", b"abc")
+        s.put(b"\\xff", b"defgh")
+        assert log.getvalue() == "PUT \\xff 5\n"
+        again = DigitalLandfill(LandfillConfig(100, 2))
+        for _ in replay(again, parse_trace(log.getvalue().splitlines())):
+            pass
+        assert again.stats() == s.stats()
+        assert (s.stats().live_entries, s.stats().live_bytes) == (1, 5)
 
     def test_stats_public_surface(self):
         s = store(capacity=100, fade=3)
