@@ -674,16 +674,16 @@ class TestRecoverSummary:
 # characters; each may sit in a dotted directory, or under `keep/`,
 # which the rules below keep out of the waste.
 EDGE_NAMES = (".bashrc", "a.", "...", "..a.b", ".a.", "a..b", "noext", "X.TXT", "x.İ", "café.ÉTÉ")
-names = st.sampled_from(EDGE_NAMES) | st.text(".aXİé ", min_size=1, max_size=6).filter(
+recover_names = st.sampled_from(EDGE_NAMES) | st.text(".aXİé ", min_size=1, max_size=6).filter(
     lambda name: name not in (".", "..")
 )
-paths = st.builds(lambda d, name: d + name, st.sampled_from(("", "d.d/", "a/b.c/", "keep/")), names)
-sizes = (
+recover_paths = st.builds(lambda d, name: d + name, st.sampled_from(("", "d.d/", "a/b.c/", "keep/")), recover_names)
+recover_sizes = (
     st.sampled_from((0, 1, 2, 3))
     | st.builds(lambda k, d: max(0, (1 << k) + d), st.integers(0, 70), st.sampled_from((-1, 0, 1)))
     | st.integers(1 << 64, 1 << 80)
 )
-ages = (
+recover_ages = (
     st.integers(-10 * 86400, -1)
     | st.builds(lambda days, d: days * 86400 + d, st.sampled_from((0, 1, 7, 30, 90, 365)), st.sampled_from((-1, 0, 1)))
     | st.integers(0, 1000 * 86400)
@@ -697,7 +697,7 @@ class TestRecoverOracle:
     RULES = RuleSet(not_waste_globs=("keep/*",), unwanted_globs=("*",))
 
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.tuples(paths, sizes, ages), max_size=30, unique_by=lambda t: t[0]))
+    @given(st.lists(st.tuples(recover_paths, recover_sizes, recover_ages), max_size=30, unique_by=lambda t: t[0]))
     @example([("e", 0, 0), ("t", 2, 0)])  # size 0 and size 2 share the bit length 1
     def test_matches_reference(self, drawn):
         recs = [make_record(path=p, size=size, mtime=NOW - age, atime=NOW - age) for p, size, age in drawn]
