@@ -147,9 +147,9 @@ GET caf\u00e9
 # `unwanted_globs: ["*"]`: names whose dots lead, trail or repeat, a
 # dotted directory, upper-case and non-ASCII extensions (`İ` lowers to
 # two characters); sizes 0 to 3, around powers of two and past 2**64;
-# ages in the future and a second either side of each day edge. Half
-# the names sit in a dotted directory, so that each is seen with and
-# without a `/` before it.
+# ages in the future and a second either side of each day edge. Every
+# other name sits in a dotted directory, so that names are read both
+# with and without a `/` before them.
 _EDGE_NAMES = (
     ".bashrc", "a.", "...", "..a.b", "noext", ".hidden.TXT", "a.tar.GZ", "x.\u0130", "caf\u00e9.\u00c9T\u00c9",
     "a...", ".a.", "a..b", "UPPER.C", "trail..", "d.d", "dot.d.x.y", "x.y z", "\u00e9",
@@ -163,12 +163,9 @@ _EDGE_AGES = (
 
 def _recover_edges_snapshot() -> str:
     records = []
-    for i in range(max(len(_EDGE_NAMES), len(_EDGE_SIZES), len(_EDGE_AGES))):
-        name = _EDGE_NAMES[i % len(_EDGE_NAMES)]
+    for i, (name, size, age) in enumerate(zip(_EDGE_NAMES, _EDGE_SIZES, _EDGE_AGES, strict=True)):
         path = name if i % 2 == 0 else f"d{i:02d}.d/{name}"
-        mtime = T0 - _EDGE_AGES[i % len(_EDGE_AGES)]
-        size = _EDGE_SIZES[i % len(_EDGE_SIZES)]
-        records.append((path, mtime, size))
+        records.append((path, T0 - age, size))
     lines = [f'{{"format": "wastekit-snapshot-v1", "root": "/r", "taken_at": {T0}}}\n']
     for path, mtime, size in sorted(records):
         lines.append(
