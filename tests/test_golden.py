@@ -273,6 +273,7 @@ def build_inputs(work: str) -> dict[str, str]:
         "all-unwanted-rules.json": '{"unwanted_globs": ["*"]}\n',
         "workload.trace": _workload(random.Random(SEED)),
         "ops.trace": _landfill_trace(random.Random(SEED)),
+        "log-is-trace.trace": _landfill_trace(random.Random(SEED)),
         "edge.trace": _EDGE_TRACE,
         **{f"bad-{name}.trace": f"# malformed\n\nPUT a 1\n{line}\n" for name, line in _BAD_OPS.items()},
         **{f"bad-{name}.workload": f"# malformed\n\n0 a 5 0\n{line}\n" for name, line in _BAD_WORKLOAD.items()},
@@ -281,7 +282,7 @@ def build_inputs(work: str) -> dict[str, str]:
         paths[name] = os.path.join(work, name)
         with open(paths[name], "w", encoding="utf-8") as fh:
             fh.write(text)
-    for name in ("ops.log", "scan-table.snap", "scan-json.snap"):
+    for name in ("ops.log", "scan-table.snap", "scan-json.snap", os.path.join("missing", "ops.log")):
         paths[name] = os.path.join(work, name)
     return paths
 
@@ -321,6 +322,12 @@ def cases(p: dict[str, str]) -> dict[str, list[str]]:
         "plan_execute_table": ["plan", p["exec-table.snap"], *rules, "--execute", "--yes"],
         "landfill": landfill,
         "landfill_log": [*landfill, "--log", p["ops.log"]],
+        # A log in a directory that does not exist, and a log that names
+        # the trace itself.
+        "landfill_log_unwritable": [*landfill, "--log", p[os.path.join("missing", "ops.log")]],
+        "landfill_log_is_trace": [
+            *landfill[:2], p["log-is-trace.trace"], *landfill[3:], "--log", p["log-is-trace.trace"],
+        ],
         "landfill_no_refresh": [*landfill, "--no-refresh-on-read"],
         "landfill_edges": edges,
         "landfill_edges_no_refresh": [*edges, "--no-refresh-on-read"],
@@ -349,12 +356,16 @@ def cases(p: dict[str, str]) -> dict[str, list[str]]:
         "report_threshold_0": ["report", p["new.snap"], "--rules", p["zero-threshold-rules.json"]],
         # A malformed trace of each format.
         **{f"landfill_trace_{name}": [*landfill[:2], p[f"bad-{name}.trace"], *landfill[3:]] for name in _BAD_OPS},
+        # A trace error and a config error at once: the trace error wins.
+        "landfill_trace_bad_capacity_0": [*landfill[:2], p["bad-put_size_x.trace"], landfill[3], "0", *landfill[5:]],
         **{f"penalty_trace_{name}": [*penalty[:2], p[f"bad-{name}.workload"], *penalty[3:]] for name in _BAD_WORKLOAD},
     }
 
 
 # The tree each `plan --execute --yes` case deletes from.
 _EXECUTED_TREE = {"plan_execute_json": "exec-json", "plan_execute_table": "exec-table"}
+# The file each `landfill --log` case names as its log, shown after the run.
+_LOG = {"landfill_log": "ops.log", "landfill_log_is_trace": "log-is-trace.trace"}
 
 
 def _listing(root: str) -> str:
@@ -378,8 +389,8 @@ def render_all(work: str) -> dict[str, str]:
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
                 code = cli.run(argv)
             text = f"exit: {code}\n--- stdout\n{stdout.getvalue()}--- stderr\n{stderr.getvalue()}"
-            if name == "landfill_log":
-                with open(paths["ops.log"], encoding="utf-8") as fh:
+            if name in _LOG:
+                with open(paths[_LOG[name]], encoding="utf-8") as fh:
                     text += f"--- log\n{fh.read()}"
             if name in _EXECUTED_TREE:
                 text += f"--- files left\n{_listing(paths[_EXECUTED_TREE[name]])}"
