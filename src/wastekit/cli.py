@@ -17,6 +17,7 @@ through a symlink.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import stat
@@ -263,7 +264,7 @@ def _cmd_plan(args) -> int:
     entries = [
         (rec, category, masks.mask_for(rec.path))
         for rec, category in zip(snapshot.records, categories)
-        if category.is_waste()
+        if category is not WasteCategory.NOT_WASTE
     ]
     action_plan = build_plan(entries)
     model_kwargs = {"erase_block_bytes": args.erase_block}
@@ -343,9 +344,15 @@ def _cmd_landfill(args) -> int:
         fade_lifetime_epochs=args.fade,
         refresh_on_read=not args.no_refresh_on_read,
     )
+    if args.log and os.path.exists(args.log) and os.path.samefile(args.log, args.trace):
+        raise WastekitError(f"--log {args.log} names the trace file; it would overwrite the trace")
     log_fh = open(args.log, "w", encoding="utf-8") if args.log else None
     try:
-        sys.stdout.writelines(replay(DigitalLandfill(config, log=log_fh), ops))
+        lines = replay(DigitalLandfill(config, log=log_fh), ops)
+        # One write per 256 lines: a write per line costs more than the text
+        # it writes.
+        while batch := "".join(itertools.islice(lines, 256)):
+            sys.stdout.write(batch)
     finally:
         if log_fh is not None:
             log_fh.close()

@@ -38,11 +38,12 @@ def require_int(value, name: str, minimum: int = 1, error: type[WastekitError] =
 
 
 @contextmanager
-def open_input(path: str, what: str, error: type[WastekitError] = WastekitError):
-    """The UTF-8 text file at `path`, open for reading; raises `error`,
-    naming the file as `what`, if it cannot be opened or decoded."""
+def open_input(path: str, what: str, error: type[WastekitError] = WastekitError, opener=None):
+    """The UTF-8 text file at `path`, open for reading (through `opener`,
+    as `open` takes it); raises `error`, naming the file as `what`, if it
+    cannot be opened, read or decoded."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8", opener=opener) as fh:
             yield fh
     except (OSError, UnicodeDecodeError) as exc:
         raise error(f"cannot read {what} {path}: {exc}") from exc

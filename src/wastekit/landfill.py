@@ -11,12 +11,15 @@ from __future__ import annotations
 
 import heapq
 import math
+import os
+import re
+import stat
 from dataclasses import dataclass
 from enum import Enum
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable, Iterator, NamedTuple, Optional, TextIO
 
-from .errors import TraceError, WastekitError, open_input, parse_lines, read_int, require_int
+from .errors import TraceError, WastekitError, open_input, read_int, require_int
 
 # Stale heap records tolerated beyond the live count before a rebuild,
 # so that a near-empty store does not rebuild on every operation.
@@ -150,13 +153,17 @@ class DigitalLandfill:
         capacity = self.config.capacity_bytes
         if size > capacity:
             return PutOutcome.REJECTED_TOO_LARGE
-        existing = self._entries.pop(key, None)
-        if existing is not None:
-            # Overwrite: not an eviction, the key stays live.
-            self._live_bytes -= existing.size_bytes
+        entry = self._entries.pop(key, None)
+        if entry is not None:
+            # Overwrite: not an eviction, the key stays live in its entry.
+            self._live_bytes -= entry.size_bytes
         while self._live_bytes + size > capacity and self._pop_oldest() is not None:
             self._evictions += 1
-        self._entries[key] = LandfillEntry(value, self._epoch, size)
+        if entry is None:
+            entry = LandfillEntry(value, self._epoch, size)
+        else:
+            entry.value, entry.last_access_epoch, entry.size_bytes = value, self._epoch, size
+        self._entries[key] = entry
         self._live_bytes += size
         self._changes += 1
         self._push(key)
@@ -224,13 +231,23 @@ class DigitalLandfill:
 
 # -- trace replay ------------------------------------------------------
 #
-# A trace is a line trace (see `parse_lines`) in the grammar of `_SYNTAX`,
-# as is the op log. PUT carries a size, not content: replay accounts that
-# many bytes without building them, so its memory is bounded by the live
-# entries, not by the sizes a trace names. A replayed entry has value None.
+# A trace is a line trace (see `errors.parse_lines`) in the grammar of
+# `_SYNTAX`, as is the op log. PUT carries a size, not content: replay
+# accounts that many bytes without building them, so its memory is bounded
+# by the live entries, not by the sizes a trace names. A replayed entry has
+# value None.
 
 TraceOp = tuple  # ("PUT", key, size) | ("GET", key) | ("ADV", n)
 _SYNTAX = {"PUT": "PUT <key> <size>", "GET": "GET <key>", "ADV": "ADV <n>"}
+
+# Characters per read of `load_trace`'s check pass.
+_BLOCK = 1 << 16
+# The start of the first line not in a form that `_trace_op` surely accepts:
+# an upper-case verb, single spaces, a printable ASCII key, at most 18 digits
+# to a number (far inside Python's str-to-int limit) and a "\n". Such a line
+# goes to `_ops`. A search for it, unlike a match of a run of good lines,
+# keeps no state per line.
+_UNCHECKED_LINE = re.compile(r"^(?!(?:PUT [!-~]+ [0-9]{1,18}|GET [!-~]+|ADV 0{0,17}[1-9][0-9]{0,17})\n)", re.M)
 
 
 def _trace_op(fields: list[str]) -> TraceOp:
@@ -246,13 +263,94 @@ def _trace_op(fields: list[str]) -> TraceOp:
     raise TraceError(f"unknown operation {fields[0]!r}")
 
 
+def _ops(lines: Iterable[str], first: int = 1) -> Iterator[TraceOp]:
+    """The op of each line, the first numbered `first`, as `parse_lines`
+    reads a line trace with `_trace_op`. A `GET k` or `PUT k n` line with
+    a short decimal size takes an inline path that gives `_trace_op`'s op
+    without the call."""
+    for lineno, line in enumerate(lines, first):
+        fields = line.split()
+        count = len(fields)
+        try:
+            if count == 2 and fields[0] == "GET":
+                op = ("GET", fields[1].encode())
+            elif count == 3 and fields[0] == "PUT" and len(fields[2]) < 19 and fields[2].isdecimal():
+                op = ("PUT", fields[1].encode(), int(fields[2]))
+            elif count and fields[0][0] != "#":
+                op = _trace_op(fields)
+            else:
+                continue
+        except (WastekitError, ValueError) as exc:
+            raise TraceError(f"trace line {lineno}: {exc}") from exc
+        yield op
+
+
 def parse_trace(lines: Iterable[str]) -> list[TraceOp]:
-    return parse_lines(lines, "trace", _trace_op)
+    return list(_ops(lines))
 
 
-def load_trace(path: str) -> list[TraceOp]:
-    with open_input(path, "trace file") as fh:
-        return parse_trace(fh)
+def _open_nonblocking(path: str, flags: int) -> int:
+    # A FIFO then opens at once, not once a writer comes, and is refused.
+    return os.open(path, flags | os.O_NONBLOCK)
+
+
+def _identity(path: str, fh) -> tuple:
+    """(st_dev, st_ino, st_size, st_mtime_ns) of the open trace file, which
+    must be a regular file, since it is read once per pass."""
+    st = os.fstat(fh.fileno())
+    if not stat.S_ISREG(st.st_mode):
+        raise TraceError(f"cannot read trace file {path}: not a regular file")
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
+
+
+class TraceFile:
+    """A trace file that `load_trace` has checked. Each iteration reads
+    its ops from the file again, so memory is bounded by the live entries,
+    not by the trace length, and refuses the file if it has changed since
+    the check. `len()` is the number of ops."""
+
+    def __init__(self, path: str, identity: tuple, count: int):
+        self.path = path
+        self._identity = identity
+        self._count = count
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self) -> Iterator[TraceOp]:
+        with open_input(self.path, "trace file", opener=_open_nonblocking) as fh:
+            if _identity(self.path, fh) != self._identity:
+                raise TraceError(f"trace file {self.path} changed after it was checked")
+            yield from _ops(fh)
+
+
+def load_trace(path: str) -> TraceFile:
+    """The trace file at `path`, checked whole: a bad line raises here, as
+    `parse_trace` would, before any op is replayed. Runs of lines that
+    `_UNCHECKED_LINE` passes over are counted; each line it finds is read
+    by `_ops`."""
+    with open_input(path, "trace file", opener=_open_nonblocking) as fh:
+        identity = _identity(path, fh)
+        count, lineno, tail = 0, 1, ""
+        while True:
+            block = fh.read(_BLOCK)
+            text = tail + block
+            end = text.rfind("\n") + 1 if block else len(text)  # whole lines, or the rest at the end
+            pos = 0
+            while pos < end:
+                stop = _UNCHECKED_LINE.search(text, pos, end).start()
+                lines = text.count("\n", pos, stop)
+                count += lines
+                lineno += lines
+                if stop < end:
+                    pos = text.find("\n", stop, end) + 1 or end
+                    count += sum(1 for _ in _ops([text[stop:pos]], lineno))
+                    lineno += 1
+                else:
+                    pos = end
+            tail = text[end:]
+            if not block:
+                return TraceFile(path, identity, count)
 
 
 def replay(store: DigitalLandfill, ops: Iterable[TraceOp]) -> Iterator[str]:

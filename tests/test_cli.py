@@ -1,23 +1,27 @@
 """Command-line surface: exit codes, output schemas, and the one
 destructive path (plan --execute)."""
 
+import contextlib
 import errno
 import hashlib
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import jsonschema
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from wastekit import cli as cli_module
 from wastekit.cli import run
 from wastekit.fixtures import build_never_accessed_tree
 from wastekit.model import atime_moved_warning
-from wastekit.landfill import DigitalLandfill, LandfillConfig, parse_trace, replay
+from wastekit.landfill import DigitalLandfill, LandfillConfig, load_trace, parse_trace, replay
 from wastekit.penalty import SchedulerConfig, parse_workload
 
 from naive_landfill import NaiveLandfill, naive_replay_events
@@ -848,6 +852,69 @@ class TestLandfillCommand:
         trace.write_text("PUT a 1\n")
         code, _, _ = cli(capsys, "landfill", "--trace", str(trace), "--capacity", "0", "--fade", "1")
         assert code == 1
+
+    def test_memory_is_bounded_by_the_live_keys(self, tmp_path):
+        # Traces of N and 4N ops over the same 200 keys, capacity and fade:
+        # the store holds the same live data, so the peak must not grow with
+        # the trace. N is past the few 64 KiB blocks over which the check
+        # pass's own peak levels off.
+        peaks = []
+        for ops in (30_000, 120_000):
+            rng = random.Random(7)
+            lines = []
+            for i in range(ops):
+                if i % 100 == 99:
+                    lines.append("ADV 1")
+                elif rng.random() < 0.5:
+                    lines.append(f"PUT k{rng.randrange(200)} {rng.randint(1, 500)}")
+                else:
+                    lines.append(f"GET k{rng.randrange(200)}")
+            trace = tmp_path / f"{ops}.trace"
+            trace.write_text("\n".join(lines) + "\n")
+            with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+                tracemalloc.start()
+                try:
+                    code = run(["landfill", "--trace", str(trace), "--capacity", "20000", "--fade", "3"])
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            assert code == 0
+        assert peaks[1] <= 1.2 * peaks[0], peaks
+
+    def test_trace_changed_after_its_check_is_refused(self, capsys, tmp_path, monkeypatch):
+        trace = tmp_path / "ops.trace"
+        trace.write_text(TRACE)
+
+        def load_then_rewrite(path):
+            checked = load_trace(path)
+            trace.write_text(TRACE + "GET alpha\n")
+            return checked
+
+        monkeypatch.setattr(cli_module, "load_trace", load_then_rewrite)
+        code, out, err = cli(capsys, "landfill", "--trace", str(trace), "--capacity", "25", "--fade", "2")
+        assert (code, out) == (1, "")
+        assert err == f"wastekit: error: trace file {trace} changed after it was checked\n"
+
+    @pytest.mark.parametrize("kind", ["fifo", "stdin-pipe"])
+    def test_trace_that_is_not_a_regular_file_is_refused(self, tmp_path, kind):
+        # The trace is read twice, so a pipe is refused, and opened without
+        # waiting for a writer: a FIFO nobody writes to must not block.
+        if kind == "fifo":
+            path = str(tmp_path / "ops.fifo")
+            os.mkfifo(path)
+        else:
+            path = "/dev/stdin"
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "wastekit", "landfill", "--trace", path, "--capacity", "10", "--fade", "1"],
+            env=dict(os.environ, PYTHONPATH=src),
+            input="PUT a 1\n",
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == f"wastekit: error: cannot read trace file {path}: not a regular file\n"
 
     # Capacities stay small so that every fuzzed size above them is
     # rejected: the test never asks for a large store.

@@ -3,10 +3,12 @@ landfill traces and penalty workloads, from lists of lines and from
 files with each kind of line end."""
 
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from wastekit import landfill
 from wastekit.errors import TraceError, read_int
 from wastekit.landfill import load_trace, parse_trace
 from wastekit.penalty import load_workload, parse_workload
@@ -97,7 +99,7 @@ def _assert_same_meaning(want, got):
 
 
 _FORMATS = {
-    "trace": (_GOOD_OP, _ANY_OP, naive_parse_trace, parse_trace, load_trace),
+    "trace": (_GOOD_OP, _ANY_OP, naive_parse_trace, parse_trace, lambda p: list(load_trace(p))),
     "workload": (_GOOD_EVENT, _ANY_EVENT, naive_parse_workload, parse_workload, load_workload),
 }
 
@@ -114,7 +116,19 @@ def test_matches_oracle(tmp_path, kind, data):
     path = tmp_path / "in.trace"
     ends = data.draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines), max_size=len(lines)))
     path.write_text("".join(line + end for line, end in zip(lines, ends)), encoding="utf-8", newline="")
-    _assert_same_meaning(_outcome(lambda p: naive_load(naive_parse, p), path), _outcome(load, path))
+    want = _outcome(lambda p: naive_load(naive_parse, p), path)
+    _assert_same_meaning(want, _outcome(load, path))
+    if kind == "trace":
+        # `load_trace` checks the file in blocks: blocks of a few characters
+        # end inside lines and between "\r" and "\n".
+        with mock.patch.object(landfill, "_BLOCK", data.draw(st.integers(1, 5))):
+            _assert_same_meaning(want, _outcome(load, path))
+            # The check finds every error before an op is read, and counts the ops.
+            checked, error = _outcome(load_trace, path)
+            if want[1] is None:
+                assert len(checked) == len(want[0])
+            else:
+                _assert_same_meaning(want, (None, error))
 
 
 @pytest.mark.parametrize(
