@@ -75,6 +75,7 @@ _EXPORTS = {
         "PutOutcome",
         "parse_trace",
         "load_trace",
+        "TraceFile",
         "replay",
     ),
     "penalty": (

@@ -859,7 +859,7 @@ class TestLandfillCommand:
         # the trace. N is past the few 64 KiB blocks over which the check
         # pass's own peak levels off.
         peaks = []
-        for ops in (30_000, 120_000):
+        for ops in (40_000, 160_000):
             rng = random.Random(7)
             lines = []
             for i in range(ops):

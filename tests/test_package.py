@@ -19,7 +19,7 @@ PUBLIC_NAMES = {
     "HierarchyAction", "FeasibilityMask", "MaskRules", "ActionPlan", "PlanEntry", "CostModel", "CostReport",
     "plan", "estimate_cost", "load_mask_rules",
     "DigitalLandfill", "LandfillConfig", "LandfillEntry", "LandfillStats", "FadeStats", "PutOutcome",
-    "parse_trace", "load_trace", "replay",
+    "parse_trace", "load_trace", "TraceFile", "replay",
     "SchedulerConfig", "WorkloadTrace", "SimulationReport", "simulate", "parse_workload", "load_workload",
     "ChunkIndex", "ChunkingConfig", "ChunkStore", "IngestResult", "chunk",
 }
@@ -53,7 +53,7 @@ def test_dedupe_imports_no_other_wastekit_module():
 
 
 def test_star_import_binds_exactly_all():
-    assert len(PUBLIC_NAMES) == 58
+    assert len(PUBLIC_NAMES) == 59
     assert len(wastekit.__all__) == len(set(wastekit.__all__))
     assert set(wastekit.__all__) == PUBLIC_NAMES
     namespace = {}
