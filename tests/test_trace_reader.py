@@ -43,6 +43,8 @@ def _lines(draw, good_fields, any_fields):
     the examples one line of arbitrary fields somewhere among them."""
     def line(fields_strategy):
         fields = draw(fields_strategy)
+        if draw(st.booleans()):  # spaced as a writer spaces it, the form `load_trace` matches in runs
+            return " ".join(fields)
         return _line(fields, draw(st.lists(_SPACE, min_size=len(fields) + 1, max_size=len(fields) + 1)))
 
     extra = st.one_of(st.just([]), st.tuples(st.just("#"), _NAME).map(lambda t: ["".join(t)]))
@@ -129,6 +131,31 @@ def test_matches_oracle(tmp_path, kind, data):
                 assert len(checked) == len(want[0])
             else:
                 _assert_same_meaning(want, (None, error))
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "GET a", "GET a b", "GET", "PUT a 0", "PUT a", "PUT a 1 2", "PUT a -1", "put a 1", "DEL a",
+        f"PUT a {'9' * 18}", f"PUT a {'9' * 19}", f"PUT a {LONG}",
+        "ADV 1", "ADV 0", "ADV 00", "ADV -1", f"ADV {'0' * 17}1", f"ADV {'0' * 20}1", f"ADV {'9' * 19}", f"ADV {LONG}",
+    ],
+)
+@pytest.mark.parametrize("block", [1, 3, None])
+def test_load_trace_checks_as_parse_trace_reads(tmp_path, line, block):
+    """Lines spaced as a writer spaces them, at the edges of the form that
+    `load_trace` passes over in runs: it must refuse or count each as
+    `parse_trace` reads it, before any op is read."""
+    lines = ["# first", "GET k", line, "PUT k 1"]
+    path = tmp_path / "in.trace"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    want_ops, want_error = _outcome(parse_trace, lines)
+    with mock.patch.object(landfill, "_BLOCK", block or landfill._BLOCK):
+        checked, error = _outcome(load_trace, path)
+    assert error == want_error
+    if error is None:
+        assert len(checked) == len(want_ops)
+        assert list(checked) == want_ops
 
 
 @pytest.mark.parametrize(
