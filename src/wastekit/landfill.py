@@ -342,12 +342,10 @@ def load_trace(path: str) -> TraceFile:
                 lines = text.count("\n", pos, stop)
                 count += lines
                 lineno += lines
+                pos = text.find("\n", stop, end) + 1 or end
                 if stop < end:
-                    pos = text.find("\n", stop, end) + 1 or end
                     count += sum(1 for _ in _ops([text[stop:pos]], lineno))
                     lineno += 1
-                else:
-                    pos = end
             tail = text[end:]
             if not block:
                 return TraceFile(path, identity, count)
