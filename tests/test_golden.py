@@ -191,6 +191,7 @@ _BAD_WORKLOAD = {
     "requested_negative": "1 a -5 0",
     "fraction_1_5": "1 a 5 1.5",
     "tick_long": f"{_LONG} a 5 0",
+    "fraction_long": f"1 a 5 0.{_LONG}",
 }
 
 
@@ -335,6 +336,7 @@ def cases(p: dict[str, str]) -> dict[str, list[str]]:
         "penalty_table_v": ["-v", *penalty, "--weight", "clean=2", "--weight", "mixed=1/3"],
         "penalty_json": ["--format", "json", *penalty, "--weight", "dirty=3/2"],
         "penalty_alpha0_json": ["--format", "json", *penalty[:4], "0", *penalty[5:]],
+        "penalty_alpha_long": [*penalty[:4], f"1/{_LONG}", *penalty[5:]],
         "dedup_dir_table": ["dedup", p["tree"]],
         "dedup_dir_json": ["--format", "json", "dedup", p["tree"]],
         "dedup_snapshot_json": ["--format", "json", "dedup", p["new.snap"], "--target-chunk", "3000"],
