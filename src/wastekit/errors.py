@@ -49,24 +49,15 @@ def open_input(path: str, what: str, error: type[WastekitError] = WastekitError,
         raise error(f"cannot read {what} {path}: {exc}") from exc
 
 
-def parse_lines(lines, what: str, parse) -> list:
-    """`parse` of each line's whitespace-separated fields, skipping blank
-    lines and those whose first field starts with `#`. A WastekitError or
-    ValueError from `parse` is raised as a TraceError `{what} line N: …`."""
-    out = []
-    append = out.append
-    for lineno, line in enumerate(lines, 1):
-        fields = line.split()
-        if fields and fields[0][0] != "#":
-            try:
-                append(parse(fields))
-            except (WastekitError, ValueError) as exc:
-                raise TraceError(f"{what} line {lineno}: {exc}") from exc
-    return out
-
-
-# An integer as `int` spells it: a sign, digits of any script, single `_`s.
-_INTEGER = re.compile(r"[+-]?\d+(?:_\d+)*")
+def too_long(spelling: str, read) -> bool:
+    """Whether `read` (`int` or `Fraction`), which refused `spelling`, reads
+    it with each run of digits cut to one digit. If so, only a number past
+    Python's digit limit for str-to-int was at fault."""
+    try:
+        read(re.sub(r"\d+", "1", spelling))
+    except ValueError:
+        return False
+    return True
 
 
 def read_int(field: str, name: str, minimum: int) -> int:
@@ -74,7 +65,7 @@ def read_int(field: str, name: str, minimum: int) -> int:
     try:
         value = int(field)
     except ValueError:
-        if _INTEGER.fullmatch(field):  # past Python's digit limit for str-to-int
+        if too_long(field, int):
             raise TraceError(f"{name} holds a number too long to read") from None
         value = field
     if type(value) is not int or value < minimum:  # tested here to save a call per valid field

@@ -231,7 +231,7 @@ class DigitalLandfill:
 
 # -- trace replay ------------------------------------------------------
 #
-# A trace is a line trace (see `errors.parse_lines`) in the grammar of
+# A trace is a line trace (see README's "Line traces") in the grammar of
 # `_SYNTAX`, as is the op log. PUT carries a size, not content: replay
 # accounts that many bytes without building them, so its memory is bounded
 # by the live entries, not by the sizes a trace names. A replayed entry has
@@ -242,32 +242,19 @@ _SYNTAX = {"PUT": "PUT <key> <size>", "GET": "GET <key>", "ADV": "ADV <n>"}
 
 # Characters per read of `load_trace`'s check pass.
 _BLOCK = 1 << 16
-# The start of the first line not in a form that `_trace_op` surely accepts:
+# The start of the first line not in a form that `_ops` surely accepts:
 # an upper-case verb, single spaces, a printable ASCII key, at most 18 digits
-# to a number (far inside Python's str-to-int limit) and a "\n". Such a line
-# goes to `_ops`. A search for it, unlike a match of a run of good lines,
-# keeps no state per line.
+# to a number (far inside Python's str-to-int limit) and a "\n". `load_trace`
+# reads such a line with `_ops`. A search for it, unlike a match of a run of
+# good lines, keeps no state per line.
 _UNCHECKED_LINE = re.compile(r"^(?!(?:PUT [!-~]+ [0-9]{1,18}|GET [!-~]+|ADV 0{0,17}[1-9][0-9]{0,17})\n)", re.M)
 
 
-def _trace_op(fields: list[str]) -> TraceOp:
-    verb, count = fields[0].upper(), len(fields)
-    if verb == "PUT" and count == 3:
-        return ("PUT", fields[1].encode("utf-8"), read_int(fields[2], "size", 0))
-    if verb == "GET" and count == 2:
-        return ("GET", fields[1].encode("utf-8"))
-    if verb == "ADV" and count == 2:
-        return ("ADV", read_int(fields[1], "n", 1))
-    if verb in _SYNTAX:
-        raise TraceError(f"expected: {_SYNTAX[verb]}")
-    raise TraceError(f"unknown operation {fields[0]!r}")
-
-
 def _ops(lines: Iterable[str], first: int = 1) -> Iterator[TraceOp]:
-    """The op of each line, the first numbered `first`, as `parse_lines`
-    reads a line trace with `_trace_op`. A `GET k` or `PUT k n` line with
-    a short decimal size takes an inline path that gives `_trace_op`'s op
-    without the call."""
+    """The op of each line, the first numbered `first`, skipping blank lines
+    and those whose first field starts with `#`. A `GET k` or `PUT k n` line
+    with a short decimal size takes an inline path; every other line is read
+    by the whole grammar, its verb in any case."""
     for lineno, line in enumerate(lines, first):
         fields = line.split()
         count = len(fields)
@@ -276,10 +263,18 @@ def _ops(lines: Iterable[str], first: int = 1) -> Iterator[TraceOp]:
                 op = ("GET", fields[1].encode())
             elif count == 3 and fields[0] == "PUT" and len(fields[2]) < 19 and fields[2].isdecimal():
                 op = ("PUT", fields[1].encode(), int(fields[2]))
-            elif count and fields[0][0] != "#":
-                op = _trace_op(fields)
-            else:
+            elif not count or fields[0][0] == "#":
                 continue
+            elif (verb := fields[0].upper()) == "PUT" and count == 3:
+                op = ("PUT", fields[1].encode(), read_int(fields[2], "size", 0))
+            elif verb == "GET" and count == 2:
+                op = ("GET", fields[1].encode())
+            elif verb == "ADV" and count == 2:
+                op = ("ADV", read_int(fields[1], "n", 1))
+            elif verb in _SYNTAX:
+                raise TraceError(f"expected: {_SYNTAX[verb]}")
+            else:
+                raise TraceError(f"unknown operation {fields[0]!r}")
         except (WastekitError, ValueError) as exc:
             raise TraceError(f"trace line {lineno}: {exc}") from exc
         yield op

@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import accumulate, compress
 from typing import NamedTuple, Optional, Union
 
-from .errors import TraceError, WastekitError, open_input, parse_lines, read_int, require_int
+from .errors import TraceError, WastekitError, open_input, read_int, require_int, too_long
 
 Rational = Union[int, float, str, Fraction]
 
@@ -38,6 +38,8 @@ def _as_fraction(x: Rational, what: str) -> Fraction:
             return Fraction(str(x))
         return Fraction(x)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
+        if isinstance(exc, ValueError) and isinstance(x, str) and too_long(x, Fraction):
+            raise WastekitError(f"{what} holds a number too long to read") from None
         raise WastekitError(f"invalid {what}: {x!r}") from exc
 
 
@@ -71,7 +73,7 @@ def _apportion(total: int, weights: list) -> dict:
 
 # -- workload traces ---------------------------------------------------
 #
-# A workload is a line trace (see `parse_lines`), one event per line:
+# A workload is a line trace (see README's "Line traces"), one event per line:
 #   <tick> <producer> <requested_bytes> <waste_fraction>
 # waste_fraction, a decimal or ratio in [0, 1] without an exponent, is exact.
 
@@ -100,21 +102,27 @@ class WorkloadTrace:
 def parse_workload(lines) -> WorkloadTrace:
     new_event = tuple.__new__  # TraceEvent's own __new__ is Python code
     fractions: dict[str, Fraction] = {}  # each distinct spelling is parsed once
-
-    def event(fields: list[str]) -> TraceEvent:
-        if len(fields) != 4:
-            raise TraceError("expected '<tick> <producer> <requested> <waste_fraction>'")
-        tick, producer, requested, spelling = fields
-        tick, requested = read_int(tick, "tick", 0), read_int(requested, "requested_bytes", 0)
-        fraction = fractions.get(spelling)
-        if fraction is None:
-            fraction = _as_fraction(spelling, "waste_fraction")
-            if not 0 <= fraction <= 1:
-                raise TraceError("waste_fraction must be in [0, 1]")
-            fractions[spelling] = fraction
-        return new_event(TraceEvent, (tick, producer, requested, fraction))
-
-    return WorkloadTrace(events=tuple(parse_lines(lines, "workload", event)))
+    events = []
+    append = events.append
+    for lineno, line in enumerate(lines, 1):
+        fields = line.split()
+        if not fields or fields[0][0] == "#":
+            continue
+        try:
+            if len(fields) != 4:
+                raise TraceError("expected '<tick> <producer> <requested> <waste_fraction>'")
+            tick, producer, requested, spelling = fields
+            tick, requested = read_int(tick, "tick", 0), read_int(requested, "requested_bytes", 0)
+            fraction = fractions.get(spelling)
+            if fraction is None:
+                fraction = _as_fraction(spelling, "waste_fraction")
+                if not 0 <= fraction <= 1:
+                    raise TraceError("waste_fraction must be in [0, 1]")
+                fractions[spelling] = fraction
+        except WastekitError as exc:
+            raise TraceError(f"workload line {lineno}: {exc}") from exc
+        append(new_event(TraceEvent, (tick, producer, requested, fraction)))
+    return WorkloadTrace(events=tuple(events))
 
 
 def load_workload(path: str) -> WorkloadTrace:

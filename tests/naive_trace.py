@@ -1,9 +1,9 @@
 """Line-at-a-time reference for `parse_trace` and `parse_workload`.
 
-Each parser has its own line loop and its own integer parsing, as the
-two did before they shared `errors.parse_lines` and `errors.read_int`.
-This is the behavioral oracle the shared reader is compared against:
-for any lines it must return equal ops or events, or raise a TraceError
+Each parser has its own integer parsing, as the two did before they
+shared `errors.read_int`. This is the behavioral oracle that
+`landfill._ops` and `penalty.parse_workload` are compared against:
+for any lines they must return equal ops or events, or raise a TraceError
 naming the same line. Only the message of an integer field may differ:
 here it is Python's own `int` message, or `<field> must be >= N`.
 """

@@ -409,8 +409,13 @@ class TestExitCodes:
             (_LONG + b" a 1 0", ["penalty-sim", "--alpha", "0", "--bandwidth", "10", "--ticks", "1"], "workload line 2: tick"),
             (b"0 a " + _LONG + b" 0", ["penalty-sim", "--alpha", "0", "--bandwidth", "10", "--ticks", "1"],
              "workload line 2: requested_bytes"),
+            (b"0 a 1 0." + _LONG, ["penalty-sim", "--alpha", "0", "--bandwidth", "10", "--ticks", "1"],
+             "workload line 2: waste_fraction"),
+            (b"0 a 1 0", ["penalty-sim", "--alpha", f"1/{_LONG.decode()}", "--bandwidth", "10", "--ticks", "1"], "alpha"),
+            (b"0 a 1 0", ["penalty-sim", "--alpha", "0", "--weight", f"a={_LONG.decode()}", "--bandwidth", "10",
+                          "--ticks", "1"], "base_weight"),
         ],
-        ids=["put-size", "adv-n", "tick", "requested-bytes"],
+        ids=["put-size", "adv-n", "tick", "requested-bytes", "waste-fraction", "alpha-ratio", "weight"],
     )
     def test_long_integer_in_a_trace_field_is_named_in_one_line(self, capsys, tmp_path, line, argv, message):
         trace = tmp_path / "long.trace"

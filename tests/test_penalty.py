@@ -492,6 +492,29 @@ class TestRejectedInputs:
         with pytest.raises(WastekitError, match="exponent"):
             simulate(parse_workload(["0 a 1 0"]), cfg(ticks=1), {"a": spelling})
 
+    @pytest.mark.parametrize(
+        "spelling",
+        [f"1/{LONG}", f"{LONG}/1", f"0.{LONG}", f"-.{LONG}", "٣/" + "٣" * 5000],
+        ids=["denominator", "numerator", "decimal", "signed-decimal", "arabic-indic"],
+    )
+    def test_long_spellings_are_too_long_to_read(self, spelling):
+        with pytest.raises(TraceError, match=r"^workload line 1: waste_fraction holds a number too long to read$"):
+            parse_workload([f"0 a 1 {spelling}"])
+        with pytest.raises(WastekitError, match=r"^alpha holds a number too long to read$"):
+            SchedulerConfig(total_bandwidth=1, alpha=spelling, tick_count=1)
+        with pytest.raises(WastekitError, match=r"^base_weight holds a number too long to read$"):
+            simulate(parse_workload(["0 a 1 0"]), cfg(ticks=1), {"a": spelling})
+
+    @pytest.mark.parametrize(
+        "spelling",
+        [f"1/{LONG}x", f"0.{LONG}.", f"x{LONG}", f"1//{LONG}", "1/0", "abc"],
+        ids=["trailing-letter", "two-points", "leading-letter", "two-slashes", "zero-denominator", "letters"],
+    )
+    def test_other_bad_spellings_keep_their_message(self, spelling):
+        with pytest.raises(WastekitError) as info:
+            SchedulerConfig(total_bandwidth=1, alpha=spelling, tick_count=1)
+        assert str(info.value) == f"invalid alpha: {spelling!r}"
+
     @pytest.mark.parametrize("field", ["total_bandwidth", "tick_count"])
     @pytest.mark.parametrize("value", [2.5, 2.0, True])
     def test_integer_fields_must_be_ints(self, field, value):
