@@ -276,6 +276,7 @@ def build_inputs(work: str) -> dict[str, str]:
         "ops.trace": _landfill_trace(random.Random(SEED)),
         "log-is-trace.trace": _landfill_trace(random.Random(SEED)),
         "edge.trace": _EDGE_TRACE,
+        "comment-only.workload": "# tick producer requested waste_fraction\n",
         **{f"bad-{name}.trace": f"# malformed\n\nPUT a 1\n{line}\n" for name, line in _BAD_OPS.items()},
         **{f"bad-{name}.workload": f"# malformed\n\n0 a 5 0\n{line}\n" for name, line in _BAD_WORKLOAD.items()},
     }
@@ -337,6 +338,7 @@ def cases(p: dict[str, str]) -> dict[str, list[str]]:
         "penalty_json": ["--format", "json", *penalty, "--weight", "dirty=3/2"],
         "penalty_alpha0_json": ["--format", "json", *penalty[:4], "0", *penalty[5:]],
         "penalty_alpha_long": [*penalty[:4], f"1/{_LONG}", *penalty[5:]],
+        "penalty_alpha_negative": [*penalty[:3], "--alpha=-1/2", *penalty[5:]],
         "dedup_dir_table": ["dedup", p["tree"]],
         "dedup_dir_json": ["--format", "json", "dedup", p["tree"]],
         "dedup_snapshot_json": ["--format", "json", "dedup", p["new.snap"], "--target-chunk", "3000"],
@@ -358,6 +360,9 @@ def cases(p: dict[str, str]) -> dict[str, list[str]]:
         "report_threshold_0": ["report", p["new.snap"], "--rules", p["zero-threshold-rules.json"]],
         # A malformed trace of each format.
         **{f"landfill_trace_{name}": [*landfill[:2], p[f"bad-{name}.trace"], *landfill[3:]] for name in _BAD_OPS},
+        # A trace that is not a regular file, and a workload of no events.
+        "landfill_trace_not_regular": [*landfill[:2], os.devnull, *landfill[3:]],
+        "penalty_trace_comment_only": [*penalty[:2], p["comment-only.workload"], *penalty[3:]],
         # A trace error and a config error at once: the trace error wins.
         "landfill_trace_bad_capacity_0": [*landfill[:2], p["bad-put_size_x.trace"], landfill[3], "0", *landfill[5:]],
         **{f"penalty_trace_{name}": [*penalty[:2], p[f"bad-{name}.workload"], *penalty[3:]] for name in _BAD_WORKLOAD},
