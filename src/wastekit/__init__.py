@@ -6,8 +6,8 @@ The library is organized around four mechanisms:
   waste categories over filesystem snapshots, never-accessed metrics;
 - the action hierarchy (`hierarchy`): reduce / reuse / recycle /
   recover / dispose planning and flash-aware cost estimates;
-- the fading store (`landfill`): capacity-bounded LRU storage whose
-  unaccessed entries expire for free;
+- the fading store (`landfill`): capacity-bounded storage, evicted
+  oldest access epoch first, whose unaccessed entries expire for free;
 - incentives and reuse (`penalty`, `dedupe`): pay-as-you-throw
   bandwidth sharing and content-defined-chunking deduplication.
 

@@ -17,6 +17,7 @@ through a symlink.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import os
@@ -141,10 +142,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("dedup", help="measure chunk-level duplication in a tree or snapshot")
     p.add_argument("path", help="directory to ingest, or a snapshot file")
-    p.add_argument("--min-chunk", type=int, default=ChunkingConfig().min_chunk)
-    p.add_argument("--target-chunk", type=int, default=ChunkingConfig().target_chunk)
-    p.add_argument("--max-chunk", type=int, default=ChunkingConfig().max_chunk)
-    p.add_argument("--window", type=int, default=ChunkingConfig().window)
+    for f in dataclasses.fields(ChunkingConfig):
+        p.add_argument(f"--{f.name.replace('_', '-')}", type=int, default=f.default)
 
     p = sub.add_parser("recover", help="emit an anonymized summary of a snapshot's waste")
     p.add_argument("snapshot")
@@ -387,12 +386,7 @@ def _cmd_penalty_sim(args) -> int:
 
 
 def _cmd_dedup(args) -> int:
-    config = ChunkingConfig(
-        min_chunk=args.min_chunk,
-        target_chunk=args.target_chunk,
-        max_chunk=args.max_chunk,
-        window=args.window,
-    )
+    config = ChunkingConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(ChunkingConfig)})
     if os.path.isdir(args.path):
         snapshot = scan(args.path)
         _warn(snapshot.warnings)

@@ -50,18 +50,13 @@ import numpy as np
 
 from .errors import ChunkCorruptionError, ObjectNotFoundError, WastekitError, require_int
 
-DEFAULT_MIN_CHUNK = 2 * 1024
-DEFAULT_TARGET_CHUNK = 8 * 1024
-DEFAULT_MAX_CHUNK = 64 * 1024
-DEFAULT_WINDOW = 48
-
 
 @dataclass(frozen=True)
 class ChunkingConfig:
-    min_chunk: int = DEFAULT_MIN_CHUNK
-    target_chunk: int = DEFAULT_TARGET_CHUNK
-    max_chunk: int = DEFAULT_MAX_CHUNK
-    window: int = DEFAULT_WINDOW
+    min_chunk: int = 2 * 1024
+    target_chunk: int = 8 * 1024
+    max_chunk: int = 64 * 1024
+    window: int = 48
 
     def __post_init__(self):
         for f in fields(self):

@@ -28,13 +28,21 @@ class ChunkCorruptionError(WastekitError):
     """A stored chunk is missing or fails digest verification."""
 
 
+def shown(value) -> str:
+    """`repr(value)` as a message shows a refused value: whole up to 80
+    characters, else cut to 80 with `…`, so that a long input is not
+    echoed back whole."""
+    text = repr(value)
+    return text if len(text) <= 80 else text[:79] + "…"
+
+
 def require_int(value, name: str, minimum: int = 1, error: type[WastekitError] = WastekitError) -> None:
     """Raises `error`, naming the value as `name`, unless `value` is an
     `int` (a `bool` is not) of at least `minimum`."""
     if type(value) is not int:
-        raise error(f"{name} must be an integer, got {value!r}")
+        raise error(f"{name} must be an integer, got {shown(value)}")
     if value < minimum:
-        raise error(f"{name} must be >= {minimum}, got {value!r}")
+        raise error(f"{name} must be >= {minimum}, got {shown(value)}")
 
 
 @contextmanager

@@ -1,23 +1,12 @@
-"""Synthetic tree builders for desk-scale measurements and tests.
+"""Synthetic tree builder for desk-scale measurements and tests.
 
-The builders construct trees whose never-accessed-file and
-never-accessed-space percentages hit exact targets, plus a
-compilation-byproduct tree mixing intended products with temporary
-object code.
+`build_never_accessed_tree` constructs a tree whose never-accessed-file
+and never-accessed-space percentages hit exact targets.
 """
 
 from __future__ import annotations
 
 import os
-
-# (never-accessed % of files, never-accessed % of used space) profiles
-# observed on real machines: a personal laptop, a desktop workstation,
-# and a shared lab server.
-REFERENCE_PROFILES = {
-    "laptop": (20.6, 98.5),
-    "desktop": (47.4, 38.1),
-    "server": (57.1, 99.5),
-}
 
 ACCESS_GAP_SECS = 7 * 86400  # atime lead for "accessed" files
 
@@ -74,46 +63,3 @@ def build_never_accessed_tree(
             fh.write(b"x" * size)
         os.utime(path, (base_time + ACCESS_GAP_SECS, base_time))
         idx += 1
-
-
-def build_reference_trees(dest: str, **kwargs) -> dict[str, str]:
-    """Build one tree per reference profile under `dest`; returns paths."""
-    out = {}
-    for name, (files_pct, space_pct) in REFERENCE_PROFILES.items():
-        tree = os.path.join(dest, name)
-        build_never_accessed_tree(tree, files_pct, space_pct, **kwargs)
-        out[name] = tree
-    return out
-
-
-def build_compile_byproducts_tree(
-    dest: str,
-    product_bytes: int = 13_600_000,
-    byproduct_bytes: int = 44_500_000,
-    byproduct_files: int = 89,
-    product_files: int = 4,
-    base_time: int = 1_600_000_000,
-) -> None:
-    """Build a source-build output tree: intended products under lib/,
-    temporary object files under obj/.
-
-    Matches the shape left behind by compiling a mid-size C project:
-    the .o files are pure by-products, the installed libraries are the
-    intended output. Defaults give 13.6 MB of products beside 44.5 MB
-    of object code.
-    """
-    lib_dir = os.path.join(dest, "lib")
-    obj_dir = os.path.join(dest, "obj")
-    os.makedirs(lib_dir, exist_ok=True)
-    os.makedirs(obj_dir, exist_ok=True)
-
-    for i, size in enumerate(_split_bytes(product_bytes, product_files)):
-        path = os.path.join(lib_dir, f"libproduct{i}.so")
-        with open(path, "wb") as fh:
-            fh.write(b"\x7fELF" + b"\0" * max(0, size - 4))
-        os.utime(path, (base_time, base_time))
-    for i, size in enumerate(_split_bytes(byproduct_bytes, byproduct_files)):
-        path = os.path.join(obj_dir, f"unit{i:03d}.o")
-        with open(path, "wb") as fh:
-            fh.write(b"\x7fELF" + b"\0" * max(0, size - 4))
-        os.utime(path, (base_time, base_time))

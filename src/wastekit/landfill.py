@@ -1,10 +1,12 @@
 """Semi-volatile key-value store where unaccessed entries fade away.
 
 Time is logical: the caller advances epochs explicitly, so every run
-is deterministic. Capacity pressure evicts strict-LRU; epoch advances
-eagerly remove entries that have gone unaccessed longer than the fade
-lifetime. Space reclaimed by fading is free by construction — nothing
-is erased, the charge simply stops being refreshed.
+is deterministic. Capacity pressure evicts the entry of the oldest last
+access epoch; within one epoch the smallest key goes first, not the
+least recently used entry. Epoch advances eagerly remove entries that
+have gone unaccessed longer than the fade lifetime. Space reclaimed by
+fading is free by construction — nothing is erased, the charge simply
+stops being refreshed.
 """
 
 from __future__ import annotations
@@ -93,7 +95,8 @@ class LandfillStats(NamedTuple):
 
 
 class DigitalLandfill:
-    """LRU store with fading entries.
+    """Store with fading entries, evicted oldest access epoch first and,
+    within an epoch, smallest key first.
 
     Both eviction and fading need "oldest first" ordering, served by a
     single min-heap of (last_access_epoch, key) records with lazy
@@ -147,7 +150,8 @@ class DigitalLandfill:
 
     def _put(self, key: bytes, value: Optional[bytes], size: int) -> PutOutcome:
         """The one PUT path: log the op, reject a PUT larger than the
-        capacity, evict strict-LRU until the entry fits, store it."""
+        capacity, evict the smallest (epoch, key) until the entry fits,
+        store it."""
         if self._log is not None:
             self._log.write(f"PUT {_log_key(key)} {size}\n")
         capacity = self.config.capacity_bytes

@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import accumulate, compress
 from typing import NamedTuple, Optional, Union
 
-from .errors import TraceError, WastekitError, open_input, read_int, require_int, too_long
+from .errors import TraceError, WastekitError, open_input, read_int, require_int, shown, too_long
 
 Rational = Union[int, float, str, Fraction]
 
@@ -32,7 +32,7 @@ def _as_fraction(x: Rational, what: str) -> Fraction:
     A string may not use an exponent: Fraction("1e-999999999") would
     build 10**999999999 from a 12-byte input."""
     if isinstance(x, str) and ("e" in x or "E" in x):
-        raise WastekitError(f"invalid {what}: {x!r} (exponents are not accepted)")
+        raise WastekitError(f"invalid {what}: {shown(x)} (exponents are not accepted)")
     try:
         if isinstance(x, float):
             return Fraction(str(x))
@@ -40,7 +40,7 @@ def _as_fraction(x: Rational, what: str) -> Fraction:
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         if isinstance(exc, ValueError) and isinstance(x, str) and too_long(x, Fraction):
             raise WastekitError(f"{what} holds a number too long to read") from None
-        raise WastekitError(f"invalid {what}: {x!r}") from exc
+        raise WastekitError(f"invalid {what}: {shown(x)}") from exc
 
 
 @dataclass(frozen=True)
@@ -219,10 +219,10 @@ def simulate(
     unknown = sorted(set(base_weights) - set(producers))
     if unknown:
         raise WastekitError(f"weights given for producers not in the trace: {', '.join(map(repr, unknown))}")
-    base = [_as_fraction(base_weights.get(pid, 1), "base_weight") for pid in producers]
+    base = [_as_fraction(base_weights.get(pid, 1), f"weight of {pid!r}") for pid in producers]
     for pid, w in zip(producers, base):
         if w <= 0:
-            raise WastekitError(f"account {pid!r}: base_weight must be > 0")
+            raise WastekitError(f"weight of {pid!r} must be > 0")
 
     # Integer ledgers. Useful plus waste bytes is the producer's integer
     # requested total R, so with M = max(1, R) the penalty factor is

@@ -413,7 +413,7 @@ class TestExitCodes:
              "workload line 2: waste_fraction"),
             (b"0 a 1 0", ["penalty-sim", "--alpha", f"1/{_LONG.decode()}", "--bandwidth", "10", "--ticks", "1"], "alpha"),
             (b"0 a 1 0", ["penalty-sim", "--alpha", "0", "--weight", f"a={_LONG.decode()}", "--bandwidth", "10",
-                          "--ticks", "1"], "base_weight"),
+                          "--ticks", "1"], "weight of 'a'"),
         ],
         ids=["put-size", "adv-n", "tick", "requested-bytes", "waste-fraction", "alpha-ratio", "weight"],
     )
@@ -423,6 +423,24 @@ class TestExitCodes:
         code, _, err = cli(capsys, *argv[:1], "--trace", str(trace), *argv[1:])
         assert code == 1
         assert err == f"wastekit: error: {message} holds a number too long to read\n"
+
+    @pytest.mark.parametrize(
+        "line, argv, message",
+        [
+            (b"PUT k " + _LONG + b"x", ["landfill", "--capacity", "10", "--fade", "1"],
+             f"trace line 2: size must be an integer, got '{_LONG[:78].decode()}…"),
+            (b"0 a 1 0", ["penalty-sim", "--alpha", f"1/{_LONG.decode()}x", "--bandwidth", "10", "--ticks", "1"],
+             f"invalid alpha: '1/{_LONG[:76].decode()}…"),
+        ],
+        ids=["put-size", "alpha-ratio"],
+    )
+    def test_long_refused_value_is_cut_in_its_message(self, capsys, tmp_path, line, argv, message):
+        trace = tmp_path / "long.trace"
+        trace.write_bytes(b"# first\n" + line + b"\n")
+        code, _, err = cli(capsys, *argv[:1], "--trace", str(trace), *argv[1:])
+        assert code == 1
+        assert err == f"wastekit: error: {message}\n"
+        assert len(err.encode()) < 200
 
     @pytest.mark.parametrize("allocated", [{}, {"allocated_bytes": None}, {"allocated_bytes": 4096}])
     def test_integer_record_fields_are_read(self, capsys, tmp_path, rules_file, allocated):
@@ -733,6 +751,38 @@ class TestPlan:
         assert junk.exists()
         assert outside_state(tmp_path, small_tree) == before
 
+    def test_execute_deletes_only_regular_files_planned_for_dispose(self, capsys, small_tree, tmp_path, rules_file):
+        # scratch.tmp is planned for Recycle; a directory and a symlink
+        # match the unwanted glob and are planned for Dispose.
+        (small_tree / "dir.junk").mkdir()
+        (small_tree / "link.junk").symlink_to("report.txt")
+        masks = tmp_path / "masks.json"
+        masks.write_text(json.dumps({"rules": [{"glob": "*.tmp", "recycle_ok": True}]}))
+        snap = scan_to(capsys, small_tree, tmp_path / "t.snap")
+        obj = cli_json(capsys, "--format", "json", "plan", snap, "--rules", rules_file, "--masks", str(masks),
+                       "--execute", "--yes")
+        actions = {e["path"]: e["action"] for e in obj["plan"]["entries"]}
+        assert actions == {"dir.junk": "Dispose", "link.junk": "Dispose", "old.junk": "Dispose",
+                           "scratch.tmp": "Recycle"}
+        assert obj["executed"] == {"deleted": 1, "bytes_freed": 300, "failures": []}
+        assert not (small_tree / "old.junk").exists()
+        assert (small_tree / "scratch.tmp").exists()
+        assert (small_tree / "dir.junk").is_dir()
+        assert (small_tree / "link.junk").is_symlink()
+        assert (small_tree / "report.txt").exists()
+
+    def test_execute_refuses_a_root_that_is_not_a_directory(self, capsys, tmp_path, rules_file):
+        root = tmp_path / "old.junk"
+        root.write_bytes(b"j" * 3)
+        snap = tmp_path / "file-root.snap"
+        header = {"format": "wastekit-snapshot-v1", "root": str(root), "taken_at": 1_700_000_000}
+        record = {"path": "old.junk", "kind": "Regular", "size_bytes": 3, "mtime": int(root.stat().st_mtime), "atime": 1}
+        snap.write_text(json.dumps(header) + "\n" + json.dumps(record) + "\n")
+        code, out, err = cli(capsys, "plan", str(snap), "--rules", rules_file, "--execute", "--yes")
+        assert (code, out) == (1, "")
+        assert err == f"wastekit: error: snapshot root is not a directory: {str(root)!r}\n"
+        assert root.read_bytes() == b"j" * 3
+
     def test_unknown_device_kind(self, capsys, small_tree, tmp_path, rules_file):
         snap = scan_to(capsys, small_tree, tmp_path / "t.snap")
         code, _, _ = cli(capsys, "plan", snap, "--rules", rules_file, "--device", "QLC")
@@ -1040,8 +1090,8 @@ class TestPenaltySim:
         [
             (["ghost=2"], "'ghost'"),
             (["a=2", "ghost=abc", "zz=1"], "'ghost', 'zz'"),
-            (["a=abc"], "'abc'"),
-            (["a=0"], "base_weight must be > 0"),
+            (["a=abc"], "invalid weight of 'a': 'abc'"),
+            (["a=0"], "weight of 'a' must be > 0"),
         ],
         ids=["unknown", "unknown-listed", "bad-value", "zero"],
     )

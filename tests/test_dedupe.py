@@ -473,6 +473,13 @@ class TestChunkStore:
         assert store.check_consistency() == []
         assert store.restore("a") == data.tobytes()
 
+    def test_ingest_file_keeps_the_chunk_bytes(self):
+        data = random.Random(23).randbytes(30_000)
+        store = ChunkStore(config=SMALL)
+        assert store.ingest_file("f", io.BytesIO(data)).logical_bytes == len(data)
+        assert store.check_consistency() == []
+        assert store.restore("f") == data
+
     def test_restore_unknown_id(self):
         with pytest.raises(ObjectNotFoundError):
             ChunkStore().restore("ghost")

@@ -502,18 +502,41 @@ class TestRejectedInputs:
             parse_workload([f"0 a 1 {spelling}"])
         with pytest.raises(WastekitError, match=r"^alpha holds a number too long to read$"):
             SchedulerConfig(total_bandwidth=1, alpha=spelling, tick_count=1)
-        with pytest.raises(WastekitError, match=r"^base_weight holds a number too long to read$"):
+        with pytest.raises(WastekitError, match=r"^weight of 'a' holds a number too long to read$"):
             simulate(parse_workload(["0 a 1 0"]), cfg(ticks=1), {"a": spelling})
 
     @pytest.mark.parametrize(
-        "spelling",
-        [f"1/{LONG}x", f"0.{LONG}.", f"x{LONG}", f"1//{LONG}", "1/0", "abc"],
+        "spelling, shown",
+        [
+            (f"1/{LONG}x", f"'1/{LONG[:76]}…"),
+            (f"0.{LONG}.", f"'0.{LONG[:76]}…"),
+            (f"x{LONG}", f"'x{LONG[:77]}…"),
+            (f"1//{LONG}", f"'1//{LONG[:75]}…"),
+            ("1/0", "'1/0'"),
+            ("abc", "'abc'"),
+        ],
         ids=["trailing-letter", "two-points", "leading-letter", "two-slashes", "zero-denominator", "letters"],
     )
-    def test_other_bad_spellings_keep_their_message(self, spelling):
+    def test_other_bad_spellings_keep_their_message(self, spelling, shown):
+        # A long spelling is cut to 80 characters, not echoed back whole.
         with pytest.raises(WastekitError) as info:
             SchedulerConfig(total_bandwidth=1, alpha=spelling, tick_count=1)
-        assert str(info.value) == f"invalid alpha: {spelling!r}"
+        assert str(info.value) == f"invalid alpha: {shown}"
+
+    @pytest.mark.parametrize(
+        "weight, message",
+        [
+            ("x", "invalid weight of 'a': 'x'"),
+            ("0", "weight of 'a' must be > 0"),
+            ("-1/2", "weight of 'a' must be > 0"),
+            ("1e3", "invalid weight of 'a': '1e3' (exponents are not accepted)"),
+        ],
+        ids=["word", "zero", "negative", "exponent"],
+    )
+    def test_weight_refusals_name_the_producer(self, weight, message):
+        with pytest.raises(WastekitError) as info:
+            simulate(parse_workload(["0 a 1 0", "0 b 1 0"]), cfg(ticks=1), {"b": 1, "a": weight})
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("field", ["total_bandwidth", "tick_count"])
     @pytest.mark.parametrize("value", [2.5, 2.0, True])

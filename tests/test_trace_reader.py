@@ -168,9 +168,12 @@ def test_load_trace_checks_as_parse_trace_reads(tmp_path, line, block):
         (f"-{LONG}", "size holds a number too long to read"),
         (f"{LONG[:2000]}_{LONG}", "size holds a number too long to read"),
         ("٣" * 5000, "size holds a number too long to read"),
-        (f"{LONG}x", f"size must be an integer, got '{LONG}x'"),
+        (f"{LONG}x", f"size must be an integer, got '{LONG[:78]}…"),
+        ("x" * 78, f"size must be an integer, got '{'x' * 78}'"),
+        ("x" * 79, f"size must be an integer, got '{'x' * 78}…"),
     ],
-    ids=["word", "negative", "decimal", "long", "long-negative", "long-underscore", "long-arabic-indic", "long-then-x"],
+    ids=["word", "negative", "decimal", "long", "long-negative", "long-underscore", "long-arabic-indic", "long-then-x",
+         "80-characters", "81-characters"],
 )
 def test_read_int_rejects(field, message):
     with pytest.raises(TraceError) as info:
