@@ -271,6 +271,12 @@ def build_inputs(work: str) -> dict[str, str]:
             f'{{"atime":{T0 - DAY},"kind":"Regular","mtime":{T0 - 3 * DAY},"path":"z.dat","size_bytes":120}}\n'
         ),
         "recover-edges.snap": _recover_edges_snapshot(),
+        # A record whose path holds a raw U+2028, which JSON allows in a string.
+        "line-separator.snap": (
+            f'{{"format": "wastekit-snapshot-v1", "root": "/r", "taken_at": {T0}}}\n'
+            f'{{"atime": {T0 - 9 * DAY}, "kind": "Regular", "mtime": {T0 - 10 * DAY}, "path": "a\u2028b.tmp", '
+            '"size_bytes": 1500}\n'
+        ),
         "all-unwanted-rules.json": '{"unwanted_globs": ["*"]}\n',
         "workload.trace": _workload(random.Random(SEED)),
         "ops.trace": _landfill_trace(random.Random(SEED)),
@@ -305,6 +311,7 @@ def cases(p: dict[str, str]) -> dict[str, list[str]]:
         "report_old_json": ["--format", "json", "report", p["old.snap"], *rules],
         "report_unsorted": ["report", p["unsorted.snap"], *rules],
         "report_mixed_lines_json": ["--format", "json", "report", p["mixed-lines.snap"], *rules],
+        "report_line_separator_json": ["--format", "json", "report", p["line-separator.snap"], *rules],
         "diff_table": ["diff", p["old.snap"], p["new.snap"], *rules],
         "diff_table_v": ["-v", "diff", p["old.snap"], p["new.snap"], *rules],
         "diff_json": ["--format", "json", "diff", p["old.snap"], p["new.snap"], *rules],
@@ -351,6 +358,7 @@ def cases(p: dict[str, str]) -> dict[str, list[str]]:
         "scan_workers_0": ["scan", p["tree"], "--workers", "0"],
         "landfill_capacity_0": [*landfill[:4], "0", *landfill[5:]],
         "landfill_fade_0": [*landfill[:6], "0"],
+        "landfill_capacity_long": [*landfill[:4], _LONG, *landfill[5:]],
         "penalty_bandwidth_0": [*penalty[:6], "0", *penalty[7:]],
         "penalty_ticks_0": [*penalty[:8], "0"],
         "plan_erase_block_0": ["plan", p["new.snap"], *rules, "--erase-block", "0"],
