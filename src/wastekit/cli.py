@@ -27,7 +27,7 @@ import sys
 from ._version import __version__
 from .dedupe import ChunkIndex, ChunkingConfig
 from .dedupe import ChunkStore  # unused here; perfbench's tracer looks the name up in this module
-from .errors import WastekitError
+from .errors import WastekitError, shown, too_long
 from .hierarchy import (
     CostModel,
     HierarchyAction,
@@ -88,6 +88,17 @@ def _warn(warnings) -> None:
         print(f"warning: {w}", file=sys.stderr)
 
 
+def _int_arg(spelling: str) -> int:
+    """`int` as an option's type, which refuses a spelling with argparse's
+    own words but shows it as `shown` does, and names a number past
+    Python's digit limit for str-to-int as too long to read."""
+    try:
+        return int(spelling)
+    except ValueError:
+        what = "a number too long to read" if too_long(spelling, int) else shown(spelling)
+        raise argparse.ArgumentTypeError(f"invalid int value: {what}") from None
+
+
 def _add_rules_arg(sub) -> None:
     sub.add_argument("--rules", help=f"classification rules JSON (default: ${RULES_ENV})")
 
@@ -102,7 +113,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("scan", help="walk a directory tree and write a snapshot")
     p.add_argument("root")
     p.add_argument("-o", "--output", default="-", help="snapshot path ('-' for stdout)")
-    p.add_argument("--workers", type=int, default=1, help="accepted for compatibility; has no effect")
+    p.add_argument("--workers", type=_int_arg, default=1, help="accepted for compatibility; has no effect")
     p.add_argument("--follow-symlinks", action="store_true")
     p.add_argument("--one-filesystem", action="store_true")
     p.add_argument("--exclude", action="append", default=[], metavar="GLOB")
@@ -121,29 +132,29 @@ def build_parser() -> _Parser:
     _add_rules_arg(p)
     p.add_argument("--masks", help="feasibility mask rules JSON (default: dispose only)")
     p.add_argument("--device", default="MLC", help="flash type for the cost model: MLC, SLC or Other")
-    p.add_argument("--endurance", type=int, help="override device endurance cycles")
-    p.add_argument("--erase-block", type=int, default=256 * 1024, help="erase block size in bytes")
+    p.add_argument("--endurance", type=_int_arg, help="override device endurance cycles")
+    p.add_argument("--erase-block", type=_int_arg, default=256 * 1024, help="erase block size in bytes")
     p.add_argument("--execute", action="store_true", help="delete the files planned for Dispose")
     p.add_argument("--yes", action="store_true", help="confirm --execute")
 
     p = sub.add_parser("landfill", help="replay an operation trace against the fading store")
     p.add_argument("--trace", required=True)
-    p.add_argument("--capacity", required=True, type=int, help="capacity in bytes")
-    p.add_argument("--fade", required=True, type=int, help="fade lifetime in epochs")
+    p.add_argument("--capacity", required=True, type=_int_arg, help="capacity in bytes")
+    p.add_argument("--fade", required=True, type=_int_arg, help="fade lifetime in epochs")
     p.add_argument("--no-refresh-on-read", action="store_true")
     p.add_argument("--log", help="append-only operation log to write")
 
     p = sub.add_parser("penalty-sim", help="simulate pay-as-you-throw bandwidth sharing")
     p.add_argument("--trace", required=True, help="workload trace file")
     p.add_argument("--alpha", required=True, help="penalty strength (rational, e.g. 0.5)")
-    p.add_argument("--bandwidth", required=True, type=int, help="total bytes per tick")
-    p.add_argument("--ticks", required=True, type=int, help="ticks to simulate")
+    p.add_argument("--bandwidth", required=True, type=_int_arg, help="total bytes per tick")
+    p.add_argument("--ticks", required=True, type=_int_arg, help="ticks to simulate")
     p.add_argument("--weight", action="append", default=[], metavar="ID=W", help="producer base weight")
 
     p = sub.add_parser("dedup", help="measure chunk-level duplication in a tree or snapshot")
     p.add_argument("path", help="directory to ingest, or a snapshot file")
     for f in dataclasses.fields(ChunkingConfig):
-        p.add_argument(f"--{f.name.replace('_', '-')}", type=int, default=f.default)
+        p.add_argument(f"--{f.name.replace('_', '-')}", type=_int_arg, default=f.default)
 
     p = sub.add_parser("recover", help="emit an anonymized summary of a snapshot's waste")
     p.add_argument("snapshot")

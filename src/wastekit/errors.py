@@ -31,8 +31,14 @@ class ChunkCorruptionError(WastekitError):
 def shown(value) -> str:
     """`repr(value)` as a message shows a refused value: whole up to 80
     characters, else cut to 80 with `…`, so that a long input is not
-    echoed back whole."""
-    text = repr(value)
+    echoed back whole. An `int` past Python's digit limit for int-to-str
+    is described by its size, and a value holding one by its type."""
+    try:
+        text = repr(value)
+    except ValueError:  # an int too long to convert, or one inside `value`
+        if isinstance(value, int):
+            return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
+        return f"a {type(value).__name__} holding an integer too long to show"
     return text if len(text) <= 80 else text[:79] + "…"
 
 

@@ -6,7 +6,8 @@ and it lists directories with O_NOATIME wherever the caller owns them,
 so their atimes stay as they were.
 Snapshots are persisted as line-delimited JSON (one header object, then
 one record object per line, sorted by path) so they stream, diff, and
-survive manual inspection.
+survive manual inspection. A line ends where a line trace's does, at
+`\n`, `\r\n` or `\r`; a raw U+2028 or U+0085 is part of the line.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from os import stat_result
 from stat import S_ISDIR, S_ISLNK, S_ISREG
 
 from ._version import __version__
-from .errors import WastekitError, open_input, require_int
+from .errors import WastekitError, open_input, require_int, shown
 from .model import (
     FileKind,
     FileRecord,
@@ -61,8 +62,8 @@ class ScanOptions:
 @dataclass
 class Snapshot:
     """A persisted scan: an absolute root, capture time, and file records
-    sorted by path with no path twice, which is checked when one is made;
-    call `validate` again after changing `records`."""
+    sorted by path with no path twice. `validate` checks the fields when
+    one is made; call it again after changing one."""
 
     root: str
     taken_at: int
@@ -71,11 +72,15 @@ class Snapshot:
     warnings: list[str] = field(default_factory=list)
 
     def __post_init__(self):
-        if not (isinstance(self.root, str) and os.path.isabs(self.root)):
-            raise WastekitError(f"snapshot root must be an absolute path, got {self.root!r}")
         self.validate()
 
     def validate(self) -> None:
+        root, taken_at, atime_reliable, warnings = self.root, self.taken_at, self.atime_reliable, self.warnings
+        if not (isinstance(root, str) and os.path.isabs(root) and type(taken_at) is int
+                and type(atime_reliable) is bool and type(warnings) is list and all(type(w) is str for w in warnings)):
+            raise WastekitError("snapshot needs an absolute path root, an integer taken_at, a boolean atime_reliable "
+                                f"and a list of str warnings, got {shown(root)}, {shown(taken_at)}, "
+                                f"{shown(atime_reliable)} and {shown(warnings)}")
         paths = list(map(_BY_PATH, self.records))
         for path in compress(paths[1:], map(operator.ge, paths, paths[1:])):
             raise WastekitError(f"snapshot records not sorted/unique at {path!r}")
@@ -142,21 +147,16 @@ _RECORD_LINES = re.compile(
 )
 
 
-def _checked_records(path: str, lineno: int, lines: list[str]) -> list[FileRecord]:
-    """The records on snapshot lines numbered from `lineno`, blank ones skipped;
-    raises a WastekitError naming the file and line of a malformed one."""
-    records = []
-    for lineno, line in enumerate(lines, lineno):
-        if not line.strip():
-            continue
-        where = f"snapshot {path} line {lineno}"
-        obj = parse_json(line, where)
-        try:
-            records.append(FileRecord(obj["path"], obj["size_bytes"], obj["mtime"], obj["atime"], FileKind(obj["kind"]),
-                                      obj.get("allocated_bytes")))
-        except (KeyError, ValueError, TypeError) as exc:
-            raise WastekitError(f"{where}: malformed file record: {exc}") from exc
-    return records
+def _checked_record(path: str, lineno: int, line: str) -> FileRecord:
+    """The record on snapshot line `lineno`; raises a WastekitError naming
+    the file and line if it is malformed."""
+    where = f"snapshot {path} line {lineno}"
+    obj = parse_json(line, where)
+    try:
+        return FileRecord(obj["path"], obj["size_bytes"], obj["mtime"], obj["atime"], FileKind(obj["kind"]),
+                          obj.get("allocated_bytes"))
+    except (KeyError, ValueError, TypeError) as exc:
+        raise WastekitError(f"{where}: malformed file record: {exc}") from exc
 
 
 def read_snapshot(path: str) -> Snapshot:
@@ -164,29 +164,25 @@ def read_snapshot(path: str) -> Snapshot:
         text = fh.read()
     if not text:
         raise WastekitError(f"snapshot {path} is empty")
-    # Lines are numbered as `str.splitlines` cuts the text, also at U+2028,
-    # U+0085 and the like. A writer's record line holds none of them; any other
-    # `\n`-line, the header's too, is cut by splitting it with its `\n` put back.
-    first_end = text.find("\n") if "\n" in text else len(text)
-    header_line, *extra = (text[:first_end] + "\n").splitlines()
-    header = parse_json(header_line, f"snapshot {path} header")
+    # One match per `\n`-line (the text-mode read turned `\r\n` and `\r` into
+    # `\n`), held one at a time: the first is the header.
+    matches = _RECORD_LINES.finditer(text, 0, len(text) - text.endswith("\n"))
+    header = parse_json(next(matches)[0], f"snapshot {path} header")
     if not isinstance(header, dict) or header.get("format") != SNAPSHOT_FORMAT:
         raise WastekitError(f"{path} is not a {SNAPSHOT_FORMAT} file")
-    root, taken_at = header.get("root"), header.get("taken_at")
-    atime_reliable, warnings = header.get("atime_reliable", True), header.get("warnings", [])
-    if not (isinstance(root, str) and os.path.isabs(root) and type(taken_at) is int and type(atime_reliable) is bool
-            and type(warnings) is list and all(type(w) is str for w in warnings)):
+    try:
+        snapshot = Snapshot(header.get("root"), header.get("taken_at"), [], header.get("atime_reliable", True),
+                            header.get("warnings", []))
+    except WastekitError:
         raise WastekitError(f"snapshot {path} header needs an absolute path 'root', an integer 'taken_at', "
-                            "and optionally a boolean 'atime_reliable' and a 'warnings' list")
+                            "and optionally a boolean 'atime_reliable' and a 'warnings' list") from None
     # A line in the writer's form is read from its groups, its path unescaped
-    # if need be. Any other line, or one whose path `is_relative` refuses,
-    # goes through `_checked_records`. One match is held at a time.
-    records = _checked_records(path, 2, extra)
-    append = records.append
+    # if need be. Any other line that is not blank, or one whose path
+    # `is_relative` refuses, goes through `_checked_record`.
+    append = snapshot.records.append
     kinds = _KIND_BY_VALUE
     new_tuple = tuple.__new__
-    shift = 2 + len(extra)  # the line number of match i is i + shift
-    for i, match in enumerate(_RECORD_LINES.finditer(text, first_end + 1, len(text) - text.endswith("\n"))):
+    for lineno, match in enumerate(matches, 2):
         allocated, atime, kind, mtime, rel, size = match.groups()
         if kind:
             if "\\" in rel:
@@ -195,16 +191,10 @@ def read_snapshot(path: str) -> Snapshot:
                 append(new_tuple(FileRecord, (rel, int(size), int(mtime), int(atime), kinds[kind],
                                               int(allocated) if allocated else None)))
                 continue
-        lines = (match[0] + "\n").splitlines()
-        records += _checked_records(path, i + shift, lines)
-        shift += len(lines) - 1
-    return Snapshot(
-        root=root,
-        taken_at=taken_at,
-        records=records,
-        atime_reliable=atime_reliable,
-        warnings=list(warnings),
-    )
+        if (line := match[0]).strip():
+            append(_checked_record(path, lineno, line))
+    snapshot.validate()
+    return snapshot
 
 
 # Listing a directory reads it, so it is opened with O_NOATIME where the

@@ -3,11 +3,12 @@
 Every record line goes through `json.loads` and `record_from_obj`
 (whose `FileRecord` holds the path rule), one at a time, as the reader
 did before it read the writer's own lines in one pass, and `Snapshot`
-checks the order. An integer too long for Python to convert is reported
-in one line, not with Python's own message. `record_obj` is the object
-a record line encodes. This is the behavioral oracle the fast reader is
-compared against: for any file it must return an equal snapshot or
-raise a WastekitError with the identical message.
+checks the order. Lines end at `\n` (the text-mode read turns `\r\n` and
+`\r` into it), never at U+2028 or U+0085. An integer too long for Python
+to convert is reported in one line, not with Python's own message.
+`record_obj` is the object a record line encodes. This is the behavioral
+oracle the fast reader is compared against: for any file it must return
+an equal snapshot or raise a WastekitError with the identical message.
 """
 
 import json
@@ -48,11 +49,12 @@ def record_from_obj(obj):
 def naive_read_snapshot(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+            text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise WastekitError(f"cannot read snapshot {path}: {exc}") from exc
-    if not lines:
+    if not text:
         raise WastekitError(f"snapshot {path} is empty")
+    lines = text.split("\n")
     try:
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:

@@ -298,6 +298,21 @@ def _snapshot_with_record(**fields) -> bytes:
 
 
 _LONG = b"9" * 5000
+# Each integer option, after the arguments its subcommand needs; it fails
+# parsing before any file is opened.
+_INT_OPTIONS = [
+    ("--workers", ["scan", "tree"]),
+    ("--endurance", ["plan", "s.snap"]),
+    ("--erase-block", ["plan", "s.snap"]),
+    ("--capacity", ["landfill", "--trace", "t", "--fade", "1"]),
+    ("--fade", ["landfill", "--trace", "t", "--capacity", "10"]),
+    ("--bandwidth", ["penalty-sim", "--trace", "t", "--alpha", "0", "--ticks", "1"]),
+    ("--ticks", ["penalty-sim", "--trace", "t", "--alpha", "0", "--bandwidth", "10"]),
+    ("--min-chunk", ["dedup", "tree"]),
+    ("--target-chunk", ["dedup", "tree"]),
+    ("--max-chunk", ["dedup", "tree"]),
+    ("--window", ["dedup", "tree"]),
+]
 
 
 class TestExitCodes:
@@ -441,6 +456,23 @@ class TestExitCodes:
         assert code == 1
         assert err == f"wastekit: error: {message}\n"
         assert len(err.encode()) < 200
+
+    @pytest.mark.parametrize("option, argv", _INT_OPTIONS, ids=[option for option, _ in _INT_OPTIONS])
+    def test_long_integer_option_is_named_as_too_long(self, capsys, option, argv):
+        # Once the usage error echoed all 5,000 digits back.
+        code, _, err = cli(capsys, *argv, option, _LONG.decode())
+        assert code == 2
+        assert err.startswith(f"wastekit {argv[0]}: error: argument {option}: invalid int value: "
+                              "a number too long to read\nusage: ")
+
+    @pytest.mark.parametrize("option, argv", _INT_OPTIONS, ids=[option for option, _ in _INT_OPTIONS])
+    def test_bad_integer_option_keeps_argparse_words(self, capsys, option, argv):
+        code, _, err = cli(capsys, *argv, option, "x")
+        assert code == 2
+        assert err.startswith(f"wastekit {argv[0]}: error: argument {option}: invalid int value: 'x'\n")
+        code, _, err = cli(capsys, *argv, option, "x" * 5000)
+        assert code == 2
+        assert err.startswith(f"wastekit {argv[0]}: error: argument {option}: invalid int value: '{'x' * 78}…\nusage: ")
 
     @pytest.mark.parametrize("allocated", [{}, {"allocated_bytes": None}, {"allocated_bytes": 4096}])
     def test_integer_record_fields_are_read(self, capsys, tmp_path, rules_file, allocated):

@@ -48,6 +48,19 @@ class TestConfig:
         with pytest.raises(WastekitError, match=f"{field} must be an integer"):
             LandfillConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "value, message",
+        [(-10**5000, "must be >= 1, got a negative integer of 16610 bits"),
+         ([10**5000], "must be an integer, got a list holding an integer too long to show")],
+        ids=["negative-int", "list"],
+    )
+    def test_refused_value_too_long_to_show_is_described(self, value, message):
+        # Once repr() of such an int raised a bare ValueError that advised
+        # sys.set_int_max_str_digits().
+        with pytest.raises(WastekitError) as info:
+            LandfillConfig(capacity_bytes=value, fade_lifetime_epochs=1)
+        assert str(info.value) == f"capacity_bytes {message}"
+
 
 class TestPut:
     def test_store_into_empty(self):

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import random
 
 import pytest
@@ -20,6 +21,7 @@ from wastekit.model import (
     is_relative,
     load_rules,
     ruleset_from_json_obj,
+    sha256_file,
 )
 
 from conftest import make_record
@@ -250,6 +252,15 @@ class TestClassify:
         # must not attempt to hash a directory; falls through to NotWaste
         assert classify(rec, rules, NOW, digest_provider=lambda p: pytest.fail("hashed a dir")) is WasteCategory.NOT_WASTE
 
+    @pytest.mark.parametrize("content, want", [(b"good", WasteCategory.NOT_WASTE), (b"bad", WasteCategory.DEGRADED),
+                                               (None, WasteCategory.DEGRADED)])
+    def test_without_provider_reads_under_working_directory(self, tmp_path, monkeypatch, content, want):
+        if content is not None:
+            (tmp_path / "data.bin").write_bytes(content)
+        monkeypatch.chdir(tmp_path)
+        rules = RuleSet(degraded_checks=(("*.bin", hashlib.sha256(b"good").hexdigest()),))
+        assert classify(make_record(path="data.bin"), rules, NOW) is want
+
     def test_totality_over_kinds(self, basic_rules):
         for kind in FileKind:
             rec = make_record(path="anything.xyz", kind=kind)
@@ -305,6 +316,10 @@ class TestFileRecord:
         with pytest.raises(ValueError):
             make_record(size=-1)
 
+    def test_replace_checks_new_values(self):
+        with pytest.raises(ValueError, match="size_bytes must be >= 0"):
+            make_record()._replace(size_bytes=-1)
+
     @pytest.mark.parametrize(
         "fields",
         [
@@ -330,3 +345,14 @@ class TestFileRecord:
     def test_rejects_kind_that_is_not_a_file_kind(self, kind):
         with pytest.raises(ValueError, match="kind must be a FileKind"):
             make_record(kind=kind)
+
+
+class TestSha256File:
+    def test_none_for_a_pipe(self):
+        read_fd, write_fd = os.pipe()
+        try:
+            os.write(write_fd, b"good")
+            assert sha256_file(read_fd) is None
+        finally:
+            os.close(read_fd)
+            os.close(write_fd)

@@ -384,7 +384,51 @@ class TestSnapshotIO:
         # then refused the file.
         with pytest.raises(WastekitError) as info:
             Snapshot(root=root, taken_at=0, records=[])
-        assert str(info.value) == f"snapshot root must be an absolute path, got {root!r}"
+        assert str(info.value) == (
+            "snapshot needs an absolute path root, an integer taken_at, a boolean atime_reliable and a list of "
+            f"str warnings, got {root!r}, 0, True and []"
+        )
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"taken_at": "7"}, {"taken_at": 7.0}, {"taken_at": True}, {"atime_reliable": "yes"}, {"atime_reliable": 1},
+         {"warnings": "ab"}, {"warnings": ("a",)}, {"warnings": ["a", 5]}, {"warnings": [10**5000]}],
+        ids=["taken_at-str", "taken_at-float", "taken_at-bool", "atime_reliable-str", "atime_reliable-int",
+             "warnings-str", "warnings-tuple", "warnings-int", "warnings-long-int"],
+    )
+    def test_header_fields_are_checked_when_made(self, fields):
+        # Once such a snapshot was accepted: `write_snapshot` then wrote a
+        # file that `read_snapshot` refused, and `report` took the string
+        # "ab" as the warnings 'a' and 'b'.
+        with pytest.raises(WastekitError, match="^snapshot needs an absolute path root, an integer taken_at"):
+            Snapshot(**{"root": "/r", "taken_at": 7, "records": []} | fields)
+
+    def test_validate_checks_fields_changed_after_made(self):
+        snap = Snapshot(root="/r", taken_at=7, records=[])
+        snap.warnings = "ab"
+        with pytest.raises(WastekitError, match="list of str warnings, got '/r', 7, True and 'ab'"):
+            snap.validate()
+
+    @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85"], ids=repr)
+    def test_raw_line_separator_in_path_reads(self, tmp_path, char):
+        # JSON allows these raw in a string, and only `\n` ends a line.
+        p = tmp_path / "s.snap"
+        header = {"format": "wastekit-snapshot-v1", "root": "/r", "taken_at": 10}
+        record = record_obj(make_record(path=f"a{char}b"))
+        p.write_text(json.dumps(header) + "\n" + json.dumps(record, ensure_ascii=False) + "\n", encoding="utf-8")
+        assert [rec.path for rec in read_snapshot(str(p)).records] == [f"a{char}b"]
+
+    @pytest.mark.parametrize("char", ["\x0c", "\u2028", "\x85"], ids=repr)
+    def test_two_records_on_one_line_are_one_malformed_line(self, tmp_path, char):
+        p = tmp_path / "s.snap"
+        header = json.dumps({"format": "wastekit-snapshot-v1", "root": "/r", "taken_at": 10})
+        a, b = (json.dumps(record_obj(make_record(path=path))) for path in ("a", "b"))
+        p.write_text(header + "\n" + a + char + b + "\n", encoding="utf-8")
+        with pytest.raises(WastekitError, match=r"line 2 is not valid JSON: Extra data"):
+            read_snapshot(str(p))
+        p.write_text(header + char + a + "\n", encoding="utf-8")
+        with pytest.raises(WastekitError, match=r"header is not valid JSON: Extra data"):
+            read_snapshot(str(p))
 
 
 # Characters `json.dumps` escapes, or spells as \\u escapes or pairs:
@@ -455,9 +499,9 @@ class TestSnapshotWriter:
 _HEADER = {"format": "wastekit-snapshot-v1", "root": "/r", "taken_at": 10}
 _NAMES = st.text(alphabet="ab.", min_size=1, max_size=3)
 _PATHS = st.lists(st.lists(_NAMES, min_size=1, max_size=3).map("/".join), max_size=6, unique=True).map(sorted)
-# A raw U+2028 or U+0085 ends a line for `str.splitlines`, so a path
-# holding one splits its record in two.
-_BAD_PATHS = ["../x", "/abs", "a/../b", "a/./b", "a//b", "a/", ".", "..", "", 5, None, "a\u2028b", "a\x85b"]
+# A raw U+2028 or U+0085 ends no line, so a path may hold one.
+_BAD_PATHS = ["../x", "/abs", "a/../b", "a/./b", "a//b", "a/", ".", "..", "", 5, None]
+_GOOD_PATHS = ["...", "a\\b", ".hidden", "a\u2028b", "a\x85b"]
 _ODD_NUMBERS = [True, False, 1.5, -1, None, "7", 2**70]  # all but 2**70 are rejected
 _NOT_OBJECTS = ["[1, 2]", "5", '"s"', "null", "{}", "[]", "{", "x"]
 _DROP = "<dropped>"
@@ -466,7 +510,7 @@ _SINGLE_FAULTS = (
     [(key, value) for key in ("size_bytes", "mtime", "atime", "allocated_bytes") for value in _ODD_NUMBERS]
     + [(key, _DROP) for key in ("path", "size_bytes", "mtime", "atime", "kind", "allocated_bytes")]
     + [("kind", value) for value in ("Weird", "regular", [], {}, None, 1)]
-    + [("path", value) for value in _BAD_PATHS + ["...", "a\\b", ".hidden", "b"]]
+    + [("path", value) for value in _BAD_PATHS + _GOOD_PATHS + ["b"]]
     + [(None, text) for text in _NOT_OBJECTS + [" " + json.dumps(record_obj(make_record(path="b"))) + " "]]
     + [("extra", 1)]
 )
@@ -503,7 +547,7 @@ def _mutate_record(objs, i, data):
     elif what == "extra":
         obj["extra"] = 1
     elif what == "path":
-        obj["path"] = data.draw(st.sampled_from(_BAD_PATHS + ["...", "a\\b", ".hidden"]))
+        obj["path"] = data.draw(st.sampled_from(_BAD_PATHS + _GOOD_PATHS))
     elif what == "swap" and i + 1 < len(objs):
         objs[i], objs[i + 1] = objs[i + 1], objs[i]
     elif what == "dup":
@@ -611,8 +655,8 @@ class TestSnapshotReaderOracle:
         for _ in range(data.draw(st.integers(0, 2))):
             if lines:
                 _mutate_lines(lines, data.draw(st.integers(0, len(lines) - 1)), data)
-        # The end of the header and of each line; `str.splitlines` sees a
-        # U+2028 or U+0085 end, which a `\n` split does not.
+        # The end of the header and of each line; a U+2028 or U+0085 ends
+        # no line, and joins the two on either side of it.
         newline = data.draw(st.sampled_from(["\n", "\r\n"]))
         ends = data.draw(st.lists(st.sampled_from([newline, newline, "\u2028", "\x85" + newline]),
                                   min_size=len(lines) + 1, max_size=len(lines) + 1))
@@ -628,9 +672,9 @@ class TestSnapshotReaderOracle:
         records = [make_record(path=f"d/{name}{i:04d}", allocated_bytes=4096 if i % 2 else None) for i in range(1000)]
         p = tmp_path / "s.snap"
         p.write_text(dumps(Snapshot(root="/r", taken_at=10, records=records)).replace("\n", newline), newline="")
-        with mock.patch.object(scanner_mod, "_checked_records", wraps=scanner_mod._checked_records) as checked:
+        with mock.patch.object(scanner_mod, "_checked_record", wraps=scanner_mod._checked_record) as checked:
             assert read_snapshot(str(p)).records == records
-        assert [call.args[2] for call in checked.call_args_list] == [[]]  # only the header's `\n`-line, with no record
+        assert not checked.called
 
     def test_read_holds_one_line_at_a_time(self, tmp_path):
         # Beyond the records it returns, a read holds the file's text, one
