@@ -195,6 +195,36 @@ _BAD_WORKLOAD = {
 }
 
 
+def _snap_line(path: str, mtime_days: int, atime_days: int, size: int) -> str:
+    """A record line in the writer's form, its times in days before T0."""
+    return (f'{{"atime":{T0 - atime_days * DAY},"kind":"Regular","mtime":{T0 - mtime_days * DAY},'
+            f'"path":{json.dumps(path)},"size_bytes":{size}}}')
+
+
+# Pairs of snapshots whose NEW shares most of its lines with OLD, byte for
+# byte. NEW changes one record in place (b.dat, read again), drops c.tmp
+# and adds c2.dat, and holds a blank line and CRLF line ends; d.dat's
+# unchanged line turns idle at NEW's later capture time.
+_SHARED_HEADER = '{{"format": "wastekit-snapshot-v1", "root": "/r", "taken_at": {}}}'
+_SHARED_OLD = [
+    _snap_line("a.dat", 200, 100, 10), _snap_line("b.dat", 200, 100, 20), _snap_line("c.tmp", 30, 30, 30),
+    _snap_line("d.dat", 200, 45, 40), _snap_line("keep/x.txt", 90, 90, 50),
+]
+_SHARED_NEW = [
+    _SHARED_OLD[0], "", _snap_line("b.dat", 200, 1, 20), _snap_line("c2.dat", 2, 2, 60), *_SHARED_OLD[3:],
+]
+# Shared lines in other forms: a path the writer escapes, hand-spaced keys
+# and a raw non-ASCII path. Only f.dat changes; the three others turn idle.
+_ESCAPED_OLD = [
+    _snap_line("caf\u00e9.dat", 200, 45, 10),
+    json.dumps({"atime": T0 - 45 * DAY, "kind": "Regular", "mtime": T0 - 200 * DAY, "path": "e.dat", "size_bytes": 5}),
+    _snap_line("f.dat", 200, 100, 7),
+    json.dumps({"atime": T0 - 45 * DAY, "kind": "Regular", "mtime": T0 - 200 * DAY, "path": "g\u00e9.dat",
+                "size_bytes": 3}, ensure_ascii=False),
+]
+_ESCAPED_NEW = [*_ESCAPED_OLD[:2], _snap_line("f.dat", 200, 1, 7), _ESCAPED_OLD[3]]
+
+
 def build_inputs(work: str) -> dict[str, str]:
     """Build every input under `work`; returns the paths by name."""
     paths = {name: os.path.join(work, name) for name in ("tree", "exec-json", "exec-table")}
@@ -277,6 +307,20 @@ def build_inputs(work: str) -> dict[str, str]:
             f'{{"atime": {T0 - 9 * DAY}, "kind": "Regular", "mtime": {T0 - 10 * DAY}, "path": "a\u2028b.tmp", '
             '"size_bytes": 1500}\n'
         ),
+        "shared-old.snap": "\n".join([_SHARED_HEADER.format(T_OLD), *_SHARED_OLD]) + "\n",
+        "shared-new.snap": "\r\n".join([_SHARED_HEADER.format(T0), *_SHARED_NEW]) + "\r\n",
+        # Three lines shared with shared-old.snap, then a record with no size
+        # on line 5.
+        "shared-malformed.snap": "\n".join([
+            _SHARED_HEADER.format(T0), *_SHARED_OLD[:3], '{"atime":1,"kind":"Regular","mtime":1,"path":"c1.dat"}',
+            *_SHARED_OLD[3:],
+        ]) + "\n",
+        # shared-old.snap's lines, b.dat after c.tmp.
+        "shared-unsorted.snap": "\n".join([
+            _SHARED_HEADER.format(T0), _SHARED_OLD[0], _SHARED_OLD[2], _SHARED_OLD[1], *_SHARED_OLD[3:],
+        ]) + "\n",
+        "escaped-old.snap": "\n".join([_SHARED_HEADER.format(T_OLD), *_ESCAPED_OLD]) + "\n",
+        "escaped-new.snap": "\n".join([_SHARED_HEADER.format(T0), *_ESCAPED_NEW]) + "\n",
         "all-unwanted-rules.json": '{"unwanted_globs": ["*"]}\n',
         "workload.trace": _workload(random.Random(SEED)),
         "ops.trace": _landfill_trace(random.Random(SEED)),
@@ -318,6 +362,12 @@ def cases(p: dict[str, str]) -> dict[str, list[str]]:
         "diff_self_json": ["--format", "json", "diff", p["new.snap"], p["new.snap"], *rules],
         "diff_check_same_json": ["--format", "json", "diff", p["check-same-old.snap"], p["check-same-new.snap"], *rules],
         "diff_check_flip_json": ["--format", "json", "diff", p["check-flip-old.snap"], p["check-flip-new.snap"], *rules],
+        # NEW read against an OLD it shares most lines with.
+        "diff_shared_json": ["--format", "json", "diff", p["shared-old.snap"], p["shared-new.snap"], *rules],
+        "diff_shared_table_v": ["-v", "diff", p["shared-old.snap"], p["shared-new.snap"], *rules],
+        "diff_shared_malformed": ["diff", p["shared-old.snap"], p["shared-malformed.snap"], *rules],
+        "diff_shared_unsorted": ["diff", p["shared-old.snap"], p["shared-unsorted.snap"], *rules],
+        "diff_shared_escaped_json": ["--format", "json", "diff", p["escaped-old.snap"], p["escaped-new.snap"], *rules],
         "plan_table": ["plan", p["new.snap"], *rules],
         "plan_table_v": ["-v", "plan", p["new.snap"], *rules, "--masks", p["masks.json"]],
         "plan_json": ["--format", "json", "plan", p["new.snap"], *rules],
