@@ -53,6 +53,7 @@ from .scanner import (
     diff,
     dump_snapshot,
     read_snapshot,
+    read_snapshot_pair,
     recover_summary,
     report,
     scan,
@@ -236,8 +237,7 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_diff(args) -> int:
-    old = read_snapshot(args.old)
-    new = read_snapshot(args.new)
+    old, new = read_snapshot_pair(args.old, args.new)
     rules = load_rules(_rules_path(args))
     churn = diff(old, new, rules)
     _warn(churn.warnings)

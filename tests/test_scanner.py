@@ -29,6 +29,7 @@ from wastekit.scanner import (
     _json_line,
     dump_snapshot,
     read_snapshot,
+    read_snapshot_pair,
     report,
     scan,
     write_snapshot,
@@ -720,6 +721,113 @@ class TestSnapshotReaderOracle:
         lines = [json.dumps(record_obj(make_record(path=path))) for path in ("b", "a")] + ['{"path": "c"}']
         got = self.check(tmp_path, "\n".join([json.dumps(_HEADER), *lines]) + "\n")
         assert "line 4: malformed file record" in got
+
+
+def _naive_pair(old_path, new_path):
+    return naive_read_snapshot(old_path), naive_read_snapshot(new_path)
+
+
+def _retimed(line, data):
+    """Line, a record line, with new numbers for its path, in the writer's
+    form; line itself if it holds no object with a path."""
+    try:
+        obj = json.loads(line)
+    except ValueError:
+        return line
+    if not isinstance(obj, dict) or "path" not in obj:
+        return line
+    return _json_line(_record_obj(obj["path"], data))[:-1]
+
+
+class TestSnapshotPairReaderOracle:
+    """`read_snapshot_pair` reads NEW against OLD and takes OLD's record
+    for each line the two share; its result must equal two
+    `naive_read_snapshot` calls, down to the error message, OLD's first."""
+
+    def check(self, tmp_path, old_text, new_text):
+        old_p, new_p = tmp_path / "old.snap", tmp_path / "new.snap"
+        old_p.write_text(old_text, encoding="utf-8", newline="")
+        new_p.write_text(new_text, encoding="utf-8", newline="")
+        got = _outcome(lambda old: read_snapshot_pair(old, str(new_p)), str(old_p))
+        assert got == _outcome(lambda old: _naive_pair(old, str(new_p)), str(old_p))
+        if not isinstance(got, str):
+            assert all(type(rec) is FileRecord for snapshot in got for rec in snapshot.records)
+        return got
+
+    @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_matches_two_oracle_reads(self, tmp_path, data):
+        records = [record_from_obj(_record_obj(path, data)) for path in data.draw(_PATHS) if is_relative(path)]
+        header, *lines = dumps(Snapshot(root="/r", taken_at=10, records=records)).split("\n")[:-1]
+        for _ in range(data.draw(st.integers(0, 2))):
+            if lines:
+                _mutate_writer_line(lines, data.draw(st.integers(0, len(lines) - 1)), data)
+        for _ in range(data.draw(st.integers(0, 2))):
+            if lines:
+                _mutate_lines(lines, data.draw(st.integers(0, len(lines) - 1)), data)
+        # NEW keeps some of OLD's lines, in order; it changes, drops or
+        # moves the others, and adds lines before some.
+        new_lines = []
+        for line in lines:
+            what = data.draw(st.sampled_from(["keep", "keep", "keep", "drop", "retime", "fault", "add", "move"]))
+            if what == "keep":
+                new_lines.append(line)
+            elif what == "retime":
+                new_lines.append(_retimed(line, data))
+            elif what == "fault":
+                new_lines.append(line)
+                _mutate_writer_line(new_lines, len(new_lines) - 1, data)
+            elif what == "add":
+                path = data.draw(st.lists(_NAMES, min_size=1, max_size=3).map("/".join))
+                new_lines += [_json_line(_record_obj(path, data))[:-1], line]
+            elif what == "move":  # before the line kept last: out of path order
+                new_lines.insert(max(0, len(new_lines) - 1), line)
+        for _ in range(data.draw(st.integers(0, 2))):
+            if new_lines:
+                _mutate_lines(new_lines, data.draw(st.integers(0, len(new_lines) - 1)), data)
+        texts = []
+        for header_, lines_ in ((header, lines), (json.dumps(_HEADER | {"taken_at": 20}), new_lines)):
+            newline = data.draw(st.sampled_from(["\n", "\r\n"]))
+            texts.append(newline.join([header_, *lines_]) + data.draw(st.sampled_from(["", newline])))
+        # Past this many NEW lines in a row that reuse nothing, the rest of
+        # NEW is read in one pass.
+        with mock.patch.object(scanner_mod, "_REUSE_MISSES", data.draw(st.sampled_from([0, 1, 2, 1024]))):
+            self.check(tmp_path, *texts)
+
+    def test_unchanged_lines_reuse_old_records(self, tmp_path):
+        records = [make_record(path=f"d/f{i:04d}", allocated_bytes=4096 if i % 2 else None) for i in range(1000)]
+        changed = list(records)
+        changed[500] = make_record(path="d/f0500", atime=2000)
+        got = self.check(tmp_path, dumps(Snapshot(root="/r", taken_at=10, records=records)),
+                         dumps(Snapshot(root="/r", taken_at=20, records=changed)))
+        old, new = got
+        assert new.records == changed and new.records[500] is not old.records[500]
+        assert all(new.records[i] is old.records[i] for i in range(1000) if i != 500)
+
+    @pytest.mark.parametrize("share", ["96%", "none", "none, paths moved"])
+    def test_pair_read_holds_no_more_than_two_reads(self, tmp_path, share):
+        # OLD's lines are let go as NEW passes them, or all at once when
+        # NEW reuses nothing for a while, so holding them for reuse costs
+        # no more than NEW's own records would.
+        records = [make_record(path=f"d/f{i:05d}", allocated_bytes=4096) for i in range(20_000)]
+        every = 25 if share == "96%" else 1
+        parent = "c" if share == "none, paths moved" else "d"
+        changed = [rec if i % every else make_record(path=f"{parent}/f{i:05d}", atime=rec.atime + 1, allocated_bytes=4096)
+                   for i, rec in enumerate(records)]
+        old_p, new_p = str(tmp_path / "old.snap"), str(tmp_path / "new.snap")
+        write_snapshot(Snapshot(root="/r", taken_at=10, records=records), old_p)
+        write_snapshot(Snapshot(root="/r", taken_at=20, records=changed), new_p)
+
+        def peak(read):
+            tracemalloc.start()
+            try:
+                got = read()  # noqa: F841 (held while the peak is read)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        two_reads = peak(lambda: (read_snapshot(old_p), read_snapshot(new_p)))
+        assert peak(lambda: read_snapshot_pair(old_p, new_p)) <= 1.05 * two_reads
 
 
 def synth_snapshot(records, taken_at=10_000_000_000, root="/syn"):
