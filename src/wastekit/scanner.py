@@ -239,7 +239,7 @@ def read_snapshot_pair(old_path: str, new_path: str) -> tuple[Snapshot, Snapshot
     old, text = _read(old_path)
     old_records = old.records
     # OLD's record lines, in record order: every line but the header and
-    # the blank ones.
+    # the blank ones. OLD's text goes before NEW's is read.
     lines = list(filter(str.strip, text.split("\n")))
     del lines[0], text
 

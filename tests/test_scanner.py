@@ -723,10 +723,6 @@ class TestSnapshotReaderOracle:
         assert "line 4: malformed file record" in got
 
 
-def _naive_pair(old_path, new_path):
-    return naive_read_snapshot(old_path), naive_read_snapshot(new_path)
-
-
 def _retimed(line, data):
     """Line, a record line, with new numbers for its path, in the writer's
     form; line itself if it holds no object with a path."""
@@ -749,7 +745,7 @@ class TestSnapshotPairReaderOracle:
         old_p.write_text(old_text, encoding="utf-8", newline="")
         new_p.write_text(new_text, encoding="utf-8", newline="")
         got = _outcome(lambda old: read_snapshot_pair(old, str(new_p)), str(old_p))
-        assert got == _outcome(lambda old: _naive_pair(old, str(new_p)), str(old_p))
+        assert got == _outcome(lambda old: (naive_read_snapshot(old), naive_read_snapshot(str(new_p))), str(old_p))
         if not isinstance(got, str):
             assert all(type(rec) is FileRecord for snapshot in got for rec in snapshot.records)
         return got
@@ -812,8 +808,10 @@ class TestSnapshotPairReaderOracle:
         records = [make_record(path=f"d/f{i:05d}", allocated_bytes=4096) for i in range(20_000)]
         every = 25 if share == "96%" else 1
         parent = "c" if share == "none, paths moved" else "d"
-        changed = [rec if i % every else make_record(path=f"{parent}/f{i:05d}", atime=rec.atime + 1, allocated_bytes=4096)
-                   for i, rec in enumerate(records)]
+        changed = [
+            rec if i % every else make_record(path=f"{parent}/f{i:05d}", atime=rec.atime + 1, allocated_bytes=4096)
+            for i, rec in enumerate(records)
+        ]
         old_p, new_p = str(tmp_path / "old.snap"), str(tmp_path / "new.snap")
         write_snapshot(Snapshot(root="/r", taken_at=10, records=records), old_p)
         write_snapshot(Snapshot(root="/r", taken_at=20, records=changed), new_p)
