@@ -223,6 +223,12 @@ _ESCAPED_OLD = [
                 "size_bytes": 3}, ensure_ascii=False),
 ]
 _ESCAPED_NEW = [*_ESCAPED_OLD[:2], _snap_line("f.dat", 200, 1, 7), _ESCAPED_OLD[3]]
+# OLD's lines with b.dat changed in place, then records after OLD's last
+# path; the last line has no final `\n`.
+_APPENDED_NEW = [
+    _SHARED_OLD[0], _snap_line("b.dat", 200, 1, 20), *_SHARED_OLD[2:], _snap_line("keep/y.txt", 90, 90, 70),
+    _snap_line("z.tmp", 60, 60, 80), _snap_line("zz.dat", 2, 2, 90),
+]
 
 
 def build_inputs(work: str) -> dict[str, str]:
@@ -321,6 +327,9 @@ def build_inputs(work: str) -> dict[str, str]:
         ]) + "\n",
         "escaped-old.snap": "\n".join([_SHARED_HEADER.format(T_OLD), *_ESCAPED_OLD]) + "\n",
         "escaped-new.snap": "\n".join([_SHARED_HEADER.format(T0), *_ESCAPED_NEW]) + "\n",
+        "appended-new.snap": "\n".join([_SHARED_HEADER.format(T0), *_APPENDED_NEW]),
+        # A header and no record lines, with no final `\n`.
+        "header-only.snap": _SHARED_HEADER.format(T0),
         "all-unwanted-rules.json": '{"unwanted_globs": ["*"]}\n',
         "workload.trace": _workload(random.Random(SEED)),
         "ops.trace": _landfill_trace(random.Random(SEED)),
@@ -356,6 +365,7 @@ def cases(p: dict[str, str]) -> dict[str, list[str]]:
         "report_unsorted": ["report", p["unsorted.snap"], *rules],
         "report_mixed_lines_json": ["--format", "json", "report", p["mixed-lines.snap"], *rules],
         "report_line_separator_json": ["--format", "json", "report", p["line-separator.snap"], *rules],
+        "report_header_only": ["report", p["header-only.snap"], *rules],
         "diff_table": ["diff", p["old.snap"], p["new.snap"], *rules],
         "diff_table_v": ["-v", "diff", p["old.snap"], p["new.snap"], *rules],
         "diff_json": ["--format", "json", "diff", p["old.snap"], p["new.snap"], *rules],
@@ -368,6 +378,7 @@ def cases(p: dict[str, str]) -> dict[str, list[str]]:
         "diff_shared_malformed": ["diff", p["shared-old.snap"], p["shared-malformed.snap"], *rules],
         "diff_shared_unsorted": ["diff", p["shared-old.snap"], p["shared-unsorted.snap"], *rules],
         "diff_shared_escaped_json": ["--format", "json", "diff", p["escaped-old.snap"], p["escaped-new.snap"], *rules],
+        "diff_appended_json": ["--format", "json", "diff", p["shared-old.snap"], p["appended-new.snap"], *rules],
         "plan_table": ["plan", p["new.snap"], *rules],
         "plan_table_v": ["-v", "plan", p["new.snap"], *rules, "--masks", p["masks.json"]],
         "plan_json": ["--format", "json", "plan", p["new.snap"], *rules],
