@@ -74,7 +74,8 @@ class FileRecord(_FileRecordFields):
     timestamps, noatime mounts); the f-lifetime computation clamps.
 
     Sizes and timestamps are `int`s, not `bool`s; `path` is a `str`
-    that `is_relative` accepts, and `kind` a `FileKind`. So every record
+    that `is_relative` accepts and that holds no surrogate pair (a high
+    surrogate, then a low one), and `kind` a `FileKind`. So every record
     writes a snapshot line that `read_snapshot` reads back. An immutable
     named tuple, not a dataclass, because a snapshot read builds one per
     line and that must stay cheap next to the parse (`read_snapshot` and
@@ -97,6 +98,8 @@ class FileRecord(_FileRecordFields):
             raise ValueError(f"timestamps must be >= 0, got mtime={mtime} atime={atime}")
         if type(path) is not str or not is_relative(path):
             raise ValueError(f"record path {path!r} must be relative, with no empty, '.' or '..' component")
+        if re.search("[\ud800-\udbff][\udc00-\udfff]", path):
+            raise ValueError(f"record path {path!r} holds a surrogate pair, which reads back as one character")
         if type(kind) is not FileKind:
             raise ValueError(f"kind must be a FileKind, got {kind!r}")
         return tuple.__new__(cls, (path, size_bytes, mtime, atime, kind, allocated_bytes))

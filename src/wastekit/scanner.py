@@ -159,39 +159,13 @@ def _checked_record(path: str, lineno: int, line: str) -> FileRecord:
         raise WastekitError(f"{where}: malformed file record: {exc}") from exc
 
 
-def _snapshot_text(path: str) -> tuple[str, Snapshot, int]:
-    """The text of the snapshot file at `path`, a Snapshot of its header
-    with no records yet, and the offset of its first record line."""
-    with open_input(path, "snapshot") as fh:
-        text = fh.read()
-    if not text:
-        raise WastekitError(f"snapshot {path} is empty")
-    # The text-mode read turned `\r\n` and `\r` into `\n`.
-    end = text.find("\n")
-    if end < 0:
-        end = len(text)
-    header = parse_json(text[:end], f"snapshot {path} header")
-    if not isinstance(header, dict) or header.get("format") != SNAPSHOT_FORMAT:
-        raise WastekitError(f"{path} is not a {SNAPSHOT_FORMAT} file")
-    try:
-        snapshot = Snapshot(header.get("root"), header.get("taken_at"), [], header.get("atime_reliable", True),
-                            header.get("warnings", []))
-    except WastekitError:
-        raise WastekitError(f"snapshot {path} header needs an absolute path 'root', an integer 'taken_at', "
-                            "and optionally a boolean 'atime_reliable' and a 'warnings' list") from None
-    return text, snapshot, end + 1
-
-
-def _read_lines(path: str, text: str, pos: int, lineno: int, records: list[FileRecord],
-                endpos: int | None = None) -> None:
-    """Append the records on the lines of `text[pos:endpos]` (by default,
-    to the end), the first of them snapshot line `lineno`, to `records`.
-    One match per `\n`-line, held one at a time. A line in the writer's
-    form is read from its groups, its path unescaped if need be. Any
-    other line that is not blank, or one whose path `is_relative`
-    refuses, goes through `_checked_record`."""
-    if endpos is None:
-        endpos = len(text) - text.endswith("\n")
+def _read_lines(path: str, text: str, pos: int, lineno: int, records: list[FileRecord], endpos: int) -> None:
+    """Append the records on the lines of `text[pos:endpos]`, the first of
+    them snapshot line `lineno`, to `records`. One match per `\n`-line,
+    held one at a time. A line in the writer's form is read from its
+    groups, its path unescaped if need be. Any other line that is not
+    blank, or one whose path `is_relative` refuses, goes through
+    `_checked_record`."""
     append = records.append
     kinds = _KIND_BY_VALUE
     new_tuple = tuple.__new__
@@ -208,78 +182,86 @@ def _read_lines(path: str, text: str, pos: int, lineno: int, records: list[FileR
             append(_checked_record(path, lineno, line))
 
 
-def _read(path: str) -> tuple[Snapshot, str]:
-    """The snapshot at `path`, and the text it was read from."""
-    text, snapshot, start = _snapshot_text(path)
-    _read_lines(path, text, start, 2, snapshot.records)
+# Past this many lines in a row that reuse no old record, `_read` stops its
+# cursor: two snapshots that share few lines then cost about what two reads
+# cost, in time and in memory.
+_REUSE_MISSES = 1024
+
+
+def _read(path: str, old_lines: list[str | None], old_records: list[FileRecord]) -> tuple[Snapshot, str]:
+    """The snapshot at `path`, and its text with a final `\n`, read against
+    `old_lines`, the record lines of `old_records`. A line byte-identical
+    to the old line at the cursor gets that old record, the same object;
+    any other is decoded, and the cursor moves past every old path up to
+    its path. Old lines are let go as the cursor passes them, and the rest
+    where it stops: at the text's end, past the last old line, or after
+    `_REUSE_MISSES` lines in a row that reuse nothing. The rest of the
+    text is then read in one `_read_lines` pass."""
+    with open_input(path, "snapshot") as fh:
+        text = fh.read()
+    if not text:
+        raise WastekitError(f"snapshot {path} is empty")
+    # The text-mode read turned `\r\n` and `\r` into `\n`, and with a final
+    # `\n` every line ends at one.
+    if not text.endswith("\n"):
+        text += "\n"
+    end = text.find("\n")
+    header = parse_json(text[:end], f"snapshot {path} header")
+    if not isinstance(header, dict) or header.get("format") != SNAPSHOT_FORMAT:
+        raise WastekitError(f"{path} is not a {SNAPSHOT_FORMAT} file")
+    try:
+        snapshot = Snapshot(header.get("root"), header.get("taken_at"), [], header.get("atime_reliable", True),
+                            header.get("warnings", []))
+    except WastekitError:
+        raise WastekitError(f"snapshot {path} header needs an absolute path 'root', an integer 'taken_at', "
+                            "and optionally a boolean 'atime_reliable' and a 'warnings' list") from None
+    records = snapshot.records
+    append, startswith, find = records.append, text.startswith, text.find
+    size, old_count = len(text), len(old_lines)
+    pos, lineno = end + 1, 2
+    cursor = misses = 0
+    while pos < size and cursor < old_count:
+        line = old_lines[cursor]
+        end = pos + len(line)
+        if startswith(line, pos) and startswith("\n", end):
+            append(old_records[cursor])
+            old_lines[cursor] = None
+            cursor += 1
+            misses = 0
+        else:
+            misses += 1
+            if misses > _REUSE_MISSES:
+                break
+            end = find("\n", pos)
+            count = len(records)
+            _read_lines(path, text, pos, lineno, records, end)
+            if len(records) > count:
+                new_path = records[-1][0]
+                while cursor < old_count and old_records[cursor][0] <= new_path:
+                    old_lines[cursor] = None
+                    cursor += 1
+        pos = end + 1
+        lineno += 1
+    old_lines.clear()
+    _read_lines(path, text, pos, lineno, records, size - 1)
     snapshot.validate()
     return snapshot, text
 
 
 def read_snapshot(path: str) -> Snapshot:
-    return _read(path)[0]
-
-
-# Past this many NEW lines in a row that reuse no OLD record,
-# `read_snapshot_pair` lets OLD's lines go and reads the rest of NEW as
-# `read_snapshot` does: two snapshots that share few lines then cost about
-# what two reads cost, in time and in memory.
-_REUSE_MISSES = 1024
+    return _read(path, [], [])[0]
 
 
 def read_snapshot_pair(old_path: str, new_path: str) -> tuple[Snapshot, Snapshot]:
-    """Read OLD, then NEW against it: what `read_snapshot` gives for each,
-    errors included, OLD's first. A NEW line byte-identical to the OLD
-    record line at a cursor is not decoded again: NEW gets OLD's record,
-    the same object. Any other line is decoded as `read_snapshot` decodes
-    it, and the cursor then moves past every OLD path up to that line's
-    path. OLD's lines are let go as the cursor passes them, and all at
-    once after `_REUSE_MISSES` lines in a row reuse nothing, so a pair
+    """Read OLD, then NEW against OLD's record lines (see `_read`): what
+    `read_snapshot` gives for each, errors included, OLD's first. A pair
     read holds little more than two `read_snapshot` calls."""
-    old, text = _read(old_path)
-    old_records = old.records
+    old, text = _read(old_path, [], [])
     # OLD's record lines, in record order: every line but the header and
     # the blank ones. OLD's text goes before NEW's is read.
     lines = list(filter(str.strip, text.split("\n")))
     del lines[0], text
-
-    text, new, pos = _snapshot_text(new_path)
-    if not text.endswith("\n"):
-        text += "\n"  # so that every line ends at a `\n`
-    records = new.records
-    append, startswith, find = records.append, text.startswith, text.find
-    size, old_count = len(text), len(lines)
-    cursor = misses = 0
-    lineno = 2
-    while pos < size:
-        if cursor < old_count:
-            line = lines[cursor]
-            end = pos + len(line)
-            if startswith(line, pos) and startswith("\n", end):
-                append(old_records[cursor])
-                lines[cursor] = None
-                cursor += 1
-                pos = end + 1
-                lineno += 1
-                misses = 0
-                continue
-        misses += 1
-        if misses > _REUSE_MISSES:
-            lines.clear()
-            _read_lines(new_path, text, pos, lineno, records)
-            break
-        end = find("\n", pos)
-        count = len(records)
-        _read_lines(new_path, text, pos, lineno, records, end)
-        if len(records) > count:
-            path = records[-1][0]
-            while cursor < old_count and old_records[cursor][0] <= path:
-                lines[cursor] = None
-                cursor += 1
-        pos = end + 1
-        lineno += 1
-    new.validate()
-    return old, new
+    return old, _read(new_path, lines, old.records)[0]
 
 
 # Listing a directory reads it, so it is opened with O_NOATIME where the

@@ -341,6 +341,17 @@ class TestFileRecord:
         with pytest.raises(ValueError, match="record path .* must be relative"):
             make_record(path=path)
 
+    # A pair is written as the JSON escapes of the one character it encodes,
+    # and so would read back as that character; a lone surrogate reads back.
+    @pytest.mark.parametrize("path", ["\ud800\udc80", "a/\udbff\udfff.x", "\udc80\ud800\udc00"])
+    def test_rejects_path_that_holds_a_surrogate_pair(self, path):
+        with pytest.raises(ValueError, match="record path .* holds a surrogate pair"):
+            make_record(path=path)
+
+    @pytest.mark.parametrize("path", ["\ud800", "\udc80", "\udc80\ud800", "a\ud800/b\udc80", "\U00010080"])
+    def test_accepts_path_that_holds_no_surrogate_pair(self, path):
+        assert make_record(path=path).path == path
+
     @pytest.mark.parametrize("kind", ["Regular", None, 1])
     def test_rejects_kind_that_is_not_a_file_kind(self, kind):
         with pytest.raises(ValueError, match="kind must be a FileKind"):

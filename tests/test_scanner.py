@@ -800,7 +800,20 @@ class TestSnapshotPairReaderOracle:
         assert new.records == changed and new.records[500] is not old.records[500]
         assert all(new.records[i] is old.records[i] for i in range(1000) if i != 500)
 
-    @pytest.mark.parametrize("share", ["96%", "none", "none, paths moved"])
+    def test_rest_of_new_after_old_runs_out_is_read_in_one_pass(self, tmp_path):
+        # Once the cursor passes OLD's last line, the rest of NEW is read in
+        # one `_read_lines` pass, not a line at a time: OLD's read and that
+        # pass make two calls.
+        records = [make_record(path=f"d/f{i:04d}", allocated_bytes=4096) for i in range(100)]
+        added = [make_record(path=f"e/f{i:04d}") for i in range(3000)]
+        with mock.patch.object(scanner_mod, "_read_lines", wraps=scanner_mod._read_lines) as read_lines:
+            old, new = self.check(tmp_path, dumps(Snapshot(root="/r", taken_at=10, records=records)),
+                                  dumps(Snapshot(root="/r", taken_at=20, records=records + added)))
+        assert read_lines.call_count <= 2
+        assert new.records == records + added
+        assert all(new.records[i] is old.records[i] for i in range(100))
+
+    @pytest.mark.parametrize("share",["96%", "none", "none, paths moved"])
     def test_pair_read_holds_no_more_than_two_reads(self, tmp_path, share):
         # OLD's lines are let go as NEW passes them, or all at once when
         # NEW reuses nothing for a while, so holding them for reuse costs
